@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .bregman import divergence_ld
 from .dense_kernels import dense_cholesky, sym_eig
-from .errors import CapExceeded, IndefinitePreconditionerDetected
+from .errors import CapExceeded, IndefinitePreconditionerDetected, NotPositiveDefinite
 from .precond import KIND_IDENTITY, Preconditioner
 from .sparse_core import CsrMatrix, spmv
 
@@ -56,6 +56,10 @@ def pcg_solve(
     decides when to check.  A recurrence/true mismatch larger than 10x tol
     is flagged on the report.  Stagnation is declared when the true residual
     has not decreased by at least 10 machine epsilons over 50 iterations.
+
+    Raises NotPositiveDefinite (``which="s"``) when a search direction has
+    nonpositive curvature ``<d, S d>``, which an SPD ``S`` rules out, and
+    IndefinitePreconditionerDetected when ``<z, r> <= 0``.
 
     Returns (x, SolveReport).
     """
@@ -106,6 +110,8 @@ def pcg_solve(
         s_dir = spmv(s, direction)
         matvecs += 1
         curvature = float(direction @ s_dir)
+        if curvature <= 0.0:
+            raise NotPositiveDefinite(f"<d, S d> = {curvature:.6g} at iteration {k}", which="s")
         step = rho / curvature
         x = x + step * direction
         residual = residual - step * s_dir

@@ -1,9 +1,10 @@
 """Compressed sparse row matrices and the kernels built on them.
 
 Dense vectors and matrices are plain float64 numpy arrays throughout the
-package; this module owns the sparse side.  Kernels are sequential and
-deterministic: entries combine row by row in ascending column order, exactly
-as the textbook double loop would, so repeated runs agree bitwise.
+package; this module owns the sparse side.  The kernels are scipy's: ``spmv``
+is a scipy CSR product, and ``tri_solve`` runs SuperLU's triangular solve
+from a plan each factor prepares once (see ``_SolvePlan``).  Neither uses
+threads, so repeated runs in one environment agree bitwise.
 
 Explicit zeros are legal stored entries.  They matter: incomplete
 factorizations work with the sparsity pattern, and a stored zero is part of
@@ -15,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg import LinAlgError
+from scipy.sparse.linalg._dsolve import _superlu
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,18 +162,56 @@ class CholFactor:
         return self.L.n_rows
 
     @cached_property
-    def _lower(self):
-        return self.L.to_scipy()
+    def _lower_plan(self) -> "_SolvePlan":
+        return _SolvePlan(self.L.to_scipy(), lower=True)
 
     @cached_property
-    def _upper(self):
-        return self.L.to_scipy().T.tocsr()
+    def _upper_plan(self) -> "_SolvePlan":
+        return _SolvePlan(self.L.to_scipy().T.tocsr(), lower=False)
 
     def diagonal(self) -> np.ndarray:
         return self.L.diagonal()
 
     def to_dense(self) -> np.ndarray:
         return self.L.to_dense()
+
+
+class _SolvePlan:
+    """The set-up of ``scipy.sparse.linalg.spsolve_triangular``, done once.
+
+    For a fixed CSR triangle, scipy (1.17) copies the matrix, transposes it to
+    CSC, scales it by the inverse diagonal, sums duplicates, builds the
+    SuperLU ``L``/``U`` pair and casts their indices on every call.  Only
+    ``gstrs`` and the final ``x * invdiag`` depend on the right-hand side.
+    A plan runs the same set-up steps once and keeps their result, so
+    ``solve(b)`` equals ``spsolve_triangular(tri, b, lower)`` bit for bit.
+    ``tests/test_sparse_core.py`` checks that against the public function,
+    which guards the private ``_superlu`` import on new scipy versions.
+    """
+
+    def __init__(self, tri: scipy.sparse.csr_matrix, lower: bool):
+        n = tri.shape[0]
+        self.invdiag = 1 / tri.diagonal()
+        # SuperLU solves with the transposed CSC matrix, scaled to a unit diagonal
+        scaled = (tri @ scipy.sparse.diags_array(self.invdiag)).T
+        scaled.sum_duplicates()
+        if lower:  # the transpose is upper triangular: U, with L = I
+            scaled.setdiag(0)
+            pair = (scipy.sparse.eye_array(n, dtype=np.float64, format="csc"), scaled)
+        else:
+            pair = (scaled, scipy.sparse.csc_array((n, n), dtype=np.float64))
+        self.args = tuple(
+            arg
+            for m in pair
+            for arg in (n, m.nnz, m.data, *scipy.sparse.safely_cast_index_arrays(m, np.intc, "SuperLU"))
+        )
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        # gstrs copies b into a fresh Fortran-ordered array, so b is not written
+        x, info = _superlu.gstrs("T", *self.args, b)
+        if info:
+            raise LinAlgError("triangular factor is singular")
+        return x * (self.invdiag if x.ndim == 1 else self.invdiag[:, None])
 
 
 def spmv(a: CsrMatrix, x) -> np.ndarray:
@@ -190,9 +230,8 @@ def tri_solve(factor: CholFactor, b, transposed: bool = False) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != factor.n:
         raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
-    if transposed:
-        return scipy.sparse.linalg.spsolve_triangular(factor._upper, b, lower=False)
-    return scipy.sparse.linalg.spsolve_triangular(factor._lower, b, lower=True)
+    plan = factor._upper_plan if transposed else factor._lower_plan
+    return plan.solve(b)
 
 
 def sparse_ata(a: CsrMatrix) -> CsrMatrix:

@@ -1,8 +1,69 @@
+import math
+
 import numpy as np
 import pytest
 
 from bregpcg import Breakdown, CsrMatrix, ic0, scaled_error
-from conftest import laplacian_2d, ref_ic0_dense
+from conftest import bumped_band, laplacian_2d, random_spd, ref_ic0_dense
+
+
+def ref_ic0_intersect(s, diag_shift=0.0):
+    """Row-by-row IC(0) that intersects row patterns entry by entry.
+
+    The order of every dot product and division is the one ``ic0`` must
+    keep, so its values are compared bitwise.  Returns the values of L, or
+    the row index where the pivot failed (as an int).
+    """
+    lower = s.lower_triangle()
+    row_ptr, cols = lower.row_ptr, lower.col_idx
+    vals = np.array(lower.values)
+    ends = row_ptr[1:] - 1
+    if diag_shift:
+        vals[ends] *= 1.0 + diag_shift
+    for i in range(s.n_rows):
+        lo, hi = row_ptr[i], row_ptr[i + 1]
+        cols_i = cols[lo : hi - 1]
+        for t in range(lo, hi - 1):
+            j = cols[t]
+            jlo, jhi = row_ptr[j], row_ptr[j + 1]
+            common, ia, ib = np.intersect1d(
+                cols_i[: t - lo], cols[jlo : jhi - 1], assume_unique=True, return_indices=True
+            )
+            acc = float(np.dot(vals[lo + ia], vals[jlo + ib])) if len(common) else 0.0
+            vals[t] = (vals[t] - acc) / vals[jhi - 1]
+        pivot = vals[hi - 1] - float(np.dot(vals[lo : hi - 1], vals[lo : hi - 1]))
+        if pivot <= 0.0:
+            return i
+        vals[hi - 1] = math.sqrt(pivot)
+    return vals
+
+
+@pytest.mark.parametrize(
+    "dense, diag_shift",
+    [
+        (laplacian_2d(12), 0.0),
+        (bumped_band(300), 0.0),  # off-band bumps: rows share earlier columns
+        (random_spd(40, seed=3), 0.05),  # dense pattern: long shared-column lists
+    ],
+    ids=["laplacian", "bumped_band", "random_spd"],
+)
+def test_values_bitwise_match_intersect_reference(dense, diag_shift):
+    s = CsrMatrix.from_dense(dense)
+    want = ref_ic0_intersect(s, diag_shift)
+    assert not isinstance(want, int)
+    np.testing.assert_array_equal(ic0(s, diag_shift=diag_shift).L.values, want)
+
+
+def test_breakdown_row_matches_intersect_reference():
+    # lowering the diagonal makes the bumped band indefinite; the pivot
+    # fails only after rows whose dot products run over shared columns
+    dense = bumped_band(200, bumps=12, scale=3.0, seed=5) - 2.2 * np.eye(200)
+    s = CsrMatrix.from_dense(dense)
+    row = ref_ic0_intersect(s)
+    assert row == 45
+    with pytest.raises(Breakdown) as info:
+        ic0(s)
+    assert info.value.row == row
 
 
 def test_identity_factors_to_identity():

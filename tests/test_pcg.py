@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import hilbert
 
 from bregpcg import (
@@ -8,6 +9,7 @@ from bregpcg import (
     EigsParams,
     IndefinitePreconditionerDetected,
     LowRank,
+    NotPositiveDefinite,
     Preconditioner,
     SketchParams,
     assemble,
@@ -20,6 +22,7 @@ from bregpcg import (
     divergence_ld,
     ic0,
     identity,
+    make_rhs,
     pcg_solve,
 )
 import bregpcg.pcg as pcg_module
@@ -164,6 +167,29 @@ def test_indefinite_preconditioner_detected():
     b = z[:, 0].copy()
     with pytest.raises(IndefinitePreconditionerDetected):
         pcg_solve(s, b, bad, tol=1e-10)
+
+
+@pytest.mark.parametrize("second", [0.0, -1.0], ids=["zero", "negative"])
+def test_nonpositive_curvature_is_a_typed_error(second):
+    # b points along the second axis, so <d, S d> = second at iteration 1
+    s = CsrMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0, second])
+    with pytest.raises(NotPositiveDefinite, match="at iteration 1") as info:
+        pcg_solve(s, np.array([0.0, 1.0]), identity(), tol=1e-10)
+    assert info.value.which == "s"
+
+
+def test_ichol_pcg_golden_laplacian():
+    # 50x50 five-point Laplacian + 0.01 I; the counts and the residual bits
+    # are pinned so that faster kernels must reproduce the same arithmetic
+    m = 50
+    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    s = CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(m * m))
+    p = assemble(ic0(s), None, label="ichol")
+    _, rep = pcg_solve(s, make_rhs(m * m, 0), p, tol=1e-10, maxit=2000)
+    assert rep.converged
+    assert rep.iterations == 53
+    assert rep.matvecs_S == 56
+    assert rep.final_rel_residual == 7.473131372807314e-11
 
 
 def test_zero_rhs_short_circuits():

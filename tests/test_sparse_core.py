@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from bregpcg import CholFactor, CsrMatrix, sparse_ata, spmv, tri_solve
+from bregpcg import CholFactor, CsrMatrix, ic0, sparse_ata, spmv, tri_solve
+from conftest import bumped_band, laplacian_2d
 
 
 def naive_spmv(dense, x):
@@ -99,18 +101,67 @@ def test_tri_solve_hand_case():
     np.testing.assert_allclose(got, [1.0, 2.0], atol=1e-15)
 
 
-def test_tri_solve_roundtrip_sparse():
-    gen = np.random.default_rng(5)
-    n = 100
+def random_sparse_lower(gen, n):
     dense = np.tril(gen.standard_normal((n, n)))
     dense[gen.random((n, n)) < 0.8] = 0.0
     np.fill_diagonal(dense, 1.0 + gen.random(n))
+    return dense
+
+
+def test_tri_solve_roundtrip_sparse():
+    gen = np.random.default_rng(5)
+    n = 100
+    dense = random_sparse_lower(gen, n)
     fac = lower_factor(dense)
     b = gen.standard_normal(n)
     x = tri_solve(fac, b)
     assert np.linalg.norm(dense @ x - b) / np.linalg.norm(b) <= 1e-12
     y = tri_solve(fac, b, transposed=True)
     assert np.linalg.norm(dense.T @ y - b) / np.linalg.norm(b) <= 1e-12
+
+
+TRI_FACTORS = {
+    "ic0_laplacian": lambda: ic0(CsrMatrix.from_dense(laplacian_2d(12))),
+    "ic0_bumped_band": lambda: ic0(CsrMatrix.from_dense(bumped_band(300))),
+    "random_sparse_lower": lambda: lower_factor(random_sparse_lower(np.random.default_rng(5), 100)),
+}
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("name", sorted(TRI_FACTORS))
+def test_tri_solve_is_bitwise_scipy_spsolve_triangular(name, transposed):
+    # tri_solve replays spsolve_triangular's set-up once and then calls
+    # SuperLU's private gstrs directly; this pins the two together
+    fac = TRI_FACTORS[name]()
+    tri = fac.L.to_scipy()
+    if transposed:
+        tri = tri.T.tocsr()
+    gen = np.random.default_rng(21)
+    for b in (gen.standard_normal(fac.n), gen.standard_normal((fac.n, 32))):
+        want = scipy.sparse.linalg.spsolve_triangular(tri, b, lower=not transposed)
+        np.testing.assert_array_equal(tri_solve(fac, b, transposed), want)
+
+
+def test_tri_solve_never_calls_spsolve_triangular(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spsolve_triangular reached")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve_triangular", refuse)
+    fac = ic0(CsrMatrix.from_dense(bumped_band(60)))
+    b = np.random.default_rng(2).standard_normal((60, 3))
+    for _ in range(3):
+        for transposed in (False, True):
+            tri_solve(fac, b[:, 0], transposed)
+            tri_solve(fac, b, transposed)
+
+
+def test_tri_solve_leaves_right_hand_side_alone():
+    fac = ic0(CsrMatrix.from_dense(bumped_band(40)))
+    b = np.random.default_rng(4).standard_normal(40)
+    kept = b.copy()
+    tri_solve(fac, b)
+    tri_solve(fac, b, transposed=True)
+    np.testing.assert_array_equal(b, kept)
 
 
 def test_chol_factor_rejects_bad_diagonals():
