@@ -22,13 +22,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from . import rng
-from .bregman import scaled_error, select_indices, truncate
+from .bregman import gamma, nu, scaled_error, select_indices, truncate
 from .dense_kernels import sym_eig
 from .eigsolve import EigsParams
 from .errors import NoConvergence
 from .ichol import ic0
 from .matio import load_problem
-from .pcg import cond2_preconditioned, divergence_columns, pcg_solve
+from .pcg import pcg_solve, preconditioned_spectrum
 from .precond import (
     assemble,
     build_alpha,
@@ -235,9 +235,10 @@ def run_small_suite(cfg: ExperimentConfig):
                     p = assemble(factor, truncate(decomp, idx), label=tag)
                     _, rep = pcg_solve(s, b, p, tol=cfg.tol, maxit=maxit)
                     row[f"iter_{tag}"] = _iter_cell(rep)
-                    row[f"cond_{tag}"] = _fmt(cond2_preconditioned(s, p, cap=cfg.cap))
-                    forward, reverse = divergence_columns(s, p, cap=cfg.cap)
-                    row[f"div_{tag}"] = _fmt(reverse if rule == "rbld" else forward)
+                    mu = preconditioned_spectrum(s, p, cap=cfg.cap)
+                    row[f"cond_{tag}"] = _fmt(mu[-1] / mu[0])
+                    curve = nu if rule == "rbld" else gamma
+                    row[f"div_{tag}"] = _fmt(curve(mu - 1.0).sum())
                 except Exception as exc:
                     log.error("%s r=%d %s: %s", name, r, tag, exc)
             if len(selections) == 3:
@@ -418,8 +419,6 @@ SPECTRUM_HEADER = ("index", "theta", "gamma_theta", "nu_theta", "abs_theta")
 
 def spectrum_rows(s, factor, cap: int = 4096):
     """Scaled-error spectrum with both selection curves, descending."""
-    from .bregman import gamma, nu
-
     decomp = sym_eig(scaled_error(s, factor, cap=cap))
     rows = []
     for i, theta in enumerate(decomp.values):

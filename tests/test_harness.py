@@ -150,6 +150,34 @@ def test_small_suite_rows_and_csv(tmp_path):
     assert len(reader) == 1 + len(rows)
 
 
+def test_small_suite_rows_are_pinned(tmp_path, monkeypatch):
+    # the right-hand side is seeded from the matrix path, so run from a
+    # fixed relative one; the cond_/div_ values were computed from the
+    # materialized P with dense Cholesky factors
+    monkeypatch.chdir(tmp_path)
+    write_instance("band.mtx", bumped_band(60, seed=10))
+    rows = run_small_suite(ExperimentConfig(suite="small", matrices=("band.mtx",), seed=31))
+    want = [
+        ["band", 60, 0, "18", "6", "6", "6", "6", 1.0939183094270073, 1.0939183094270073,
+         1.0939183094270073, 0.0029316283844593727, 0.0029314422182906696,
+         0.0029314422182906696, "true"],
+        ["band", 60, 3, "18", "6", "5", "5", "5", 1.0402186895784489, 1.0402186895784489,
+         1.0402186895784489, 0.00059973542708746663, 0.0005954763954392206,
+         0.0005954763954392206, "true"],
+        ["band", 60, 6, "18", "6", "4", "4", "4", 1.0130711856556178, 1.0130711856556178,
+         1.0130711856556178, 7.3150387528642113e-05, 7.3008518377548626e-05,
+         7.3008518377548626e-05, "true"],
+    ]
+    numeric = {i for i, key in enumerate(SMALL_HEADER) if key.startswith(("cond_", "div_"))}
+    assert len(rows) == len(want)
+    for got, expected in zip(rows, want):
+        assert [c for i, c in enumerate(got) if i not in numeric] == [
+            c for i, c in enumerate(expected) if i not in numeric
+        ]
+        for i in sorted(numeric):
+            assert float(got[i]) == pytest.approx(expected[i], rel=1e-9)
+
+
 def test_small_suite_exact_completion_converges_fast(tmp_path):
     gen = np.random.default_rng(5)
     n, r = 60, 6  # rank 6 = floor(60 * 0.1), hit by the last epsilon

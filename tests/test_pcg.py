@@ -4,6 +4,7 @@ import scipy.sparse
 from scipy.linalg import hilbert
 
 from bregpcg import (
+    CapExceeded,
     CholFactor,
     CsrMatrix,
     EigsParams,
@@ -26,6 +27,7 @@ from bregpcg import (
     pcg_solve,
 )
 import bregpcg.pcg as pcg_module
+from bregpcg.pcg import preconditioned_spectrum
 from bregpcg.dense_kernels import sym_eig
 from conftest import bumped_band
 
@@ -192,6 +194,22 @@ def test_ichol_pcg_golden_laplacian():
     assert rep.final_rel_residual == 7.473131372807314e-11
 
 
+def test_plain_cg_golden_laplacian():
+    # same problem as above without a preconditioner; pins the in-place
+    # vector updates of the PCG loop to the original arithmetic
+    m = 50
+    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    s = CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(m * m))
+    b = make_rhs(m * m, 0)
+    b_before = b.copy()
+    _, rep = pcg_solve(s, b, identity(), tol=1e-10, maxit=2000)
+    assert rep.converged
+    assert rep.iterations == 159
+    assert rep.matvecs_S == 166
+    assert rep.final_rel_residual == 8.246895583260052e-11
+    np.testing.assert_array_equal(b, b_before)
+
+
 def test_zero_rhs_short_circuits():
     s = band(10)
     x, rep = pcg_solve(s, np.zeros(10), identity(), tol=1e-10)
@@ -292,3 +310,53 @@ def test_report_carries_label():
     p = assemble(ic0(s), None, label="ichol")
     _, rep = pcg_solve(s, np.ones(30), p, tol=1e-10, maxit=200)
     assert rep.preconditioner_label == "ichol"
+
+
+def dense_spectrum_oracle(s, p):
+    """cond and both divergences from the materialized P and its Cholesky factor."""
+    s_dense, p_dense = s.to_dense(), p.to_dense()
+    lp = np.linalg.cholesky(p_dense)
+    scaled = np.linalg.solve(lp, np.linalg.solve(lp, s_dense).T)
+    vals = np.linalg.eigvalsh((scaled + scaled.T) / 2.0)
+    return vals[-1] / vals[0], divergence_ld(s_dense, p_dense), divergence_ld(p_dense, s_dense)
+
+
+@pytest.mark.parametrize("kind", ["factor", "rbld", "svd_krylov"])
+def test_spectrum_matches_dense_definitions(kind):
+    s = band(120)
+    fac = ic0(s)
+    if kind == "factor":
+        p = assemble(fac, None)
+    elif kind == "rbld":
+        p = build_exact(s, fac, 6, "rbld")
+        assert p.W.lam.min() < 0.0
+    else:  # Ritz vectors, not exact eigenvectors
+        p = build_svd_krylov(s, fac, 6, EigsParams(tol=1e-8, slack=30, seed=3))
+    cond, forward, reverse = dense_spectrum_oracle(s, p)
+    mu = preconditioned_spectrum(s, p)
+    assert np.all(np.diff(mu) >= 0.0)
+    assert cond2_preconditioned(s, p) == pytest.approx(cond, rel=1e-10)
+    got_forward, got_reverse = divergence_columns(s, p)
+    assert got_forward == pytest.approx(forward, rel=1e-10)
+    assert got_reverse == pytest.approx(reverse, rel=1e-10)
+
+
+def test_spectrum_rejects_indefinite_system():
+    s = CsrMatrix.from_dense(np.diag([1.0, -1.0]))
+    with pytest.raises(NotPositiveDefinite) as info:
+        cond2_preconditioned(s, identity())
+    assert info.value.which == "s"
+    with pytest.raises(NotPositiveDefinite) as info:
+        divergence_columns(s, identity())
+    assert info.value.which == "s"
+
+
+@pytest.mark.parametrize("kind", ["identity", "factor"])
+def test_spectrum_respects_cap(kind):
+    s = band(30)
+    p = identity() if kind == "identity" else assemble(ic0(s), None)
+    with pytest.raises(CapExceeded):
+        cond2_preconditioned(s, p, cap=29)
+    with pytest.raises(CapExceeded):
+        divergence_columns(s, p, cap=29)
+    assert len(preconditioned_spectrum(s, p, cap=30)) == 30
