@@ -18,27 +18,10 @@ from .harness import ExperimentConfig, parse_config
 from .ichol import ic0
 from .matio import load_problem
 from .pcg import pcg_solve
-from .precond import (
-    assemble,
-    build_alpha,
-    build_exact,
-    build_randomized,
-    build_svd_krylov,
-    identity,
-)
+from .precond import LABELS, POSITIVE_PART_METHODS, build, identity
 from .sketch import SketchParams
 
-_SOLVE_PRECONDS = (
-    "none",
-    "ichol",
-    "breg",
-    "rbreg",
-    "svd",
-    "breg_alpha",
-    "nys",
-    "nys_indef",
-    "svd_ks",
-)
+_SOLVE_PRECONDS = ("none", *LABELS)
 
 _DOWNLOAD_HINT = (
     "matrix files are Matrix Market (.mtx); the benchmark collections can be "
@@ -57,7 +40,7 @@ def _build_parser():
     group.add_argument("--rank", type=int, help="low-rank correction rank r")
     group.add_argument("--rank-frac", type=float, default=0.05, help="r = floor(n * frac)")
     solve.add_argument("--alpha", type=float, default=0.5, help="split for breg_alpha")
-    solve.add_argument("--positive-part", choices=("krylov_schur", "nystrom"), default="nystrom")
+    solve.add_argument("--positive-part", choices=POSITIVE_PART_METHODS, default="nystrom")
     solve.add_argument("--tol", type=float, default=1e-10)
     solve.add_argument("--maxit", type=int, default=100)
     solve.add_argument("--seed", type=int, default=0)
@@ -92,32 +75,19 @@ def _cmd_solve(args) -> int:
     n = problem.n
     r = args.rank if args.rank is not None else int(math.floor(n * args.rank_frac))
     label = args.precond
-    eig = EigsParams(args.eig_tol, args.eig_budget, args.eig_budget, rng.derive(args.seed, "eigs"))
-    sk = SketchParams(args.oversample, args.width_factor, rng.derive(args.seed, "sketch"))
 
     if label == "none":
         p = identity()
     else:
+        eig = EigsParams(args.eig_tol, args.eig_budget, args.eig_budget, rng.derive(args.seed, "eigs"))
+        sk = SketchParams(args.oversample, args.width_factor, rng.derive(args.seed, "sketch"))
         q = ic0(s, diag_shift=args.diag_shift)
-        if label == "ichol":
-            p = assemble(q, label="ichol")
-        elif label in ("breg", "rbreg", "svd"):
-            rule = {"breg": "bld", "rbreg": "rbld", "svd": "tsvd"}[label]
-            p = build_exact(s, q, r, rule, cap=args.cap, label=label)
-        elif label == "breg_alpha":
-            p = build_alpha(
-                s, q, r, args.alpha, eig,
-                positive_method=args.positive_part, sketch_params=sk,
-                allow_partial=True, label=label,
-            )
-        elif label in ("nys", "nys_indef"):
-            variant = "nystrom" if label == "nys" else "nystrom_indefinite"
-            p = build_randomized(s, q, r, variant, sk, label=label)
-        else:
-            p = build_svd_krylov(s, q, r, eig, allow_partial=True, label=label)
+        p = build(
+            label, s, q, r, alpha=args.alpha, eig=eig, sketch=sk,
+            positive_method=args.positive_part, cap=args.cap,
+        )
 
     x, report = pcg_solve(s, b, p, tol=args.tol, maxit=args.maxit)
-    report.time_construct_s = p.build_info.seconds if label != "none" else 0.0
 
     print(f"matrix            {problem.name} (n={n}, nnz={s.nnz}, origin={problem.origin})")
     print(f"rhs               {problem.rhs_mode} (seed={args.seed}, unit 2-norm)")
@@ -128,7 +98,7 @@ def _cmd_solve(args) -> int:
     print(f"iterations        {report.iterations}")
     print(f"final residual    {report.final_rel_residual:.6e} (relative, true)")
     print(f"matvecs           {report.matvecs_S + p.build_info.matvecs_s}")
-    print(f"construction (s)  {report.time_construct_s:.4f}")
+    print(f"construction (s)  {p.build_info.seconds:.4f}")
     print(f"solve (s)         {report.time_solve_s:.4f}")
     if p.build_info.notes:
         print(f"notes             {';'.join(p.build_info.notes)}")

@@ -7,11 +7,13 @@ ones, full reorthogonalization keeps the basis clean, and everything is
 driven by the pinned random streams, so a given (operator, params, seed)
 triple reproduces bitwise.
 
-Two wrappers specialize the solver to factorized systems: ``largest_part``
-estimates the top of the scaled error Q^{-1} S Q^{-T} - I directly, and
-``smallest_part`` reaches the bottom through the spectral shift
-eta*I - Q^{-1} S Q^{-T}, which keeps everything matrix-free (no inner solves)
-and maps shifted eigenvalues back as theta = (eta - 1) - lambda.
+For factorized systems, ``precond.build_alpha`` estimates the top of the
+scaled error Q^{-1} S Q^{-T} - I by running the solver on Q^{-1} S Q^{-T}
+and subtracting 1, and ``smallest_part`` reaches the bottom through the
+spectral shift eta*I - Q^{-1} S Q^{-T}, which keeps everything matrix-free
+(no inner solves) and maps shifted eigenvalues back as
+theta = (eta - 1) - lambda.  The solver does not count its operator
+applications; wrap the operator in ``CountingOperator`` to count them.
 """
 
 from dataclasses import dataclass
@@ -101,7 +103,6 @@ class EigenEstimate:
     vectors: np.ndarray
     residual_norms: np.ndarray
     converged_count: int
-    matvec_count: int
 
 
 def lanczos_tr(
@@ -136,7 +137,7 @@ def lanczos_tr(
     if want < 0:
         raise ValueError("want must be nonnegative")
     if want == 0:
-        return EigenEstimate(np.zeros(0), np.zeros((n, 0)), np.zeros(0), 0, 0)
+        return EigenEstimate(np.zeros(0), np.zeros((n, 0)), np.zeros(0), 0)
     m = want + params.slack
     if m > n:
         raise ValueError(f"subspace dimension {m} exceeds operator dimension {n}")
@@ -147,7 +148,6 @@ def lanczos_tr(
     kept = 0
     theta_kept = np.zeros(0)
     coupling = np.zeros(0)
-    matvecs = 0
     injections = 0
 
     for cycle in range(params.max_restarts):
@@ -159,7 +159,6 @@ def lanczos_tr(
         beta = 0.0
         for j in range(kept, m):
             w = op.apply(v_basis[:, j])
-            matvecs += 1
             coeffs = v_basis[:, : j + 1].T @ w
             w = w - v_basis[:, : j + 1] @ coeffs
             coeffs2 = v_basis[:, : j + 1].T @ w
@@ -197,7 +196,6 @@ def lanczos_tr(
                 vectors=v_basis[:, :m] @ ritz[:, order],
                 residual_norms=residuals[order],
                 converged_count=int(np.count_nonzero(converged[order])),
-                matvec_count=matvecs,
             )
             if done:
                 return estimate
@@ -219,29 +217,6 @@ def lanczos_tr(
         coupling = beta * ritz[m - 1, keep_idx]
 
     raise AssertionError("unreachable")  # loop always returns or raises
-
-
-def largest_part(s: CsrMatrix, q: CholFactor, r_plus: int, params: EigsParams) -> LowRank:
-    """Leading eigenpairs of the scaled error, as a low-rank term.
-
-    Runs the solver on Q^{-1} S Q^{-T} (positive definite, so Ritz values
-    stay positive) and subtracts 1 from the estimates.
-    """
-    if r_plus == 0:
-        return LowRank.empty(s.n_rows)
-    try:
-        est = lanczos_tr(scaled_operator(s, q), r_plus, params)
-    except NoConvergence as exc:
-        exc.low_rank = LowRank(exc.estimate.vectors, exc.estimate.values - 1.0)
-        raise
-    return LowRank(est.vectors, est.values - 1.0)
-
-
-def smallest_estimate(
-    s: CsrMatrix, q: CholFactor, r_minus: int, eta: float, params: EigsParams
-) -> EigenEstimate:
-    """Raw solver output for the shifted operator eta*I - Q^{-1} S Q^{-T}."""
-    return lanczos_tr(shifted_operator(scaled_operator(s, q), eta), r_minus, params)
 
 
 def smallest_from_estimate(est: EigenEstimate, eta: float) -> LowRank:
@@ -266,7 +241,7 @@ def smallest_part(
     if r_minus == 0:
         return LowRank.empty(s.n_rows)
     try:
-        est = smallest_estimate(s, q, r_minus, eta, params)
+        est = lanczos_tr(shifted_operator(scaled_operator(s, q), eta), r_minus, params)
     except NoConvergence as exc:
         exc.low_rank = smallest_from_estimate(exc.estimate, eta)
         raise

@@ -16,26 +16,17 @@ and the row's identity, so runs do not depend on execution order.
 import csv
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from . import rng
 from .bregman import gamma, nu, scaled_error, select_indices, truncate
 from .dense_kernels import sym_eig
 from .eigsolve import EigsParams
-from .errors import NoConvergence
 from .ichol import ic0
 from .matio import load_problem
 from .pcg import pcg_solve, preconditioned_spectrum
-from .precond import (
-    assemble,
-    build_alpha,
-    build_randomized,
-    build_svd_krylov,
-    identity,
-)
+from .precond import LABELS, assemble, build, identity
 from .sketch import SketchParams
 
 log = logging.getLogger("bregpcg")
@@ -164,26 +155,6 @@ def _eig_budget(eps: float, all_eps, base_tol: float, seed: int) -> EigsParams:
     return EigsParams(tol=base_tol, max_restarts=budget, slack=budget, seed=seed)
 
 
-def _map_matrices(worker, paths):
-    """Run the per-matrix worker, optionally across a thread pool.
-
-    BREGPCG_THREADS sets the pool size (default 1, sequential).  Output
-    chunks come back in input order either way, and every per-task seed is
-    derived from the row identity, so the rows are the same regardless.
-    """
-    try:
-        count = max(1, int(os.environ.get("BREGPCG_THREADS", "1")))
-    except ValueError:
-        count = 1
-    paths = list(paths)
-    if count <= 1 or len(paths) <= 1:
-        chunks = [worker(p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=min(count, len(paths))) as pool:
-            chunks = list(pool.map(worker, paths))
-    return [row for chunk in chunks for row in chunk]
-
-
 def run_small_suite(cfg: ExperimentConfig):
     """Exact-truncation comparison suite.  Returns the CSV rows."""
     epsilons = cfg.resolved_epsilons()
@@ -248,7 +219,7 @@ def run_small_suite(cfg: ExperimentConfig):
             rows.append([row[k] for k in SMALL_HEADER])
         return rows
 
-    rows = _map_matrices(worker, cfg.matrices)
+    rows = [row for path in cfg.matrices for row in worker(path)]
     if cfg.out:
         write_csv(cfg.out, SMALL_HEADER, rows)
     return rows
@@ -300,6 +271,12 @@ def run_large_suite(cfg: ExperimentConfig):
     epsilons = cfg.resolved_epsilons()
     maxit = cfg.resolved_maxit()
     wanted = cfg.resolved_preconditioners()
+    unknown = [label for label in wanted if label not in ("none", *LABELS)]
+    if unknown:
+        raise ValueError(
+            f"unknown preconditioner {', '.join(unknown)}; expected none or one of {', '.join(LABELS)}"
+        )
+    builders = [label for label in LABELS if label in wanted and label != "ichol"]
     positive_method = "krylov_schur" if cfg.appendix_mode else "nystrom"
 
     def worker(path):
@@ -335,7 +312,6 @@ def run_large_suite(cfg: ExperimentConfig):
 
         for eps in epsilons:
             r = int(math.floor(n * eps))
-            eig_params = _eig_budget(eps, epsilons, cfg.eig_tol, 0)
             if rep_none is not None:
                 rows.append(_large_row(name, n, "none", None, None, None, rep_none))
             if factor is None:
@@ -345,70 +321,26 @@ def run_large_suite(cfg: ExperimentConfig):
                     rows.append(_error_row(name, n, label, r, None, factor_exc))
                 continue
             if rep_ichol is not None:
-                p_stub = assemble(factor, label="ichol")
-                p_stub.build_info.seconds = factor_seconds
-                rows.append(_large_row(name, n, "ichol", None, None, p_stub, rep_ichol))
+                rows.append(_large_row(name, n, "ichol", None, None, p_ichol, rep_ichol))
 
-            def bench(label, alpha, builder):
-                seed = rng.derive(cfg.seed, f"{name}|{label}|{r}|{alpha}")
-                try:
-                    built = builder(seed)
-                    _, rep = pcg_solve(s, b, built, tol=cfg.tol, maxit=maxit)
-                    rows.append(_large_row(name, n, label, r, alpha, built, rep))
-                except Exception as exc:
-                    log.error("%s r=%d %s: %s", name, r, label, exc)
-                    rows.append(_error_row(name, n, label, r, alpha, exc))
-
-            sketch_for = lambda seed: SketchParams(
-                oversample=cfg.oversample, width_factor=cfg.width_factor, seed=seed
-            )
-            if "nys" in wanted:
-                bench(
-                    "nys",
-                    None,
-                    lambda seed: build_randomized(s, factor, r, "nystrom", sketch_for(seed), label="nys"),
-                )
-            if "nys_indef" in wanted:
-                bench(
-                    "nys_indef",
-                    None,
-                    lambda seed: build_randomized(
-                        s, factor, r, "nystrom_indefinite", sketch_for(seed), label="nys_indef"
-                    ),
-                )
-            if "svd_ks" in wanted:
-                bench(
-                    "svd_ks",
-                    None,
-                    lambda seed: build_svd_krylov(
-                        s,
-                        factor,
-                        r,
-                        EigsParams(cfg.eig_tol, eig_params.max_restarts, eig_params.slack, seed),
-                        allow_partial=True,
-                        label="svd_ks",
-                    ),
-                )
-            if "breg_alpha" in wanted:
-                for alpha in cfg.alphas:
-                    bench(
-                        "breg_alpha",
-                        alpha,
-                        lambda seed, alpha=alpha: build_alpha(
-                            s,
-                            factor,
-                            r,
-                            alpha,
-                            EigsParams(cfg.eig_tol, eig_params.max_restarts, eig_params.slack, seed),
-                            positive_method=positive_method,
-                            sketch_params=sketch_for(seed),
-                            allow_partial=True,
-                            label="breg_alpha",
-                        ),
-                    )
+            for label in builders:
+                for alpha in cfg.alphas if label == "breg_alpha" else (None,):
+                    seed = rng.derive(cfg.seed, f"{name}|{label}|{r}|{alpha}")
+                    try:
+                        built = build(
+                            label, s, factor, r, alpha=alpha,
+                            eig=_eig_budget(eps, epsilons, cfg.eig_tol, seed),
+                            sketch=SketchParams(cfg.oversample, cfg.width_factor, seed),
+                            positive_method=positive_method, cap=cfg.cap,
+                        )
+                        _, rep = pcg_solve(s, b, built, tol=cfg.tol, maxit=maxit)
+                        rows.append(_large_row(name, n, label, r, alpha, built, rep))
+                    except Exception as exc:
+                        log.error("%s r=%d %s: %s", name, r, label, exc)
+                        rows.append(_error_row(name, n, label, r, alpha, exc))
         return rows
 
-    rows = _map_matrices(worker, cfg.matrices)
+    rows = [row for path in cfg.matrices for row in worker(path)]
     if cfg.out:
         write_csv(cfg.out, LARGE_HEADER, rows)
     return rows

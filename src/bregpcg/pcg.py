@@ -17,7 +17,7 @@ without materializing P or factoring anything densely.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -39,13 +39,9 @@ class SolveReport:
     rel_residual_history: list
     matvecs_S: int
     preconditioner_label: str
-    r: int | None = None
-    alpha: float | None = None
     reason: str | None = None  # "maxit" or "stagnation" when not converged
     residual_discrepancy: bool = False
-    time_construct_s: float = 0.0
     time_solve_s: float = 0.0
-    notes: tuple = field(default_factory=tuple)
 
 
 def pcg_solve(

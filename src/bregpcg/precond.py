@@ -9,7 +9,9 @@ which makes the inverse cheap: with d_i = lam_i / (1 + lam_i),
 Builders differ only in where W comes from: the exact dense eigendecomposition
 of the scaled error, a split Lanczos run that targets the largest and
 smallest directions separately, a randomized sketch, or a magnitude-ranked
-Krylov run.
+Krylov run.  Each build counts its S-products with one CountingOperator
+around Q^{-1} S Q^{-T}, and ``build`` maps a label from ``LABELS`` to its
+builder for the CLI and the large suite.
 """
 
 import math
@@ -28,8 +30,9 @@ from .bregman import (
 )
 from .dense_kernels import sym_eig, thin_qr
 from .eigsolve import (
+    CountingOperator,
     EigsParams,
-    error_operator,
+    LinearOperator,
     lanczos_tr,
     scaled_operator,
     shifted_operator,
@@ -166,6 +169,30 @@ def _recompress(parts: list[LowRank]) -> LowRank:
     return LowRank(q_merge @ merged.vectors, merged.values)
 
 
+def _minus_identity(op: LinearOperator) -> LinearOperator:
+    """v -> op(v) - v; on the scaled operator, the scaled error."""
+    return LinearOperator(op.dimension, lambda v: op.apply(v) - v)
+
+
+def _estimate(op, want, params, notes, allow_partial, which="largest"):
+    """lanczos_tr; with ``allow_partial`` a NoConvergence becomes a note and
+    its partial estimate is returned."""
+    try:
+        return lanczos_tr(op, want, params, which=which)
+    except NoConvergence as exc:
+        if not allow_partial:
+            raise
+        notes.append(f"partial:{exc.estimate.converged_count}/{want}")
+        return exc.estimate
+
+
+def _finish(built, scaled, started, notes=()) -> Preconditioner:
+    built.build_info = BuildInfo(
+        matvecs_s=scaled.count, seconds=time.perf_counter() - started, notes=tuple(notes)
+    )
+    return built
+
+
 def build_exact(
     s: CsrMatrix, q: CholFactor, r: int, rule: str, cap: int = 4096, label: str = ""
 ) -> Preconditioner:
@@ -206,48 +233,30 @@ def build_alpha(
     started = time.perf_counter()
     split = split_rank(r, alpha)
     notes = []
-    matvecs = 0
     parts = []
     eta_basis = None
+    scaled = CountingOperator(scaled_operator(s, q))  # one S-product per apply
 
-    def run(op, want, which="largest"):
-        nonlocal matvecs
-        try:
-            est = lanczos_tr(op, want, eig_params, which=which)
-        except NoConvergence as exc:
-            if not allow_partial:
-                raise
-            est = exc.estimate
-            notes.append(f"partial:{est.converged_count}/{want}")
-        matvecs += est.matvec_count
-        return est
-
-    scaled_op = scaled_operator(s, q)
     if split.r_plus:
         if positive_method == "krylov_schur":
-            est_pos = run(scaled_op, split.r_plus)
+            est_pos = _estimate(scaled, split.r_plus, eig_params, notes, allow_partial)
             parts.append(LowRank(est_pos.vectors, est_pos.values - 1.0))
             eta_basis = (float(est_pos.values[0]), float(est_pos.residual_norms[0]))
         else:
             params = sketch_params or sketch_mod.SketchParams(seed=eig_params.seed)
-            parts.append(sketch_mod.nystrom(error_operator(s, q), split.r_plus, params))
-            matvecs += split.r_plus + params.oversample
+            parts.append(sketch_mod.nystrom(_minus_identity(scaled), split.r_plus, params))
 
     if split.r_minus:
         if eta_basis is None:
-            probe = run(scaled_op, 1)
+            probe = _estimate(scaled, 1, eig_params, notes, allow_partial)
             eta_basis = (float(probe.values[0]), float(probe.residual_norms[0]))
             notes.append("eta-probe")
         eta = (eta_basis[0] + eta_basis[1]) * ETA_MARGIN
-        est_neg = run(shifted_operator(scaled_op, eta), split.r_minus)
+        est_neg = _estimate(shifted_operator(scaled, eta), split.r_minus, eig_params, notes, allow_partial)
         parts.append(smallest_from_estimate(est_neg, eta))
 
     w = _recompress(parts) if parts else LowRank.empty(s.n_rows)
-    built = assemble(q, w, label=label or f"alpha={alpha}")
-    built.build_info = BuildInfo(
-        matvecs_s=matvecs, seconds=time.perf_counter() - started, notes=tuple(notes)
-    )
-    return built
+    return _finish(assemble(q, w, label=label or f"alpha={alpha}"), scaled, started, notes)
 
 
 def build_randomized(
@@ -263,20 +272,14 @@ def build_randomized(
     as InfeasibleLowRank; nothing is repaired here."""
     params = sketch_params or sketch_mod.SketchParams()
     started = time.perf_counter()
-    op = error_operator(s, q)
+    scaled = CountingOperator(scaled_operator(s, q))  # one S-product per apply
     if variant == "nystrom":
-        w = sketch_mod.nystrom(op, r, params)
-        matvecs = r + params.oversample if r else 0
+        w = sketch_mod.nystrom(_minus_identity(scaled), r, params)
     elif variant == "nystrom_indefinite":
-        w = sketch_mod.nystrom_indefinite(op, r, params)
-        matvecs = math.ceil(params.width_factor * r) if r else 0
+        w = sketch_mod.nystrom_indefinite(_minus_identity(scaled), r, params)
     else:
         raise ValueError(f"unknown sketch variant {variant!r}")
-    built = assemble(q, w, label=label or variant)
-    built.build_info = BuildInfo(
-        matvecs_s=matvecs, seconds=time.perf_counter() - started, notes=()
-    )
-    return built
+    return _finish(assemble(q, w, label=label or variant), scaled, started)
 
 
 def build_svd_krylov(
@@ -290,16 +293,50 @@ def build_svd_krylov(
     """Magnitude truncation of the scaled error estimated by one Lanczos run."""
     started = time.perf_counter()
     notes = []
-    try:
-        est = lanczos_tr(error_operator(s, q), r, eig_params, which="magnitude")
-    except NoConvergence as exc:
-        if not allow_partial:
-            raise
-        est = exc.estimate
-        notes.append(f"partial:{est.converged_count}/{r}")
+    scaled = CountingOperator(scaled_operator(s, q))  # one S-product per apply
+    est = _estimate(_minus_identity(scaled), r, eig_params, notes, allow_partial, which="magnitude")
     w = LowRank(est.vectors, est.values)
-    built = assemble(q, w, label=label or "svd_ks")
-    built.build_info = BuildInfo(
-        matvecs_s=est.matvec_count, seconds=time.perf_counter() - started, notes=tuple(notes)
-    )
-    return built
+    return _finish(assemble(q, w, label=label or "svd_ks"), scaled, started, notes)
+
+
+# Every label the CLI and the large suite build, in the large suite's row order.
+LABELS = ("ichol", "nys", "nys_indef", "svd_ks", "breg_alpha", "breg", "rbreg", "svd")
+_EXACT_RULES = {"breg": "bld", "rbreg": "rbld", "svd": "tsvd"}
+_SKETCH_VARIANTS = {"nys": "nystrom", "nys_indef": "nystrom_indefinite"}
+
+
+def build(
+    label: str,
+    s: CsrMatrix,
+    q: CholFactor,
+    r: int,
+    *,
+    alpha: float = 0.5,
+    eig: EigsParams | None = None,
+    sketch=None,
+    positive_method: str = "nystrom",
+    cap: int = 4096,
+) -> Preconditioner:
+    """Build the preconditioner a label from ``LABELS`` names, on the factor q.
+
+    ``ichol`` is the factor alone; ``breg``, ``rbreg`` and ``svd`` are exact
+    truncations under ``cap``; ``nys`` and ``nys_indef`` sketch with
+    ``sketch``; ``svd_ks`` and ``breg_alpha`` run Lanczos with ``eig``
+    (``breg_alpha`` splits r by ``alpha`` and takes its positive part by
+    ``positive_method``).  Krylov builds keep partial estimates as notes.
+    """
+    eig = eig or EigsParams()
+    if label == "ichol":
+        return assemble(q, label=label)
+    if label in _EXACT_RULES:
+        return build_exact(s, q, r, _EXACT_RULES[label], cap=cap, label=label)
+    if label in _SKETCH_VARIANTS:
+        return build_randomized(s, q, r, _SKETCH_VARIANTS[label], sketch, label=label)
+    if label == "svd_ks":
+        return build_svd_krylov(s, q, r, eig, allow_partial=True, label=label)
+    if label == "breg_alpha":
+        return build_alpha(
+            s, q, r, alpha, eig, positive_method=positive_method, sketch_params=sketch,
+            allow_partial=True, label=label,
+        )
+    raise ValueError(f"unknown preconditioner {label!r}; expected one of {', '.join(LABELS)}")

@@ -1,4 +1,5 @@
-"""Randomized low-rank approximation: Nystrom variants and randomized SVD.
+"""Randomized low-rank approximation: Nystrom for PSD operators and its
+widened variant for indefinite ones.
 
 All sketches draw from the pinned generator, so a fixed (operator, rank,
 seed) triple reproduces bitwise.  Operator application counts are exact and
@@ -106,27 +107,3 @@ def nystrom_indefinite(op: LinearOperator, r: int, params: SketchParams | None =
         return LowRank.empty(op.dimension)
     width = math.ceil(params.width_factor * r)
     return _nystrom_core(op, r, width, params.seed)
-
-
-def rsvd(
-    op: LinearOperator, r: int, params: SketchParams | None = None, op_t: LinearOperator | None = None
-):
-    """Randomized SVD through a sketched range basis.
-
-    ``op_t`` applies the transpose; omit it for symmetric operators.
-    Returns (U, singular_values, V) with singular values descending.
-    """
-    params = params or SketchParams()
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
-    n = op.dimension
-    if r == 0:
-        return np.zeros((n, 0)), np.zeros(0), np.zeros((n, 0))
-    if op_t is None:
-        op_t = op
-    omega = gaussian_sketch(n, r, params.seed)
-    sample = _apply_columns(op, omega)
-    basis, _ = thin_qr(sample)
-    projected = _apply_columns(op_t, basis).T  # rows span op restricted to the basis
-    u_small, sigma, vt = np.linalg.svd(projected, full_matrices=False)
-    return basis @ u_small, sigma, vt.T

@@ -19,6 +19,7 @@ from bregpcg import (
     write_matrix_market,
 )
 from bregpcg.bregman import gamma, nu
+from bregpcg.precond import LABELS
 from conftest import bumped_band
 
 
@@ -289,19 +290,59 @@ def test_large_suite_rerun_is_deterministic(tmp_path):
     assert first == second
 
 
-def test_thread_count_does_not_change_rows(tmp_path, monkeypatch):
-    paths = tuple(
-        write_instance(tmp_path / f"t{i}.mtx", bumped_band(70, seed=30 + i))
-        for i in range(3)
-    )
+# (preconditioner, r, alpha, iterations, matvecs_S, note) of each row, recorded
+# before the builders counted their own S-products; every row converged
+_PINNED_SHARED = [
+    ("none", "-", "-", 19, 20, ""),
+    ("ichol", "-", "-", 6, 7, ""),
+    ("nys", 3, "-", 6, 30, ""),
+    ("nys_indef", 3, "-", 6, 12, ""),
+    ("svd_ks", 3, "-", 6, 70, ""),
+    ("breg_alpha", 3, "0", 6, 131, "eta-probe"),
+    ("breg_alpha", 3, "0.25", 6, 131, "eta-probe"),
+]
+PINNED_LARGE = {
+    False: _PINNED_SHARED + [  # Nystrom positive part
+        ("breg_alpha", 3, "0.5", 6, 151, "eta-probe"),
+        ("breg_alpha", 3, "0.75", 6, 151, "eta-probe"),
+        ("breg_alpha", 3, "1", 5, 29, ""),
+    ],
+    True: _PINNED_SHARED + [  # Krylov positive part
+        ("breg_alpha", 3, "0.5", 6, 130, ""),
+        ("breg_alpha", 3, "0.75", 6, 130, ""),
+        ("breg_alpha", 3, "1", 5, 69, ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("appendix_mode", [False, True])
+def test_large_suite_rows_are_pinned(tmp_path, monkeypatch, appendix_mode):
+    # the right-hand side is seeded from the matrix path, so run from a
+    # fixed relative one
+    monkeypatch.chdir(tmp_path)
+    write_instance("band.mtx", bumped_band(70, seed=30))
     cfg = ExperimentConfig(
-        suite="large", matrices=paths, epsilons=(0.05,), alphas=(0.5,), seed=2, oversample=20
+        suite="large", matrices=("band.mtx",), epsilons=(0.05,), seed=2, oversample=20,
+        appendix_mode=appendix_mode,
     )
-    monkeypatch.delenv("BREGPCG_THREADS", raising=False)
-    sequential = strip_timing(run_large_suite(cfg))
-    monkeypatch.setenv("BREGPCG_THREADS", "3")
-    threaded = strip_timing(run_large_suite(cfg))
-    assert sequential == threaded
+    rows = run_large_suite(cfg)
+    col = {key: i for i, key in enumerate(LARGE_HEADER)}
+    got = [
+        tuple(row[col[key]] for key in ("preconditioner", "r", "alpha", "iterations", "matvecs_S", "note"))
+        for row in rows
+    ]
+    assert got == PINNED_LARGE[appendix_mode]
+    for row in rows:
+        assert row[col["matrix"]] == "band" and row[col["n"]] == 70
+        assert row[col["converged"]] == "true"
+        assert float(row[col["rel_residual"]]) <= cfg.tol
+
+
+def test_large_suite_rejects_unknown_label(tmp_path):
+    path = write_instance(tmp_path / "typo.mtx", bumped_band(40, seed=3))
+    cfg = ExperimentConfig(suite="large", matrices=(path,), preconditioners=("ichol", "breg_alfa"))
+    with pytest.raises(ValueError, match="breg_alfa"):
+        run_large_suite(cfg)
 
 
 def test_small_suite_rerun_is_deterministic(tmp_path):
@@ -332,9 +373,13 @@ def run_cli(*args):
     )
 
 
-def test_cli_solve_smoke(tmp_path):
+@pytest.mark.parametrize("label", ["none", *LABELS])
+def test_cli_solve_smoke(tmp_path, label):
     path = write_instance(tmp_path / "cli_a.mtx", bumped_band(50, seed=14))
-    proc = run_cli("solve", path, "--precond", "breg", "--rank", "4", "--tol", "1e-10")
+    # a Lanczos basis of r + 60 vectors would not fit n = 50
+    proc = run_cli(
+        "solve", path, "--precond", label, "--rank", "4", "--tol", "1e-10", "--eig-budget", "20"
+    )
     assert proc.returncode == 0, proc.stderr
     assert "converged" in proc.stdout.lower()
 

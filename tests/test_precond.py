@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from bregpcg import (
     split_rank,
     truncate,
 )
+from bregpcg import sparse_core
 from bregpcg.dense_kernels import sym_eig
+from bregpcg.precond import LABELS, build
 from conftest import bumped_band, divergence_dense
 
 
@@ -358,3 +361,60 @@ def test_preconditioner_to_dense_identity_needs_dimension():
         identity().to_dense()
     with pytest.raises(ValueError):
         identity().n
+
+
+def count_spmv(monkeypatch):
+    """Count S-products by replacing every bregpcg module's binding of spmv."""
+    original = sparse_core.spmv
+    calls = []
+
+    def counted(a, x):
+        calls.append(1)
+        return original(a, x)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bregpcg" or name.startswith("bregpcg."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+_CONVERGED = EigsParams(tol=1e-8, slack=20, seed=4)
+_PARTIAL = EigsParams(tol=1e-14, max_restarts=1, slack=5, seed=4)
+_COUNT_CASES = [(label, {}) for label in LABELS] + [
+    ("breg_alpha", {"alpha": 0.0}),  # eta probe
+    ("breg_alpha", {"alpha": 0.5, "positive_method": "krylov_schur"}),
+    ("breg_alpha", {"alpha": 1.0, "positive_method": "krylov_schur"}),
+    ("breg_alpha", {"alpha": 0.0, "eig": _PARTIAL}),
+    ("breg_alpha", {"alpha": 0.5, "positive_method": "krylov_schur", "eig": _PARTIAL}),
+    ("svd_ks", {"eig": _PARTIAL}),
+]
+
+
+@pytest.mark.parametrize(
+    "label,options", _COUNT_CASES, ids=[f"{label}-{i}" for i, (label, _) in enumerate(_COUNT_CASES)]
+)
+def test_build_reports_the_spmv_calls_it_makes(monkeypatch, label, options):
+    s = band(120)
+    fac = ic0(s)
+    kwargs = {"alpha": 0.5, "eig": _CONVERGED, "sketch": SketchParams(oversample=20, seed=4), **options}
+    calls = count_spmv(monkeypatch)
+    p = build(label, s, fac, 6, **kwargs)
+    assert p.label == label
+    assert len(calls) == p.build_info.matvecs_s
+    if label in ("ichol", "breg", "rbreg", "svd"):
+        assert p.build_info.matvecs_s == 0
+    else:
+        assert p.build_info.matvecs_s > 0
+    notes = p.build_info.notes
+    if kwargs["eig"] is _PARTIAL:
+        assert any(note.startswith("partial:") for note in notes)
+    if label == "breg_alpha" and kwargs["alpha"] == 0.0:
+        assert "eta-probe" in notes
+
+
+def test_build_rejects_unknown_label():
+    s = band(20)
+    with pytest.raises(ValueError, match="breg_alfa"):
+        build("breg_alfa", s, ic0(s), 2)

@@ -10,7 +10,6 @@ from bregpcg import (
     nystrom,
     nystrom_indefinite,
     operator_from_dense,
-    rsvd,
 )
 from bregpcg.dense_kernels import sym_eig
 from conftest import ref_normals
@@ -121,31 +120,6 @@ def test_rank_collapse_warns_and_truncates():
     assert w.rank == 2
     err = np.linalg.norm(w.as_dense() - x) / np.linalg.norm(x)
     assert err <= 1e-8
-
-
-def test_rsvd_exact_rank_reconstruction():
-    gen = np.random.default_rng(30)
-    n, r = 70, 4
-    a = gen.standard_normal((n, r)) @ gen.standard_normal((r, n))
-    u, sigma, v = rsvd(operator_from_dense(a), r, SketchParams(seed=6), operator_from_dense(a.T))
-    rebuilt = (u * sigma) @ v.T
-    assert np.linalg.norm(rebuilt - a) / np.linalg.norm(a) <= 1e-8
-    assert np.all(np.diff(sigma) <= 1e-12)
-
-
-def test_rsvd_symmetric_matches_eigenvalue_magnitudes():
-    x, lam_sorted = exact_rank_mixed(60, 5, seed=31)
-    _, sigma, _ = rsvd(operator_from_dense(x), 5, SketchParams(seed=8))
-    np.testing.assert_allclose(
-        np.sort(sigma), np.sort(np.abs(lam_sorted)), atol=1e-8
-    )
-    oracle = np.sort(np.abs(sym_eig(x).values))[::-1][:5]
-    np.testing.assert_allclose(np.sort(sigma)[::-1], oracle, atol=1e-8)
-
-
-def test_rsvd_zero_and_empty():
-    u, sigma, v = rsvd(operator_from_dense(np.zeros((8, 8))), 0, SketchParams())
-    assert u.shape == (8, 0) and sigma.size == 0 and v.shape == (8, 0)
 
 
 def test_low_rank_output_is_orthonormal():
