@@ -3,9 +3,12 @@
 The solver targets the algebraically largest eigenvalues of a symmetric
 operator (or the largest in magnitude, used for truncation-style spectral
 approximations).  Restarts keep the converged Ritz pairs plus the leading
-ones, full reorthogonalization keeps the basis clean, and everything is
-driven by the pinned random streams, so a given (operator, params, seed)
-triple reproduces bitwise.
+ones, and full reorthogonalization (classical Gram-Schmidt, run twice on
+every step) keeps the basis clean.  The Krylov basis is stored column-major,
+so each Gram-Schmidt pass is a matrix-vector product over one contiguous
+block of leading columns.  Everything is driven by the pinned random
+streams, so a given (operator, params, seed) triple reproduces bitwise on
+one machine and BLAS build.
 
 For factorized systems, ``precond.build_alpha`` estimates the top of the
 scaled error Q^{-1} S Q^{-T} - I by running the solver on Q^{-1} S Q^{-T}
@@ -143,7 +146,9 @@ def lanczos_tr(
         raise ValueError(f"subspace dimension {m} exceeds operator dimension {n}")
 
     eps = np.finfo(np.float64).eps
-    v_basis = np.zeros((n, m + 1))
+    # column-major, so every leading block v_basis[:, :j+1] is contiguous and
+    # the Gram-Schmidt passes below sweep long contiguous columns
+    v_basis = np.zeros((n, m + 1), order="F")
     v_basis[:, 0] = rng.unit_vector(params.seed, n)
     kept = 0
     theta_kept = np.zeros(0)

@@ -156,7 +156,17 @@ def _eig_budget(eps: float, all_eps, base_tol: float, seed: int) -> EigsParams:
 
 
 def run_small_suite(cfg: ExperimentConfig):
-    """Exact-truncation comparison suite.  Returns the CSV rows."""
+    """Exact-truncation comparison suite.  Returns the CSV rows.
+
+    ``cfg.preconditioners`` is only checked here: a label outside
+    ``SMALL_PRECONDITIONERS`` is a ``ValueError``, and a valid subset still
+    writes every column, because the table compares all five.
+    """
+    unknown = [label for label in cfg.preconditioners if label not in SMALL_PRECONDITIONERS]
+    if unknown:
+        raise ValueError(
+            f"unknown preconditioner {', '.join(unknown)}; expected one of {', '.join(SMALL_PRECONDITIONERS)}"
+        )
     epsilons = cfg.resolved_epsilons()
     maxit = cfg.resolved_maxit()
 

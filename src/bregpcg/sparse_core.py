@@ -3,8 +3,12 @@
 Dense vectors and matrices are plain float64 numpy arrays throughout the
 package; this module owns the sparse side.  The kernels are scipy's: ``spmv``
 is a scipy CSR product, and ``tri_solve`` runs SuperLU's triangular solve
-from a plan each factor prepares once (see ``_SolvePlan``).  Neither uses
-threads, so repeated runs in one environment agree bitwise.
+from a plan each factor prepares once per orientation (see ``_SolvePlan``).
+Each plan holds a single SuperLU factor and agrees bitwise with
+``spsolve_triangular``; the lower plan drops the identity factor scipy pairs
+with it, and the upper plan keeps scipy's form (``_SolvePlan`` says why).
+Neither kernel uses threads, so repeated runs in one environment agree
+bitwise.
 
 Explicit zeros are legal stored entries.  They matter: incomplete
 factorizations work with the sparsity pattern, and a stored zero is part of
@@ -183,32 +187,45 @@ class _SolvePlan:
     CSC, scales it by the inverse diagonal, sums duplicates, builds the
     SuperLU ``L``/``U`` pair and casts their indices on every call.  Only
     ``gstrs`` and the final ``x * invdiag`` depend on the right-hand side.
-    A plan runs the same set-up steps once and keeps their result, so
-    ``solve(b)`` equals ``spsolve_triangular(tri, b, lower)`` bit for bit.
-    ``tests/test_sparse_core.py`` checks that against the public function,
-    which guards the private ``_superlu`` import on new scipy versions.
+    A plan does that set-up once and keeps one unit-lower CSC factor, handed
+    to SuperLU as ``L`` next to an empty ``U``:
+
+    - lower (L y = b): the column-scaled factor L diag(invdiag), with its
+      diagonal set to exactly 1.0, solved by ``gstrs("N")``.  scipy instead
+      transposes the CSR triangle into an upper ``U`` with an identity ``L``
+      and solves with ``"T"``; the identity half is most of the cost of a
+      solve.  Both forms subtract the terms of each row in ascending column
+      order and divide by exactly 1.0, so the results agree bit for bit.
+    - upper (L^T y = b): scipy's own form, the transposed scaled triangle
+      solved by ``gstrs("T")``.  A column-oriented ``"N"`` sweep here would
+      reverse the order of each row's sum.
+
+    ``tests/test_sparse_core.py`` checks both orientations against the public
+    function, which guards the private ``_superlu`` import on new scipy
+    versions.
     """
 
     def __init__(self, tri: scipy.sparse.csr_matrix, lower: bool):
         n = tri.shape[0]
         self.invdiag = 1 / tri.diagonal()
-        # SuperLU solves with the transposed CSC matrix, scaled to a unit diagonal
-        scaled = (tri @ scipy.sparse.diags_array(self.invdiag)).T
-        scaled.sum_duplicates()
-        if lower:  # the transpose is upper triangular: U, with L = I
-            scaled.setdiag(0)
-            pair = (scipy.sparse.eye_array(n, dtype=np.float64, format="csc"), scaled)
-        else:
-            pair = (scaled, scipy.sparse.csc_array((n, n), dtype=np.float64))
+        scaled = tri @ scipy.sparse.diags_array(self.invdiag)
+        factor = scaled.tocsc() if lower else scaled.T
+        factor.sum_duplicates()
+        if lower:
+            # gstrs divides by the stored diagonal, and L_jj * (1 / L_jj)
+            # need not round to 1; scipy's identity factor divides by 1.0
+            factor.setdiag(1.0)
+        self.trans = "N" if lower else "T"
+        empty = scipy.sparse.csc_array((n, n), dtype=np.float64)
         self.args = tuple(
             arg
-            for m in pair
+            for m in (factor, empty)
             for arg in (n, m.nnz, m.data, *scipy.sparse.safely_cast_index_arrays(m, np.intc, "SuperLU"))
         )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         # gstrs copies b into a fresh Fortran-ordered array, so b is not written
-        x, info = _superlu.gstrs("T", *self.args, b)
+        x, info = _superlu.gstrs(self.trans, *self.args, b)
         if info:
             raise LinAlgError("triangular factor is singular")
         return x * (self.invdiag if x.ndim == 1 else self.invdiag[:, None])

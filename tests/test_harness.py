@@ -20,7 +20,7 @@ from bregpcg import (
 )
 from bregpcg.bregman import gamma, nu
 from bregpcg.precond import LABELS
-from conftest import bumped_band
+from conftest import bumped_band, laplacian_2d
 
 
 TIMING_COLUMNS = {LARGE_HEADER.index("construction_s"), LARGE_HEADER.index("solve_s")}
@@ -345,6 +345,23 @@ def test_large_suite_rejects_unknown_label(tmp_path):
         run_large_suite(cfg)
 
 
+def test_small_suite_rejects_unknown_label(tmp_path):
+    path = write_instance(tmp_path / "typo_small.mtx", bumped_band(40, seed=4))
+    cfg = ExperimentConfig(suite="small", matrices=(path,), preconditioners=("breg_alfa",))
+    with pytest.raises(ValueError, match="breg_alfa"):
+        run_small_suite(cfg)
+
+
+def test_small_suite_valid_subset_keeps_every_column(tmp_path):
+    path = write_instance(tmp_path / "subset.mtx", bumped_band(40, seed=4))
+    default = run_small_suite(ExperimentConfig(suite="small", matrices=(path,), seed=5))
+    subset = run_small_suite(
+        ExperimentConfig(suite="small", matrices=(path,), seed=5, preconditioners=("none",))
+    )
+    assert len(default) == 3
+    assert subset == default
+
+
 def test_small_suite_rerun_is_deterministic(tmp_path):
     path = write_instance(tmp_path / "det2.mtx", bumped_band(60, seed=10))
     cfg = ExperimentConfig(suite="small", matrices=(path,), seed=31)
@@ -388,6 +405,23 @@ def test_cli_solve_missing_file_hints_download(tmp_path):
     proc = run_cli("solve", str(tmp_path / "absent.mtx"))
     assert proc.returncode == 2
     assert "sparse.tamu.edu" in proc.stderr
+
+
+def test_cli_solve_builder_error_exits_two(tmp_path):
+    path = write_instance(tmp_path / "cli_d.mtx", bumped_band(50, seed=14))
+    # the default --eig-budget asks for a basis of 4 + 60 vectors at n = 50
+    proc = run_cli("solve", path, "--precond", "svd_ks", "--rank", "4")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error: svd_ks: subspace dimension 64 exceeds operator dimension 50" in proc.stderr
+
+
+def test_cli_solve_ichol_reports_factor_time(tmp_path):
+    path = write_instance(tmp_path / "cli_e.mtx", laplacian_2d(30))
+    proc = run_cli("solve", path, "--precond", "ichol")
+    assert proc.returncode == 0, proc.stderr
+    line = next(row for row in proc.stdout.splitlines() if row.startswith("construction (s)"))
+    assert float(line.split()[-1]) > 0.0
 
 
 def test_cli_bench_writes_csv(tmp_path):

@@ -21,15 +21,16 @@ from bregpcg import (
     divergence_ld,
     ic0,
     identity,
+    pcg_solve,
     scaled_error,
     select_indices,
     split_rank,
     truncate,
 )
-from bregpcg import sparse_core
+from bregpcg import rng, sparse_core
 from bregpcg.dense_kernels import sym_eig
 from bregpcg.precond import LABELS, build
-from conftest import bumped_band, divergence_dense
+from conftest import bumped_band, divergence_dense, laplacian_2d
 
 
 def band(n, **kw):
@@ -418,3 +419,53 @@ def test_build_rejects_unknown_label():
     s = band(20)
     with pytest.raises(ValueError, match="breg_alfa"):
         build("breg_alfa", s, ic0(s), 2)
+
+
+# Counts, notes and iterations are exact; Ritz values hold to rel 1e-10 only,
+# because the BLAS kernel numpy picks for the Gram-Schmidt passes depends on
+# the basis layout and moves them in the last bits.  r = 30 makes both runs
+# restart at least once.
+_GOLDEN_LAM_SVD_KS = [
+    -0.9498080039639867, -0.9034687023346791, -0.9021458712035649, -0.8591924042795663,
+    -0.8317830447896996, -0.8314455167141628, -0.796869685810192, -0.7887006910625992,
+    -0.7451128274157657, -0.7445136046460726, -0.7370561188018442, -0.7122740086265213,
+    -0.7073821885349112, -0.6738483088676805, -0.6526864576443834, -0.6508549223810833,
+    -0.650611754288002, -0.6233013771582442, -0.6184188295697115, -0.6137698729378878,
+    -0.5856148873855676, -0.5682246554759852, -0.5590485838428233, -0.5560442449939712,
+    -0.5544076793986986, -0.5332153747504869, -0.5293072907857634, -0.5266488694934703,
+    -0.5046047645578006, -0.5021516011137354,
+]
+_GOLDEN_LAM_ALPHA = [
+    -0.9498080039639868, -0.9034687023346774, -0.9021458712035643, -0.8591924042795658,
+    -0.8317830447896993, -0.8314455167141629, -0.7968696858101906, -0.788700691062599,
+    -0.7451128274157637, -0.7445136046460616, -0.7370561188018437, -0.7122740086264712,
+    -0.7073821885348529, -0.6738483088603477, -0.6526853692444748, 0.1654037887414613,
+    0.16949311497552152, 0.17440851306570102, 0.1775568651155337, 0.18171165425522331,
+    0.18391134390960645, 0.18815882253442257, 0.19081831311703448, 0.19339967016829243,
+    0.1950804685169536, 0.19724128487436285, 0.1992354412453142, 0.2009988056871809,
+    0.2026092603924343, 0.2028223785844651,
+]
+
+
+@pytest.mark.parametrize(
+    "make,matvecs,iterations,lam",
+    [
+        (lambda s, q, p: build_svd_krylov(s, q, 30, p), 146, 15, _GOLDEN_LAM_SVD_KS),
+        (
+            lambda s, q, p: build_alpha(s, q, 30, 0.5, p, positive_method="krylov_schur"),
+            190,
+            19,
+            _GOLDEN_LAM_ALPHA,
+        ),
+    ],
+    ids=["svd_ks", "alpha"],
+)
+def test_lanczos_builds_are_golden(make, matvecs, iterations, lam):
+    s = CsrMatrix.from_dense(laplacian_2d(30) + 0.01 * np.eye(900))
+    q = ic0(s)
+    p = make(s, q, EigsParams(tol=1e-2, slack=60, seed=0))
+    assert p.build_info.matvecs_s == matvecs
+    assert p.build_info.notes == ()
+    _, report = pcg_solve(s, rng.normals(3, 900), p, tol=1e-10, maxit=200)
+    assert report.converged and report.iterations == iterations
+    np.testing.assert_allclose(np.sort(p.W.lam), lam, rtol=1e-10, atol=0)
