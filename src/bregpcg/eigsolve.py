@@ -10,13 +10,10 @@ block of leading columns.  Everything is driven by the pinned random
 streams, so a given (operator, params, seed) triple reproduces bitwise on
 one machine and BLAS build.
 
-For factorized systems, ``precond.build_alpha`` estimates the top of the
-scaled error Q^{-1} S Q^{-T} - I by running the solver on Q^{-1} S Q^{-T}
-and subtracting 1, and ``smallest_part`` reaches the bottom through the
-spectral shift eta*I - Q^{-1} S Q^{-T}, which keeps everything matrix-free
-(no inner solves) and maps shifted eigenvalues back as
-theta = (eta - 1) - lambda.  The solver does not count its operator
-applications; wrap the operator in ``CountingOperator`` to count them.
+The solver does not count its operator applications; wrap the operator in
+``CountingOperator`` to count them.  ``smallest_from_estimate`` maps a run on
+the shifted operator eta*I - Q^{-1} S Q^{-T} back to the bottom of the scaled
+error, theta = (eta - 1) - lambda.
 """
 
 from dataclasses import dataclass
@@ -52,12 +49,6 @@ class CountingOperator(LinearOperator):
         return self._apply(v)
 
 
-def operator_from_matrix(s: CsrMatrix) -> LinearOperator:
-    if s.n_rows != s.n_cols:
-        raise ValueError("operator matrix must be square")
-    return LinearOperator(s.n_rows, lambda v: spmv(s, v))
-
-
 def operator_from_dense(a: np.ndarray) -> LinearOperator:
     a = np.asarray(a, dtype=np.float64)
     return LinearOperator(a.shape[0], lambda v: a @ v)
@@ -72,12 +63,6 @@ def scaled_operator(s: CsrMatrix, q: CholFactor) -> LinearOperator:
         return tri_solve(q, spmv(s, tri_solve(q, v, transposed=True)))
 
     return LinearOperator(s.n_rows, apply)
-
-
-def error_operator(s: CsrMatrix, q: CholFactor) -> LinearOperator:
-    """v -> (Q^{-1} S Q^{-T} - I) v, the scaled error as an operator."""
-    base = scaled_operator(s, q)
-    return LinearOperator(base.dimension, lambda v: base.apply(v) - v)
 
 
 def shifted_operator(op: LinearOperator, eta: float) -> LinearOperator:
@@ -233,21 +218,3 @@ def smallest_from_estimate(est: EigenEstimate, eta: float) -> LowRank:
         )
     return LowRank(est.vectors, lam)
 
-
-def smallest_part(
-    s: CsrMatrix, q: CholFactor, r_minus: int, eta: float, params: EigsParams
-) -> LowRank:
-    """Smallest eigenpairs of the scaled error, reached through the shift.
-
-    ``eta`` must be at least the top eigenvalue of Q^{-1} S Q^{-T}; a value
-    that is too small surfaces as EtaTooSmall.  Only operator applications
-    are used, never inner solves.
-    """
-    if r_minus == 0:
-        return LowRank.empty(s.n_rows)
-    try:
-        est = lanczos_tr(shifted_operator(scaled_operator(s, q), eta), r_minus, params)
-    except NoConvergence as exc:
-        exc.low_rank = smallest_from_estimate(exc.estimate, eta)
-        raise
-    return smallest_from_estimate(est, eta)

@@ -35,14 +35,13 @@ class EigenvalueOutOfDomain(ValueError):
 class NoConvergence(RuntimeError):
     """An iterative eigensolver exhausted its restart budget.
 
-    ``estimate`` carries the partial eigenvalue estimate; wrappers that
-    postprocess estimates may also attach the converted ``low_rank`` term.
+    ``estimate`` carries the partial eigenvalue estimate, which builders
+    may keep (with a ``partial:`` note) instead of failing.
     """
 
-    def __init__(self, message, estimate=None, low_rank=None):
+    def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-        self.low_rank = low_rank
 
 
 class EtaTooSmall(ValueError):

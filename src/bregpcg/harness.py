@@ -17,7 +17,9 @@ import csv
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import rng
 from .bregman import gamma, nu, scaled_error, select_indices, truncate
@@ -25,7 +27,7 @@ from .dense_kernels import sym_eig
 from .eigsolve import EigsParams
 from .ichol import ic0
 from .matio import load_problem
-from .pcg import pcg_solve, preconditioned_spectrum
+from .pcg import pcg_solve
 from .precond import LABELS, assemble, build, identity
 from .sketch import SketchParams
 
@@ -146,10 +148,6 @@ def _iter_cell(report) -> str:
     return str(report.iterations) if report.converged else "-"
 
 
-def _rank_grid(n: int, epsilons) -> list:
-    return [int(math.floor(n * eps)) for eps in epsilons]
-
-
 def _eig_budget(eps: float, all_eps, base_tol: float, seed: int) -> EigsParams:
     budget = 60 if eps == min(all_eps) else 100
     return EigsParams(tol=base_tol, max_restarts=budget, slack=budget, seed=seed)
@@ -216,10 +214,15 @@ def run_small_suite(cfg: ExperimentConfig):
                     p = assemble(factor, truncate(decomp, idx), label=tag)
                     _, rep = pcg_solve(s, b, p, tol=cfg.tol, maxit=maxit)
                     row[f"iter_{tag}"] = _iter_cell(rep)
-                    mu = preconditioned_spectrum(s, p, cap=cfg.cap)
-                    row[f"cond_{tag}"] = _fmt(mu[-1] / mu[0])
+                    # W copies r eigenpairs of E, so P^-1 S has the eigenvalue 1
+                    # r times and 1 + theta for every theta left out; the curve
+                    # rejects theta <= -1 (mu <= 0) before any cell is written
+                    rest = np.delete(decomp.values, idx)
                     curve = nu if rule == "rbld" else gamma
-                    row[f"div_{tag}"] = _fmt(curve(mu - 1.0).sum())
+                    div = curve(rest).sum()
+                    mu = np.concatenate([np.ones(r), 1.0 + rest])
+                    row[f"cond_{tag}"] = _fmt(mu.max() / mu.min())
+                    row[f"div_{tag}"] = _fmt(div)
                 except Exception as exc:
                     log.error("%s r=%d %s: %s", name, r, tag, exc)
             if len(selections) == 3:

@@ -6,12 +6,18 @@ which makes the inverse cheap: with d_i = lam_i / (1 + lam_i),
 
     P^{-1} v = Q^{-T} (v' - Z diag(d) Z^T v'),   v' = Q^{-1} v.
 
-Builders differ only in where W comes from: the exact dense eigendecomposition
-of the scaled error, a split Lanczos run that targets the largest and
-smallest directions separately, a randomized sketch, or a magnitude-ranked
-Krylov run.  Each build counts its S-products with one CountingOperator
-around Q^{-1} S Q^{-T}, and ``build`` maps a label from ``LABELS`` to its
-builder for the CLI and the large suite.
+Every builder runs one pipeline, ``_low_rank_build``: it counts S-products
+with one CountingOperator around Q^{-1} S Q^{-T}, merges the parts the builder
+estimates of the scaled error E = Q^{-1} S Q^{-T} - I, assembles P and records
+BuildInfo.  Builders differ only in how they estimate each end of E:
+
+- top: Lanczos on Q^{-1} S Q^{-T} minus 1, or Nystrom on E;
+- bottom: Lanczos on eta I - Q^{-1} S Q^{-T}, mapped back (``smallest_part``);
+- magnitude: Lanczos ranked by |theta|, or the widened indefinite Nystrom;
+- exact: the dense eigendecomposition of E, truncated (no S-products).
+
+``build`` maps a label from ``LABELS`` to its builder for the CLI and the
+large suite.
 """
 
 import math
@@ -154,11 +160,12 @@ def apply_inverse(p: Preconditioner, v: np.ndarray) -> np.ndarray:
     return tri_solve(p.Q, u, transposed=True)
 
 
-def _recompress(parts: list[LowRank]) -> LowRank:
-    """Merge low-rank blocks into one term with orthonormal columns."""
+def _recompress(parts: list[LowRank], n: int) -> LowRank:
+    """Merge low-rank blocks into one term with orthonormal columns; rank-0
+    blocks are dropped, and nothing left gives the empty term."""
     parts = [p for p in parts if p.rank]
     if not parts:
-        raise ValueError("nothing to merge")
+        return LowRank.empty(n)
     if len(parts) == 1:
         return parts[0]
     z_all = np.hstack([p.Z for p in parts])
@@ -174,7 +181,21 @@ def _minus_identity(op: LinearOperator) -> LinearOperator:
     return LinearOperator(op.dimension, lambda v: op.apply(v) - v)
 
 
-def _estimate(op, want, params, notes, allow_partial, which="largest"):
+def _low_rank_build(s: CsrMatrix, q: CholFactor, label: str, estimate) -> Preconditioner:
+    """The one build pipeline: ``estimate(scaled, notes)`` returns low-rank
+    parts in scaled-error units, which are merged and assembled on q."""
+    started = time.perf_counter()
+    scaled = CountingOperator(scaled_operator(s, q))  # one S-product per apply
+    notes = []
+    w = _recompress(estimate(scaled, notes), s.n_rows)
+    built = assemble(q, w, label=label)
+    built.build_info = BuildInfo(
+        matvecs_s=scaled.count, seconds=time.perf_counter() - started, notes=tuple(notes)
+    )
+    return built
+
+
+def _lanczos(op, want, params, notes, allow_partial, which="largest"):
     """lanczos_tr; with ``allow_partial`` a NoConvergence becomes a note and
     its partial estimate is returned."""
     try:
@@ -186,26 +207,39 @@ def _estimate(op, want, params, notes, allow_partial, which="largest"):
         return exc.estimate
 
 
-def _finish(built, scaled, started, notes=()) -> Preconditioner:
-    built.build_info = BuildInfo(
-        matvecs_s=scaled.count, seconds=time.perf_counter() - started, notes=tuple(notes)
-    )
-    return built
+def _top_nystrom(scaled: LinearOperator, r: int, params) -> LowRank:
+    """Top of the scaled error: Nystrom on Q^{-1} S Q^{-T} - I."""
+    return sketch_mod.nystrom(_minus_identity(scaled), r, params)
+
+
+def _bottom(scaled, r, eta, params, notes, allow_partial) -> LowRank:
+    """Bottom of the scaled error: the top of eta*I - Q^{-1} S Q^{-T}, mapped
+    back by ``smallest_from_estimate``."""
+    est = _lanczos(shifted_operator(scaled, eta), r, params, notes, allow_partial)
+    return smallest_from_estimate(est, eta)
+
+
+def smallest_part(s: CsrMatrix, q: CholFactor, r_minus: int, eta: float, params: EigsParams) -> LowRank:
+    """Smallest eigenpairs of the scaled error, reached through the shift.
+
+    ``eta`` must be at least the top eigenvalue of Q^{-1} S Q^{-T}; a value
+    that is too small surfaces as EtaTooSmall.  Only operator applications
+    are used, never inner solves.
+    """
+    return _bottom(scaled_operator(s, q), r_minus, eta, params, [], allow_partial=False)
 
 
 def build_exact(
     s: CsrMatrix, q: CholFactor, r: int, rule: str, cap: int = 4096, label: str = ""
 ) -> Preconditioner:
     """Truncation preconditioner from the dense scaled-error eigendecomposition."""
-    started = time.perf_counter()
-    err = scaled_error(s, q, cap=cap)
-    decomp = sym_eig(err)
-    w = truncate(decomp, select_indices(decomp.values, r, rule))
-    built = assemble(q, w, label=label or rule)
-    built.build_info = BuildInfo(
-        matvecs_s=0, seconds=time.perf_counter() - started, notes=("dense-exact",)
-    )
-    return built
+
+    def estimate(scaled, notes):
+        notes.append("dense-exact")
+        decomp = sym_eig(scaled_error(s, q, cap=cap))
+        return [truncate(decomp, select_indices(decomp.values, r, rule))]
+
+    return _low_rank_build(s, q, label or rule, estimate)
 
 
 def build_alpha(
@@ -230,33 +264,26 @@ def build_alpha(
     """
     if positive_method not in POSITIVE_PART_METHODS:
         raise ValueError(f"unknown positive-part method {positive_method!r}")
-    started = time.perf_counter()
     split = split_rank(r, alpha)
-    notes = []
-    parts = []
-    eta_basis = None
-    scaled = CountingOperator(scaled_operator(s, q))  # one S-product per apply
 
-    if split.r_plus:
-        if positive_method == "krylov_schur":
-            est_pos = _estimate(scaled, split.r_plus, eig_params, notes, allow_partial)
-            parts.append(LowRank(est_pos.vectors, est_pos.values - 1.0))
-            eta_basis = (float(est_pos.values[0]), float(est_pos.residual_norms[0]))
-        else:
+    def estimate(scaled, notes):
+        parts = []
+        top = None
+        if split.r_plus and positive_method == "krylov_schur":
+            top = _lanczos(scaled, split.r_plus, eig_params, notes, allow_partial)
+            parts.append(LowRank(top.vectors, top.values - 1.0))
+        elif split.r_plus:
             params = sketch_params or sketch_mod.SketchParams(seed=eig_params.seed)
-            parts.append(sketch_mod.nystrom(_minus_identity(scaled), split.r_plus, params))
+            parts.append(_top_nystrom(scaled, split.r_plus, params))
+        if split.r_minus:
+            if top is None:
+                top = _lanczos(scaled, 1, eig_params, notes, allow_partial)
+                notes.append("eta-probe")
+            eta = (float(top.values[0]) + float(top.residual_norms[0])) * ETA_MARGIN
+            parts.append(_bottom(scaled, split.r_minus, eta, eig_params, notes, allow_partial))
+        return parts
 
-    if split.r_minus:
-        if eta_basis is None:
-            probe = _estimate(scaled, 1, eig_params, notes, allow_partial)
-            eta_basis = (float(probe.values[0]), float(probe.residual_norms[0]))
-            notes.append("eta-probe")
-        eta = (eta_basis[0] + eta_basis[1]) * ETA_MARGIN
-        est_neg = _estimate(shifted_operator(scaled, eta), split.r_minus, eig_params, notes, allow_partial)
-        parts.append(smallest_from_estimate(est_neg, eta))
-
-    w = _recompress(parts) if parts else LowRank.empty(s.n_rows)
-    return _finish(assemble(q, w, label=label or f"alpha={alpha}"), scaled, started, notes)
+    return _low_rank_build(s, q, label or f"alpha={alpha}", estimate)
 
 
 def build_randomized(
@@ -270,16 +297,16 @@ def build_randomized(
     """Sketched preconditioner: Nystrom (or its indefinite widening) of the
     scaled error.  A sketch that misestimates an eigenvalue near -1 surfaces
     as InfeasibleLowRank; nothing is repaired here."""
-    params = sketch_params or sketch_mod.SketchParams()
-    started = time.perf_counter()
-    scaled = CountingOperator(scaled_operator(s, q))  # one S-product per apply
-    if variant == "nystrom":
-        w = sketch_mod.nystrom(_minus_identity(scaled), r, params)
-    elif variant == "nystrom_indefinite":
-        w = sketch_mod.nystrom_indefinite(_minus_identity(scaled), r, params)
-    else:
+    if variant not in ("nystrom", "nystrom_indefinite"):
         raise ValueError(f"unknown sketch variant {variant!r}")
-    return _finish(assemble(q, w, label=label or variant), scaled, started)
+    params = sketch_params or sketch_mod.SketchParams()
+
+    def estimate(scaled, notes):
+        if variant == "nystrom":
+            return [_top_nystrom(scaled, r, params)]
+        return [sketch_mod.nystrom_indefinite(_minus_identity(scaled), r, params)]
+
+    return _low_rank_build(s, q, label or variant, estimate)
 
 
 def build_svd_krylov(
@@ -291,12 +318,12 @@ def build_svd_krylov(
     label: str = "",
 ) -> Preconditioner:
     """Magnitude truncation of the scaled error estimated by one Lanczos run."""
-    started = time.perf_counter()
-    notes = []
-    scaled = CountingOperator(scaled_operator(s, q))  # one S-product per apply
-    est = _estimate(_minus_identity(scaled), r, eig_params, notes, allow_partial, which="magnitude")
-    w = LowRank(est.vectors, est.values)
-    return _finish(assemble(q, w, label=label or "svd_ks"), scaled, started, notes)
+
+    def estimate(scaled, notes):
+        est = _lanczos(_minus_identity(scaled), r, eig_params, notes, allow_partial, which="magnitude")
+        return [LowRank(est.vectors, est.values)]
+
+    return _low_rank_build(s, q, label or "svd_ks", estimate)
 
 
 # Every label the CLI and the large suite build, in the large suite's row order.

@@ -18,6 +18,7 @@ from bregpcg import (
     spectrum_rows,
     write_matrix_market,
 )
+from bregpcg import sparse_core
 from bregpcg.bregman import gamma, nu
 from bregpcg.precond import LABELS
 from conftest import bumped_band, laplacian_2d
@@ -177,6 +178,29 @@ def test_small_suite_rows_are_pinned(tmp_path, monkeypatch):
         ]
         for i in sorted(numeric):
             assert float(got[i]) == pytest.approx(expected[i], rel=1e-9)
+
+
+def test_small_suite_forms_the_scaled_error_once(tmp_path, monkeypatch):
+    # cond_ and div_ come from the truncation's own eigendecomposition, so a
+    # matrix costs one dense scaled error: one lower and one upper block solve
+    path = write_instance(tmp_path / "band.mtx", bumped_band(120, seed=3))
+    original = sparse_core.tri_solve
+    blocks = []
+
+    def counted(q, b, *args, **kwargs):
+        if np.ndim(b) == 2:
+            blocks.append(b.shape[1])
+        return original(q, b, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bregpcg" or name.startswith("bregpcg."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    rows = run_small_suite(ExperimentConfig(suite="small", matrices=(path,), seed=5))
+    assert len(rows) == 3
+    assert not any(cell == "err" for row in rows for cell in row)
+    assert blocks == [120, 120]
 
 
 def test_small_suite_exact_completion_converges_fast(tmp_path):

@@ -11,6 +11,7 @@ from bregpcg import (
     EigsParams,
     InfeasibleLowRank,
     LowRank,
+    RankCollapse,
     SketchParams,
     apply_inverse,
     assemble,
@@ -355,6 +356,32 @@ def test_randomized_build_zero_error_degrades():
     with pytest.warns(Warning):
         p = build_randomized(s, fac, 3, "nystrom", SketchParams(seed=1))
     assert p.kind == "factor_only"
+
+
+def test_alpha_one_collapsed_sketch_is_factor_only():
+    # 4 I factors exactly, so the sketched error is zero and has rank 0; at
+    # alpha 1 the Nystrom positive part must degrade as nys does
+    s = CsrMatrix.from_dense(4.0 * np.eye(60))
+    fac = ic0(s)
+    options = {"eig": EigsParams(slack=10), "sketch": SketchParams(oversample=10)}
+    with pytest.warns(RankCollapse):
+        nys = build("nys", s, fac, 4, **options)
+    with pytest.warns(RankCollapse):
+        p = build("breg_alpha", s, fac, 4, alpha=1.0, **options)
+    assert nys.kind == p.kind == "factor_only"
+    assert p.build_info.matvecs_s == nys.build_info.matvecs_s == 14
+
+
+def test_nys_and_alpha_one_nystrom_share_the_top_side():
+    s = band(120)
+    fac = ic0(s)
+    sketch = SketchParams(oversample=20, seed=6)
+    nys = build("nys", s, fac, 6, sketch=sketch)
+    top = build_alpha(s, fac, 6, 1.0, EigsParams(seed=6), positive_method="nystrom", sketch_params=sketch)
+    assert nys.kind == top.kind == "factor_low_rank"
+    np.testing.assert_array_equal(top.W.Z, nys.W.Z)
+    np.testing.assert_array_equal(top.W.lam, nys.W.lam)
+    assert top.build_info.matvecs_s == nys.build_info.matvecs_s == 26
 
 
 def test_preconditioner_to_dense_identity_needs_dimension():
