@@ -7,6 +7,7 @@ https://sparse.tamu.edu in Matrix Market format.
 """
 
 import argparse
+import dataclasses
 import logging
 import math
 import sys
@@ -14,7 +15,7 @@ import time
 
 from . import harness, rng
 from .eigsolve import EigsParams
-from .errors import Breakdown
+from .errors import Breakdown, NotPositiveDefinite, ParseError
 from .harness import ExperimentConfig, parse_config
 from .ichol import ic0
 from .matio import load_problem
@@ -54,12 +55,13 @@ def _build_parser():
     solve.add_argument("--cap", type=int, default=4096, help="densification cap")
 
     bench = sub.add_parser("bench", help="run a benchmark suite and write CSV")
+    # flags given override the config file, which overrides the defaults
     bench.add_argument("matrices", nargs="*", help="Matrix Market files")
-    bench.add_argument("--suite", choices=("small", "large"), default="small")
-    bench.add_argument("--out", default="results.csv")
+    bench.add_argument("--suite", choices=("small", "large"))
+    bench.add_argument("--out", help="CSV path (default results.csv)")
     bench.add_argument("--config", help="key = value config file")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--appendix-mode", action="store_true")
+    bench.add_argument("--seed", type=int)
+    bench.add_argument("--appendix-mode", action="store_true", default=None)
 
     spectrum = sub.add_parser("spectrum", help="dump the scaled-error spectrum to CSV")
     spectrum.add_argument("matrix", help="Matrix Market file")
@@ -115,19 +117,19 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.config:
-        cfg = parse_config(args.config)
-    else:
-        cfg = ExperimentConfig()
-    cfg.suite = args.suite
-    if args.matrices:
-        cfg.matrices = tuple(args.matrices)
-    if args.seed:
-        cfg.seed = args.seed
-    if args.appendix_mode:
-        cfg.appendix_mode = True
-    if args.out:
-        cfg.out = args.out
+    try:
+        cfg = parse_config(args.config) if args.config else ExperimentConfig()
+    except ValueError as exc:
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return 2
+    given = {
+        "suite": args.suite,
+        "matrices": tuple(args.matrices) or None,
+        "seed": args.seed,
+        "appendix_mode": args.appendix_mode,
+        "out": args.out or cfg.out or "results.csv",
+    }
+    cfg = dataclasses.replace(cfg, **{key: value for key, value in given.items() if value is not None})
     if not cfg.matrices:
         print("no matrices given (positional arguments or 'matrices = ...' in the config)", file=sys.stderr)
         print(_DOWNLOAD_HINT, file=sys.stderr)
@@ -162,6 +164,9 @@ def main(argv=None) -> int:
         return 2
     except Breakdown as exc:
         print(f"error: incomplete Cholesky broke down in row {exc.row}; retry with --diag-shift", file=sys.stderr)
+        return 2
+    except (ParseError, NotPositiveDefinite) as exc:  # an input the solver cannot take
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

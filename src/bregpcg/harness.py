@@ -8,6 +8,14 @@ divergence directions, and whether the three selections coincided.  The
 large suite benchmarks the scalable constructions (sketched and Krylov) with
 timings and exact matrix-product counts.
 
+Failure policy, the same in both suites: a matrix that cannot be loaded is
+logged and skipped.  Every later stage of a matrix (the unpreconditioned
+solve, ``ic0``, the ``ichol`` solve, the dense spectrum, and each build plus
+its solve) is captured on its own, so a failure is logged and becomes an
+``err`` cell (small suite) or an ``err:<ExceptionType>`` row (large suite);
+the stages and matrices after it still run.  Stages that need the failed
+one's result give ``err`` as well.
+
 Row content is bitwise reproducible for a fixed seed; only the timing
 columns vary between runs.  Per-task seeds are derived from the config seed
 and the row's identity, so runs do not depend on execution order.
@@ -86,9 +94,14 @@ class ExperimentConfig:
         return SMALL_PRECONDITIONERS if self.suite == "small" else LARGE_PRECONDITIONERS
 
 
-_LIST_FIELDS = {"matrices": str, "epsilons": float, "alphas": float, "preconditioners": str}
-_BOOL_TRUE = ("1", "true", "yes", "on")
-_BOOL_FALSE = ("0", "false", "no", "off")
+_ITEM_TYPES = {"matrices": str, "epsilons": float, "alphas": float, "preconditioners": str}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
+def _to_bool(text: str) -> bool:
+    if text.lower() not in _BOOLS:
+        raise ValueError(f"bad boolean {text!r}")
+    return _BOOLS[text.lower()]
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -96,11 +109,12 @@ def parse_config(path) -> ExperimentConfig:
 
     ``#`` starts a comment, blank lines are skipped, list values are comma
     separated, booleans accept true/false/yes/no/on/off/1/0.  Keys match the
-    ExperimentConfig field names.
+    ExperimentConfig field names, and each value is cast by the type of the
+    field's default.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    by_name = {f.name: f for f in fields(ExperimentConfig)}
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -111,25 +125,18 @@ def parse_config(path) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in by_name:
+        if key not in defaults:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in _LIST_FIELDS:
-            cast = _LIST_FIELDS[key]
-            values[key] = tuple(cast(tok.strip()) for tok in value.split(",") if tok.strip())
-        elif by_name[key].type == "bool" or isinstance(by_name[key].default, bool):
-            low = value.lower()
-            if low in _BOOL_TRUE:
-                values[key] = True
-            elif low in _BOOL_FALSE:
-                values[key] = False
+        default = defaults[key]
+        try:
+            if isinstance(default, tuple):
+                values[key] = tuple(_ITEM_TYPES[key](tok.strip()) for tok in value.split(",") if tok.strip())
             else:
-                raise ValueError(f"config line {lineno}: bad boolean {value!r}")
-        elif isinstance(by_name[key].default, int) and not isinstance(by_name[key].default, bool):
-            values[key] = int(value)
-        elif isinstance(by_name[key].default, float):
-            values[key] = float(value)
-        else:
-            values[key] = value
+                values[key] = (_to_bool if isinstance(default, bool) else type(default))(value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
+        if key == "suite" and value not in ("small", "large"):
+            raise ValueError(f"config line {lineno}: unknown suite {value!r}; expected small or large")
     return ExperimentConfig(**values)
 
 
@@ -145,12 +152,69 @@ def _fmt(x) -> str:
 
 
 def _iter_cell(report) -> str:
+    if isinstance(report, Exception):
+        return "err"
     return str(report.iterations) if report.converged else "-"
 
 
 def _eig_budget(eps: float, all_eps, base_tol: float, seed: int) -> EigsParams:
     budget = 60 if eps == min(all_eps) else 100
     return EigsParams(tol=base_tol, max_restarts=budget, slack=budget, seed=seed)
+
+
+def _capture(where: str, stage, *args, **kwargs):
+    """Run one stage of a table.  A failure is logged and returned in place
+    of the result, so it becomes an ``err`` cell or row and the table goes on."""
+    try:
+        return stage(*args, **kwargs)
+    except Exception as exc:
+        log.error("%s: %s: %s", where, type(exc).__name__, exc)
+        return exc
+
+
+def _load(cfg: ExperimentConfig, path):
+    """The problem at ``path`` with its right-hand side seeded from the path,
+    or None, logged, when it cannot be loaded."""
+    seed = rng.derive(cfg.seed, f"rhs|{path}")
+    problem = _capture(f"skipping {path}", load_problem, path, seed=seed, rhs_mode=cfg.rhs_mode)
+    return None if isinstance(problem, Exception) else problem
+
+
+def _solve(cfg: ExperimentConfig, problem, p):
+    return pcg_solve(problem.S, problem.b, p, tol=cfg.tol, maxit=cfg.resolved_maxit())[1]
+
+
+def _closed_form(values, idx, r: int, rule: str):
+    """The cond_ and div_ cells of a truncation.
+
+    W copies r eigenpairs of E, so P^-1 S has the eigenvalue 1 r times and
+    1 + theta for every theta left out; the curve rejects theta <= -1
+    (mu <= 0) before any cell is formed.
+    """
+    rest = np.delete(values, idx)
+    div = (nu if rule == "rbld" else gamma)(rest).sum()
+    mu = np.concatenate([np.ones(r), 1.0 + rest])
+    return _fmt(mu.max() / mu.min()), _fmt(div)
+
+
+def _truncation_cells(cfg, problem, factor, decomp, r, row) -> None:
+    """Fill the iter_, cond_, div_ and coincidence cells of one rank."""
+    selections = {}
+    for rule, tag in (("rbld", "rbreg"), ("tsvd", "svd"), ("bld", "breg")):
+        where = f"{problem.name} r={r} {tag}"
+        idx = _capture(where, select_indices, decomp.values, r, rule)
+        if isinstance(idx, Exception):
+            continue
+        selections[tag] = idx
+        report = _capture(where, lambda: _solve(cfg, problem, assemble(factor, truncate(decomp, idx), label=tag)))
+        row[f"iter_{tag}"] = _iter_cell(report)
+        if isinstance(report, Exception):
+            continue
+        cells = _capture(where, _closed_form, decomp.values, idx, r, rule)
+        if not isinstance(cells, Exception):
+            row[f"cond_{tag}"], row[f"div_{tag}"] = cells
+    if len(selections) == 3:
+        row["truncations_coincide"] = str(selections["rbreg"] == selections["svd"] == selections["breg"]).lower()
 
 
 def run_small_suite(cfg: ExperimentConfig):
@@ -165,80 +229,35 @@ def run_small_suite(cfg: ExperimentConfig):
         raise ValueError(
             f"unknown preconditioner {', '.join(unknown)}; expected one of {', '.join(SMALL_PRECONDITIONERS)}"
         )
-    epsilons = cfg.resolved_epsilons()
-    maxit = cfg.resolved_maxit()
-
-    def worker(path):
-        rows = []
-        try:
-            problem = load_problem(path, seed=rng.derive(cfg.seed, f"rhs|{path}"), rhs_mode=cfg.rhs_mode)
-        except Exception as exc:  # per-row capture: skip the matrix, keep going
-            log.error("skipping %s: %s", path, exc)
-            return rows
-        s, b, name = problem.S, problem.b, problem.name
-        n = problem.n
-
-        _, rep_none = pcg_solve(s, b, identity(), tol=cfg.tol, maxit=maxit)
-
-        factor = None
-        rep_ichol = None
-        decomp = None
-        try:
-            factor = ic0(s, diag_shift=cfg.diag_shift)
-            _, rep_ichol = pcg_solve(s, b, assemble(factor, label="ichol"), tol=cfg.tol, maxit=maxit)
-        except Exception as exc:
-            factor = None
-            log.error("%s: incomplete factorization failed: %s", name, exc)
-        if factor is not None:
-            try:
-                decomp = sym_eig(scaled_error(s, factor, cap=cfg.cap))
-            except Exception as exc:
-                log.error("%s: scaled error spectrum unavailable: %s", name, exc)
-
-        for eps in epsilons:
+    rows = []
+    for path in cfg.matrices:
+        problem = _load(cfg, path)
+        if problem is None:
+            continue
+        name, n = problem.name, problem.n
+        none = _capture(f"{name} none", _solve, cfg, problem, identity())
+        factor = ichol = decomp = _capture(f"{name} ic0", ic0, problem.S, diag_shift=cfg.diag_shift)
+        if not isinstance(factor, Exception):
+            ichol = _capture(f"{name} ichol", _solve, cfg, problem, assemble(factor, label="ichol"))
+            decomp = _capture(f"{name} spectrum", lambda: sym_eig(scaled_error(problem.S, factor, cap=cfg.cap)))
+        for eps in cfg.resolved_epsilons():
             r = int(math.floor(n * eps))
-            row = {key: "err" for key in SMALL_HEADER}
-            row.update(matrix=name, n=n, r=r, iter_none=_iter_cell(rep_none))
-            if factor is None:
-                rows.append([row[k] for k in SMALL_HEADER])
-                continue
-            row["iter_ichol"] = _iter_cell(rep_ichol)
-            if decomp is None or r >= n:
-                rows.append([row[k] for k in SMALL_HEADER])
-                continue
-            selections = {}
-            for rule, tag in (("rbld", "rbreg"), ("tsvd", "svd"), ("bld", "breg")):
-                try:
-                    idx = select_indices(decomp.values, r, rule)
-                    selections[tag] = idx
-                    p = assemble(factor, truncate(decomp, idx), label=tag)
-                    _, rep = pcg_solve(s, b, p, tol=cfg.tol, maxit=maxit)
-                    row[f"iter_{tag}"] = _iter_cell(rep)
-                    # W copies r eigenpairs of E, so P^-1 S has the eigenvalue 1
-                    # r times and 1 + theta for every theta left out; the curve
-                    # rejects theta <= -1 (mu <= 0) before any cell is written
-                    rest = np.delete(decomp.values, idx)
-                    curve = nu if rule == "rbld" else gamma
-                    div = curve(rest).sum()
-                    mu = np.concatenate([np.ones(r), 1.0 + rest])
-                    row[f"cond_{tag}"] = _fmt(mu.max() / mu.min())
-                    row[f"div_{tag}"] = _fmt(div)
-                except Exception as exc:
-                    log.error("%s r=%d %s: %s", name, r, tag, exc)
-            if len(selections) == 3:
-                row["truncations_coincide"] = str(
-                    selections["rbreg"] == selections["svd"] == selections["breg"]
-                ).lower()
+            row = dict.fromkeys(SMALL_HEADER, "err")
+            row.update(matrix=name, n=n, r=r, iter_none=_iter_cell(none), iter_ichol=_iter_cell(ichol))
+            if not isinstance(decomp, Exception) and r < n:
+                _truncation_cells(cfg, problem, factor, decomp, r, row)
             rows.append([row[k] for k in SMALL_HEADER])
-        return rows
-
-    rows = [row for path in cfg.matrices for row in worker(path)]
     if cfg.out:
         write_csv(cfg.out, SMALL_HEADER, rows)
     return rows
 
 
 def _large_row(name, n, label, r, alpha, built, report):
+    """One large-suite row; an exception in place of ``report`` gives the
+    error row, which names the exception's type."""
+    head = [name, n, label, "-" if r is None else r, "-" if alpha is None else _fmt(alpha)]
+    if isinstance(report, Exception):
+        return head + ["false", "nan", 0, "0", "0", 0, f"err:{type(report).__name__}"]
     note_parts = list(built.build_info.notes) if built is not None else []
     if report.residual_discrepancy:
         note_parts.append("residual-discrepancy")
@@ -246,12 +265,7 @@ def _large_row(name, n, label, r, alpha, built, report):
         note_parts.append(report.reason)
     build_matvecs = built.build_info.matvecs_s if built is not None else 0
     build_seconds = built.build_info.seconds if built is not None else 0.0
-    return [
-        name,
-        n,
-        label,
-        "-" if r is None else r,
-        "-" if alpha is None else _fmt(alpha),
+    return head + [
         str(report.converged).lower(),
         _fmt(report.final_rel_residual),
         report.iterations,
@@ -262,27 +276,9 @@ def _large_row(name, n, label, r, alpha, built, report):
     ]
 
 
-def _error_row(name, n, label, r, alpha, exc):
-    return [
-        name,
-        n,
-        label,
-        "-" if r is None else r,
-        "-" if alpha is None else _fmt(alpha),
-        "false",
-        "nan",
-        0,
-        "0",
-        "0",
-        0,
-        f"err:{type(exc).__name__}",
-    ]
-
-
 def run_large_suite(cfg: ExperimentConfig):
     """Scalable-construction benchmark suite.  Returns the CSV rows."""
     epsilons = cfg.resolved_epsilons()
-    maxit = cfg.resolved_maxit()
     wanted = cfg.resolved_preconditioners()
     unknown = [label for label in wanted if label not in ("none", *LABELS)]
     if unknown:
@@ -291,69 +287,42 @@ def run_large_suite(cfg: ExperimentConfig):
         )
     builders = [label for label in LABELS if label in wanted and label != "ichol"]
     positive_method = "krylov_schur" if cfg.appendix_mode else "nystrom"
-
-    def worker(path):
-        rows = []
-        try:
-            problem = load_problem(path, seed=rng.derive(cfg.seed, f"rhs|{path}"), rhs_mode=cfg.rhs_mode)
-        except Exception as exc:
-            log.error("skipping %s: %s", path, exc)
-            return rows
-        s, b, name = problem.S, problem.b, problem.name
-        n = problem.n
-
-        rep_none = None
-        if "none" in wanted:
-            _, rep_none = pcg_solve(s, b, identity(), tol=cfg.tol, maxit=maxit)
-
-        factor = None
-        factor_exc = None
-        factor_seconds = 0.0
-        try:
-            started = time.perf_counter()
-            factor = ic0(s, diag_shift=cfg.diag_shift)
-            factor_seconds = time.perf_counter() - started
-        except Exception as exc:
-            factor_exc = exc
-            log.error("%s: incomplete factorization failed: %s", name, exc)
-
-        rep_ichol = None
-        if factor is not None and "ichol" in wanted:
+    rows = []
+    for path in cfg.matrices:
+        problem = _load(cfg, path)
+        if problem is None:
+            continue
+        name, n = problem.name, problem.n
+        none = _capture(f"{name} none", _solve, cfg, problem, identity()) if "none" in wanted else None
+        started = time.perf_counter()
+        factor = _capture(f"{name} ic0", ic0, problem.S, diag_shift=cfg.diag_shift)
+        factor_seconds = time.perf_counter() - started
+        ichol = None
+        if "ichol" in wanted and not isinstance(factor, Exception):
             p_ichol = assemble(factor, label="ichol")
             p_ichol.build_info.seconds = factor_seconds
-            _, rep_ichol = pcg_solve(s, b, p_ichol, tol=cfg.tol, maxit=maxit)
-
+            ichol = (p_ichol, _capture(f"{name} ichol", _solve, cfg, problem, p_ichol))
         for eps in epsilons:
             r = int(math.floor(n * eps))
-            if rep_none is not None:
-                rows.append(_large_row(name, n, "none", None, None, None, rep_none))
-            if factor is None:
-                for label in wanted:
-                    if label in ("none",):
-                        continue
-                    rows.append(_error_row(name, n, label, r, None, factor_exc))
+            if none is not None:
+                rows.append(_large_row(name, n, "none", None, None, None, none))
+            if isinstance(factor, Exception):
+                rows.extend(_large_row(name, n, label, r, None, None, factor) for label in wanted if label != "none")
                 continue
-            if rep_ichol is not None:
-                rows.append(_large_row(name, n, "ichol", None, None, p_ichol, rep_ichol))
-
+            if ichol is not None:
+                rows.append(_large_row(name, n, "ichol", None, None, *ichol))
             for label in builders:
                 for alpha in cfg.alphas if label == "breg_alpha" else (None,):
+                    where = f"{name} r={r} {label}"
                     seed = rng.derive(cfg.seed, f"{name}|{label}|{r}|{alpha}")
-                    try:
-                        built = build(
-                            label, s, factor, r, alpha=alpha,
-                            eig=_eig_budget(eps, epsilons, cfg.eig_tol, seed),
-                            sketch=SketchParams(cfg.oversample, cfg.width_factor, seed),
-                            positive_method=positive_method, cap=cfg.cap,
-                        )
-                        _, rep = pcg_solve(s, b, built, tol=cfg.tol, maxit=maxit)
-                        rows.append(_large_row(name, n, label, r, alpha, built, rep))
-                    except Exception as exc:
-                        log.error("%s r=%d %s: %s", name, r, label, exc)
-                        rows.append(_error_row(name, n, label, r, alpha, exc))
-        return rows
-
-    rows = [row for path in cfg.matrices for row in worker(path)]
+                    built = _capture(
+                        where, build, label, problem.S, factor, r, alpha=alpha,
+                        eig=_eig_budget(eps, epsilons, cfg.eig_tol, seed),
+                        sketch=SketchParams(cfg.oversample, cfg.width_factor, seed),
+                        positive_method=positive_method, cap=cfg.cap,
+                    )
+                    report = built if isinstance(built, Exception) else _capture(where, _solve, cfg, problem, built)
+                    rows.append(_large_row(name, n, label, r, alpha, built, report))
     if cfg.out:
         write_csv(cfg.out, LARGE_HEADER, rows)
     return rows

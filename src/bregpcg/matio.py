@@ -40,7 +40,10 @@ def _parse_header(line: str):
 
 
 def read_matrix_market(source) -> CsrMatrix:
-    """Read a Matrix Market file (path, file object, or text) into CSR form."""
+    """Read a Matrix Market file (a path or a file object) into CSR form.
+
+    A ``str`` is opened as a path; ``reads_matrix_market`` takes text.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="ascii") as handle:
             return _read_stream(handle)

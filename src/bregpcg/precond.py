@@ -172,7 +172,7 @@ def _recompress(parts: list[LowRank], n: int) -> LowRank:
     lam_all = np.concatenate([p.lam for p in parts])
     q_merge, r_merge = thin_qr(z_all)
     small = (r_merge * lam_all) @ r_merge.T
-    merged = sym_eig((small + small.T) / 2.0)
+    merged = sym_eig(small)
     return LowRank(q_merge @ merged.vectors, merged.values)
 
 

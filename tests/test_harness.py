@@ -268,6 +268,38 @@ def test_small_suite_skips_unreadable_matrix(tmp_path):
     assert {row[0] for row in rows} == {"fine"}
 
 
+def indefinite_tridiagonal(n):
+    dense = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    dense[-1, -1] = -1.0  # one negative eigenvalue, on the diagonal, so ic0 rejects it
+    return dense
+
+
+@pytest.mark.parametrize("suite", ["small", "large"])
+def test_failing_matrix_does_not_end_the_table(tmp_path, monkeypatch, suite):
+    # the right-hand side is seeded from the matrix path, so run from a
+    # fixed relative one
+    monkeypatch.chdir(tmp_path)
+    write_instance("bad.mtx", indefinite_tridiagonal(30))
+    write_instance("band.mtx", bumped_band(60))
+    run = run_small_suite if suite == "small" else run_large_suite
+    rows = run(ExperimentConfig(suite=suite, matrices=("bad.mtx", "band.mtx"), seed=4, oversample=20))
+    alone = run(ExperimentConfig(suite=suite, matrices=("band.mtx",), seed=4, oversample=20))
+    bad = [row for row in rows if row[0] == "bad"]
+    good = [row for row in rows if row[0] == "band"]
+    assert rows == bad + good and bad and alone
+    if suite == "small":
+        assert good == alone
+        for row in bad:
+            assert row[SMALL_HEADER.index("iter_none")] == "err"
+            assert row[SMALL_HEADER.index("iter_ichol")] == "err"
+        return
+    assert strip_timing(good) == strip_timing(alone)
+    col = {key: i for i, key in enumerate(LARGE_HEADER)}
+    none = [row for row in bad if row[col["preconditioner"]] == "none"]
+    assert none and all(row[col["note"]] == "err:NotPositiveDefinite" for row in none)
+    assert all(row[col["note"]] == "err:ValueError" for row in bad if row not in none)
+
+
 def test_large_suite_structure(tmp_path):
     path = write_instance(tmp_path / "wide.mtx", bumped_band(120, seed=8))
     cfg = ExperimentConfig(
@@ -463,6 +495,81 @@ def test_cli_bench_no_matrices_exits_two(tmp_path):
     proc = run_cli("bench", "--suite", "small", "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
     assert "sparse.tamu.edu" in proc.stderr
+
+
+def test_cli_bench_honours_the_config(tmp_path):
+    path = write_instance(tmp_path / "cli_f.mtx", bumped_band(60, seed=15))
+    out = tmp_path / "from_config.csv"
+    config = tmp_path / "f.cfg"
+    config.write_text(
+        f"suite = large\nmatrices = {path}\nout = {out}\nseed = 7\nepsilons = 0.05\noversample = 20\n"
+    )
+    proc = run_cli("bench", "--config", str(config))
+    assert proc.returncode == 0, proc.stderr
+    with open(out) as handle:
+        reader = list(csv.reader(handle))
+    want = run_large_suite(parse_config(config))
+    assert reader[0] == LARGE_HEADER
+    assert strip_timing(reader[1:]) == [[str(cell) for cell in row] for row in strip_timing(want)]
+    seed_zero = run_large_suite(ExperimentConfig(
+        suite="large", matrices=(path,), epsilons=(0.05,), oversample=20
+    ))
+    assert strip_timing(want) != strip_timing(seed_zero)
+
+
+def test_cli_bench_flags_override_the_config(tmp_path):
+    path = write_instance(tmp_path / "cli_g.mtx", bumped_band(60, seed=15))
+    config = tmp_path / "f.cfg"
+    config.write_text(
+        f"suite = large\nmatrices = {path}\nout = {tmp_path / 'from_config.csv'}\nseed = 7\n"
+    )
+    out = tmp_path / "flags.csv"
+    proc = run_cli("bench", "--config", str(config), "--suite", "small", "--out", str(out), "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert not (tmp_path / "from_config.csv").exists()
+    with open(out) as handle:
+        reader = list(csv.reader(handle))
+    want = run_small_suite(ExperimentConfig(suite="small", matrices=(path,), seed=0))
+    assert reader == [SMALL_HEADER] + [[str(cell) for cell in row] for row in want]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("suite = medium\n", "config line 1: unknown suite 'medium'"),
+        ("suite = large\nseed = seven\n", "config line 2: invalid literal for int()"),
+    ],
+)
+def test_cli_bench_rejects_a_bad_config(tmp_path, text, message):
+    config = tmp_path / "f.cfg"
+    config.write_text(text + f"out = {tmp_path / 'x.csv'}\n")
+    proc = run_cli("bench", str(tmp_path / "absent.mtx"), "--config", str(config))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("size_line", "error: ParseError: line 2: size line must have integers"),
+        ("not_symmetric", "error: NotPositiveDefinite: square input is not symmetric"),
+        ("indefinite", "error: NotPositiveDefinite: <d, S d> ="),
+    ],
+)
+def test_cli_solve_bad_input_exits_two(tmp_path, case, message):
+    path = tmp_path / f"{case}.mtx"
+    if case == "size_line":
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 three 1\n1 1 1.0\n")
+    elif case == "not_symmetric":
+        write_instance(path, np.array([[2.0, 1.0], [0.0, 2.0]]))
+    else:
+        write_instance(path, indefinite_tridiagonal(30))
+    proc = run_cli("solve", str(path), "--precond", "none")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_cli_spectrum_writes_csv(tmp_path):

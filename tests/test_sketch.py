@@ -54,6 +54,20 @@ def test_nystrom_recovers_exact_rank():
     w.validate()
 
 
+@pytest.mark.parametrize("sketch", [nystrom, nystrom_indefinite])
+def test_sketch_core_tolerates_operator_roundoff(sketch):
+    # an operator applied with roundoff is symmetric only to its last digits;
+    # here the asymmetry, 1e-10 relative, is above what sym_eig accepts
+    x = exact_rank_psd(80, 4, seed=5)
+    gen = np.random.default_rng(6)
+    noisy = x + 1e-10 * np.abs(x).max() * gen.standard_normal(x.shape)
+    w = sketch(operator_from_dense(noisy), 4, SketchParams(oversample=8, seed=7))
+    assert w.rank == 4
+    assert np.linalg.norm(w.as_dense() - x) <= 1e-6 * np.linalg.norm(x)
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(noisy)
+
+
 def test_nystrom_zero_operator_is_empty():
     with pytest.warns(RankCollapse):
         w = nystrom(operator_from_dense(np.zeros((12, 12))), 3, SketchParams(seed=0))
