@@ -119,17 +119,18 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     try:
         cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    except ValueError as exc:
+        given = {
+            "suite": args.suite,
+            "matrices": tuple(args.matrices) or None,
+            "seed": args.seed,
+            "appendix_mode": args.appendix_mode,
+            "out": args.out or cfg.out or "results.csv",
+        }
+        cfg = dataclasses.replace(cfg, **{key: value for key, value in given.items() if value is not None})
+        cfg.resolved_preconditioners()  # only a config names labels; check them before any run
+    except (OSError, ValueError) as exc:  # a config file that cannot be read or used
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2
-    given = {
-        "suite": args.suite,
-        "matrices": tuple(args.matrices) or None,
-        "seed": args.seed,
-        "appendix_mode": args.appendix_mode,
-        "out": args.out or cfg.out or "results.csv",
-    }
-    cfg = dataclasses.replace(cfg, **{key: value for key, value in given.items() if value is not None})
     if not cfg.matrices:
         print("no matrices given (positional arguments or 'matrices = ...' in the config)", file=sys.stderr)
         print(_DOWNLOAD_HINT, file=sys.stderr)

@@ -1,12 +1,14 @@
 """Matrix-free symmetric eigenvalue estimation by thick-restart Lanczos.
 
 The solver targets the algebraically largest eigenvalues of a symmetric
-operator (or the largest in magnitude, used for truncation-style spectral
-approximations).  Restarts keep the converged Ritz pairs plus the leading
-ones, and full reorthogonalization (classical Gram-Schmidt, run twice on
-every step) keeps the basis clean.  The Krylov basis is stored column-major,
-so each Gram-Schmidt pass is a matrix-vector product over one contiguous
-block of leading columns.  Everything is driven by the pinned random
+operator, optionally together with a number of the algebraically smallest
+from the same run (both ends of the spectrum, as ARPACK's ``which="BE"``), or
+the largest in magnitude, used for truncation-style spectral approximations.
+Restarts keep the converged Ritz pairs plus the wanted ones, and full
+reorthogonalization (classical Gram-Schmidt, run twice on every step) keeps
+the basis clean.  The Krylov basis is stored column-major, so each
+Gram-Schmidt pass is a matrix-vector product over one contiguous block of
+leading columns.  Everything is driven by the pinned random
 streams, so a given (operator, params, seed) triple reproduces bitwise on
 one machine and BLAS build.
 
@@ -94,7 +96,11 @@ class EigenEstimate:
 
 
 def lanczos_tr(
-    op: LinearOperator, want: int, params: EigsParams | None = None, which: str = "largest"
+    op: LinearOperator,
+    want: int,
+    params: EigsParams | None = None,
+    which: str = "largest",
+    bottom: int = 0,
 ) -> EigenEstimate:
     """Thick-restart Lanczos with full reorthogonalization.
 
@@ -103,13 +109,18 @@ def lanczos_tr(
     op : LinearOperator
         Symmetric operator.
     want : int
-        Number of eigenpairs to estimate.
+        Number of eigenpairs to estimate (from the top, with ``bottom``).
     params : EigsParams
-        Subspace dimension is want + slack; an eigenpair counts as converged
-        when its Ritz residual is at most tol * max(|theta|, eps * n).
+        Subspace dimension is want + bottom + slack; an eigenpair counts as
+        converged when its Ritz residual is at most tol * max(|theta|, eps * n).
     which : str
         "largest" ranks Ritz values algebraically, "magnitude" by |theta|.
         Returned values are descending either way.
+    bottom : int
+        With "largest", also estimate this many algebraically smallest pairs
+        in the same run (a shift leaves the Krylov space unchanged).  The
+        wanted set is then the ``want`` largest and the ``bottom`` smallest
+        Ritz values; 0 gives the plain "largest" ranking.
 
     Raises
     ------
@@ -121,12 +132,15 @@ def lanczos_tr(
         params = EigsParams()
     if which not in ("largest", "magnitude"):
         raise ValueError(f"unknown ranking {which!r}")
+    if bottom and which != "largest":
+        raise ValueError("a bottom count needs the 'largest' ranking")
     n = op.dimension
-    if want < 0:
-        raise ValueError("want must be nonnegative")
-    if want == 0:
+    if want < 0 or bottom < 0:
+        raise ValueError("want and bottom must be nonnegative")
+    total = want + bottom
+    if total == 0:
         return EigenEstimate(np.zeros(0), np.zeros((n, 0)), np.zeros(0), 0)
-    m = want + params.slack
+    m = total + params.slack
     if m > n:
         raise ValueError(f"subspace dimension {m} exceeds operator dimension {n}")
 
@@ -173,14 +187,18 @@ def lanczos_tr(
         residuals = np.abs(beta * ritz[m - 1, :])
         if which == "largest":
             ranking = np.argsort(-theta, kind="stable")
+            if bottom:
+                # the wanted pairs from both ends first, then the rest descending
+                ends = np.concatenate([ranking[:want], ranking[::-1][:bottom]])
+                ranking = np.concatenate([ends, ranking[want : m - bottom]])
         else:
             ranking = np.argsort(-np.abs(theta), kind="stable")
         converged = residuals <= params.tol * np.maximum(np.abs(theta), eps * n)
-        top = ranking[:want]
+        wanted = ranking[:total]
 
-        done = bool(np.all(converged[top]))
+        done = bool(np.all(converged[wanted]))
         if done or cycle == params.max_restarts - 1:
-            order = top[np.argsort(-theta[top], kind="stable")]
+            order = wanted[np.argsort(-theta[wanted], kind="stable")]
             estimate = EigenEstimate(
                 values=theta[order],
                 vectors=v_basis[:, :m] @ ritz[:, order],
@@ -190,13 +208,13 @@ def lanczos_tr(
             if done:
                 return estimate
             raise NoConvergence(
-                f"{want - int(np.count_nonzero(converged[top]))} of {want} pairs "
+                f"{total - int(np.count_nonzero(converged[wanted]))} of {total} pairs "
                 f"unconverged after {params.max_restarts} restarts",
                 estimate=estimate,
             )
 
         keep_mask = np.zeros(m, dtype=bool)
-        keep_mask[top] = True
+        keep_mask[wanted] = True
         keep_mask |= converged
         keep_idx = ranking[keep_mask[ranking]][: m - 1]
         new_basis = v_basis[:, :m] @ ritz[:, keep_idx]

@@ -89,6 +89,12 @@ class ExperimentConfig:
         return 100 if self.suite == "small" else 350
 
     def resolved_preconditioners(self):
+        """The labels the suite runs: the config's, or all of the suite's
+        when none are given.  A label the suite cannot run is a ValueError."""
+        known = SMALL_PRECONDITIONERS if self.suite == "small" else ("none", *LABELS)
+        unknown = [label for label in self.preconditioners if label not in known]
+        if unknown:
+            raise ValueError(f"unknown preconditioner {', '.join(unknown)}; expected one of {', '.join(known)}")
         if self.preconditioners:
             return tuple(self.preconditioners)
         return SMALL_PRECONDITIONERS if self.suite == "small" else LARGE_PRECONDITIONERS
@@ -224,11 +230,7 @@ def run_small_suite(cfg: ExperimentConfig):
     ``SMALL_PRECONDITIONERS`` is a ``ValueError``, and a valid subset still
     writes every column, because the table compares all five.
     """
-    unknown = [label for label in cfg.preconditioners if label not in SMALL_PRECONDITIONERS]
-    if unknown:
-        raise ValueError(
-            f"unknown preconditioner {', '.join(unknown)}; expected one of {', '.join(SMALL_PRECONDITIONERS)}"
-        )
+    cfg.resolved_preconditioners()
     rows = []
     for path in cfg.matrices:
         problem = _load(cfg, path)
@@ -277,14 +279,15 @@ def _large_row(name, n, label, r, alpha, built, report):
 
 
 def run_large_suite(cfg: ExperimentConfig):
-    """Scalable-construction benchmark suite.  Returns the CSV rows."""
+    """Scalable-construction benchmark suite.  Returns the CSV rows.
+
+    Each rank gets the same rows whether or not ``ic0`` succeeds: ``none``,
+    ``ichol``, then the builders in ``LABELS`` order with one ``breg_alpha``
+    row per alpha.  When ``ic0`` fails, every row after ``none`` carries its
+    exception.
+    """
     epsilons = cfg.resolved_epsilons()
     wanted = cfg.resolved_preconditioners()
-    unknown = [label for label in wanted if label not in ("none", *LABELS)]
-    if unknown:
-        raise ValueError(
-            f"unknown preconditioner {', '.join(unknown)}; expected none or one of {', '.join(LABELS)}"
-        )
     builders = [label for label in LABELS if label in wanted and label != "ichol"]
     positive_method = "krylov_schur" if cfg.appendix_mode else "nystrom"
     rows = []
@@ -297,8 +300,11 @@ def run_large_suite(cfg: ExperimentConfig):
         started = time.perf_counter()
         factor = _capture(f"{name} ic0", ic0, problem.S, diag_shift=cfg.diag_shift)
         factor_seconds = time.perf_counter() - started
+        failed = isinstance(factor, Exception)
         ichol = None
-        if "ichol" in wanted and not isinstance(factor, Exception):
+        if "ichol" in wanted and failed:
+            ichol = (None, factor)
+        elif "ichol" in wanted:
             p_ichol = assemble(factor, label="ichol")
             p_ichol.build_info.seconds = factor_seconds
             ichol = (p_ichol, _capture(f"{name} ichol", _solve, cfg, problem, p_ichol))
@@ -306,16 +312,13 @@ def run_large_suite(cfg: ExperimentConfig):
             r = int(math.floor(n * eps))
             if none is not None:
                 rows.append(_large_row(name, n, "none", None, None, None, none))
-            if isinstance(factor, Exception):
-                rows.extend(_large_row(name, n, label, r, None, None, factor) for label in wanted if label != "none")
-                continue
             if ichol is not None:
                 rows.append(_large_row(name, n, "ichol", None, None, *ichol))
             for label in builders:
                 for alpha in cfg.alphas if label == "breg_alpha" else (None,):
                     where = f"{name} r={r} {label}"
                     seed = rng.derive(cfg.seed, f"{name}|{label}|{r}|{alpha}")
-                    built = _capture(
+                    built = factor if failed else _capture(
                         where, build, label, problem.S, factor, r, alpha=alpha,
                         eig=_eig_budget(eps, epsilons, cfg.eig_tol, seed),
                         sketch=SketchParams(cfg.oversample, cfg.width_factor, seed),

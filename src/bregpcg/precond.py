@@ -12,7 +12,10 @@ estimates of the scaled error E = Q^{-1} S Q^{-T} - I, assembles P and records
 BuildInfo.  Builders differ only in how they estimate each end of E:
 
 - top: Lanczos on Q^{-1} S Q^{-T} minus 1, or Nystrom on E;
-- bottom: Lanczos on eta I - Q^{-1} S Q^{-T}, mapped back (``smallest_part``);
+- both ends: one two-ended Lanczos run on Q^{-1} S Q^{-T} minus 1, which
+  ``build_alpha`` uses when its positive part is Krylov;
+- bottom: Lanczos on eta I - Q^{-1} S Q^{-T}, mapped back (``smallest_part``),
+  for ``build_alpha`` with a Nystrom or no positive part;
 - magnitude: Lanczos ranked by |theta|, or the widened indefinite Nystrom;
 - exact: the dense eigendecomposition of E, truncated (no S-products).
 
@@ -195,15 +198,15 @@ def _low_rank_build(s: CsrMatrix, q: CholFactor, label: str, estimate) -> Precon
     return built
 
 
-def _lanczos(op, want, params, notes, allow_partial, which="largest"):
+def _lanczos(op, want, params, notes, allow_partial, which="largest", bottom=0):
     """lanczos_tr; with ``allow_partial`` a NoConvergence becomes a note and
     its partial estimate is returned."""
     try:
-        return lanczos_tr(op, want, params, which=which)
+        return lanczos_tr(op, want, params, which=which, bottom=bottom)
     except NoConvergence as exc:
         if not allow_partial:
             raise
-        notes.append(f"partial:{exc.estimate.converged_count}/{want}")
+        notes.append(f"partial:{exc.estimate.converged_count}/{want + bottom}")
         return exc.estimate
 
 
@@ -254,32 +257,33 @@ def build_alpha(
     label: str = "",
 ) -> Preconditioner:
     """Split-rank preconditioner: floor(alpha*r) directions from the top of
-    the scaled error, the rest from the bottom via the spectral shift.
+    the scaled error, the rest from the bottom.
 
-    The shift is taken from the top Ritz value inflated by its residual norm
-    and a one percent margin; when the top block is skipped or sketched, a
-    short one-pair probe run supplies it.  ``allow_partial`` downgrades
-    eigensolver NoConvergence to a note and continues with the partial
-    estimates.
+    With the Krylov positive part, one two-ended Lanczos run on
+    Q^{-1} S Q^{-T} gives both sides; its Ritz values lie inside the
+    operator's spectrum, so every value it maps back is above -1.  With the
+    Nystrom positive part, or no positive part, the bottom comes from a run
+    on the shifted operator, whose shift is the top Ritz value of a short
+    one-pair probe run inflated by its residual norm and a one percent
+    margin.  ``allow_partial`` downgrades eigensolver NoConvergence to a note
+    and continues with the partial estimates.
     """
     if positive_method not in POSITIVE_PART_METHODS:
         raise ValueError(f"unknown positive-part method {positive_method!r}")
     split = split_rank(r, alpha)
 
     def estimate(scaled, notes):
-        parts = []
-        top = None
         if split.r_plus and positive_method == "krylov_schur":
-            top = _lanczos(scaled, split.r_plus, eig_params, notes, allow_partial)
-            parts.append(LowRank(top.vectors, top.values - 1.0))
-        elif split.r_plus:
+            both = _lanczos(scaled, split.r_plus, eig_params, notes, allow_partial, bottom=split.r_minus)
+            return [LowRank(both.vectors, both.values - 1.0)]
+        parts = []
+        if split.r_plus:
             params = sketch_params or sketch_mod.SketchParams(seed=eig_params.seed)
             parts.append(_top_nystrom(scaled, split.r_plus, params))
         if split.r_minus:
-            if top is None:
-                top = _lanczos(scaled, 1, eig_params, notes, allow_partial)
-                notes.append("eta-probe")
-            eta = (float(top.values[0]) + float(top.residual_norms[0])) * ETA_MARGIN
+            probe = _lanczos(scaled, 1, eig_params, notes, allow_partial)
+            notes.append("eta-probe")
+            eta = (float(probe.values[0]) + float(probe.residual_norms[0])) * ETA_MARGIN
             parts.append(_bottom(scaled, split.r_minus, eta, eig_params, notes, allow_partial))
         return parts
 

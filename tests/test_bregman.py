@@ -23,7 +23,8 @@ from bregpcg import (
     truncate,
 )
 from bregpcg.dense_kernels import sym_eig
-from conftest import divergence_dense, random_spd
+from bregpcg.precond import assemble
+from conftest import bumped_band, divergence_dense, random_spd
 
 # the worked diagonal example used throughout: spectrum of the error matrix,
 # descending, with four directions to keep
@@ -169,6 +170,20 @@ def test_divergence_nonnegative_on_random_pairs():
         x = random_spd(15, seed=2 * seed)
         y = random_spd(15, seed=2 * seed + 1)
         assert divergence_ld(x, y) >= -1e-10
+
+
+def test_divergence_keeps_its_digits_near_equal_arguments():
+    # P differs from S only in the 54 left-out directions, all small, so
+    # D(P, S) is 7e-5 against a trace of 60; trace - logdet - n was 2.9e-10
+    # relative off the spectrum sum here
+    s = CsrMatrix.from_dense(bumped_band(60, seed=10))
+    factor = ic0(s)
+    decomp = sym_eig(scaled_error(s, factor))
+    idx = select_indices(decomp.values, 6, "rbld")
+    p = assemble(factor, truncate(decomp, idx))
+    want = nu(np.delete(decomp.values, idx)).sum()
+    assert 5e-5 < want < 1e-4
+    assert abs(divergence_ld(p.to_dense(), s.to_dense()) - want) <= 1e-13 * want
 
 
 def test_divergence_names_offending_argument():

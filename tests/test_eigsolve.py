@@ -109,6 +109,53 @@ def test_magnitude_ranking_prefers_large_negative():
     np.testing.assert_allclose(alg.values, [3.0, 1.0], atol=1e-10)
 
 
+def test_two_ended_run_matches_dense_oracle_at_both_ends():
+    a = dense_symmetric(400, seed=23)
+    exact = np.linalg.eigvalsh(a)
+    counting = CountingOperator(operator_from_dense(a))
+    est = lanczos_tr(counting, 5, EigsParams(tol=1e-9, slack=30), bottom=3)
+    np.testing.assert_allclose(est.values, np.concatenate([exact[::-1][:5], exact[:3][::-1]]), rtol=1e-7)
+    assert np.all(np.diff(est.values) < 0)  # descending
+    assert est.converged_count == 8
+    assert np.max(np.abs(est.vectors.T @ est.vectors - np.eye(8))) <= 1e-8
+    for k in range(8):
+        v = est.vectors[:, k]
+        assert np.linalg.norm(a @ v - est.values[k] * v) <= est.residual_norms[k] * 1.01 + 1e-13
+    # the run restarted, so the ranking drove which pairs were kept
+    assert counting.count > 5 + 3 + 30
+
+
+def test_bottom_zero_is_the_largest_ranking_bitwise():
+    a = dense_symmetric(200, seed=13)
+    params = EigsParams(tol=1e-8, slack=20)
+    ops = [CountingOperator(operator_from_dense(a)) for _ in range(2)]
+    plain = lanczos_tr(ops[0], 5, params, which="largest")
+    ends = lanczos_tr(ops[1], 5, params, bottom=0)
+    assert ops[0].count == ops[1].count > 5 + 20  # restarted
+    assert np.array_equal(plain.values, ends.values)
+    assert np.array_equal(plain.vectors, ends.vectors)
+    assert np.array_equal(plain.residual_norms, ends.residual_norms)
+
+
+def test_bottom_count_needs_the_largest_ranking_and_room():
+    op = operator_from_dense(np.diag(np.arange(10.0)))
+    with pytest.raises(ValueError, match="bottom"):
+        lanczos_tr(op, 2, EigsParams(slack=2), which="magnitude", bottom=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lanczos_tr(op, 2, EigsParams(slack=2), bottom=-1)
+    with pytest.raises(ValueError, match="subspace dimension 11"):
+        lanczos_tr(op, 2, EigsParams(slack=6), bottom=3)
+    only_bottom = lanczos_tr(op, 0, EigsParams(tol=1e-12, slack=4), bottom=2)
+    np.testing.assert_allclose(only_bottom.values, [1.0, 0.0], atol=1e-10)
+
+
+def test_two_ended_no_convergence_counts_both_ends():
+    a = dense_symmetric(200, seed=19)
+    with pytest.raises(NoConvergence, match="of 7 pairs") as info:
+        lanczos_tr(operator_from_dense(a), 4, EigsParams(tol=1e-15, slack=5, max_restarts=1), bottom=3)
+    assert info.value.estimate.values.shape == (7,)
+
+
 def test_identity_operator_exercises_invariant_subspace_restart():
     # every Krylov direction is invariant immediately; the solver must inject
     # fresh vectors and still report the correct eigenvalue

@@ -298,6 +298,12 @@ def test_failing_matrix_does_not_end_the_table(tmp_path, monkeypatch, suite):
     none = [row for row in bad if row[col["preconditioner"]] == "none"]
     assert none and all(row[col["note"]] == "err:NotPositiveDefinite" for row in none)
     assert all(row[col["note"]] == "err:ValueError" for row in bad if row not in none)
+    # a failed ic0 keeps the table's shape: the same (label, alpha) grid as
+    # the good matrix, with ichol's r and alpha left blank
+    grid = [(row[col["preconditioner"]], row[col["alpha"]]) for row in bad]
+    assert grid == [(row[col["preconditioner"]], row[col["alpha"]]) for row in good]
+    assert [alpha for label, alpha in grid if label == "breg_alpha"] == ["0", "0.25", "0.5", "0.75", "1"] * 2
+    assert all(row[col["r"]] == "-" for row in bad if row[col["preconditioner"]] == "ichol")
 
 
 def test_large_suite_structure(tmp_path):
@@ -363,9 +369,9 @@ PINNED_LARGE = {
         ("breg_alpha", 3, "0.75", 6, 151, "eta-probe"),
         ("breg_alpha", 3, "1", 5, 29, ""),
     ],
-    True: _PINNED_SHARED + [  # Krylov positive part
-        ("breg_alpha", 3, "0.5", 6, 130, ""),
-        ("breg_alpha", 3, "0.75", 6, 130, ""),
+    True: _PINNED_SHARED + [  # Krylov positive part: both ends from one run
+        ("breg_alpha", 3, "0.5", 6, 70, ""),
+        ("breg_alpha", 3, "0.75", 6, 70, ""),
         ("breg_alpha", 3, "1", 5, 69, ""),
     ],
 }
@@ -548,6 +554,27 @@ def test_cli_bench_rejects_a_bad_config(tmp_path, text, message):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_bench_unknown_label_in_config_exits_two(tmp_path):
+    path = write_instance(tmp_path / "cli_h.mtx", bumped_band(40, seed=3))
+    config = tmp_path / "typo.cfg"
+    config.write_text(f"suite = large\nmatrices = {path}\npreconditioners = ichol, breg_alfa\n")
+    proc = run_cli("bench", "--config", str(config), "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {config}: unknown preconditioner breg_alfa" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_bench_missing_config_exits_two(tmp_path):
+    path = write_instance(tmp_path / "cli_i.mtx", bumped_band(40, seed=3))
+    config = tmp_path / "absent.cfg"
+    proc = run_cli("bench", path, "--config", str(config))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {config}: " in proc.stderr and "No such file" in proc.stderr
+    assert "sparse.tamu.edu" not in proc.stderr
 
 
 @pytest.mark.parametrize(

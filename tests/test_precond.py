@@ -7,6 +7,7 @@ import pytest
 from bregpcg import (
     AlphaSplit,
     CholFactor,
+    CountingOperator,
     CsrMatrix,
     EigsParams,
     InfeasibleLowRank,
@@ -22,8 +23,10 @@ from bregpcg import (
     divergence_ld,
     ic0,
     identity,
+    lanczos_tr,
     pcg_solve,
     scaled_error,
+    scaled_operator,
     select_indices,
     split_rank,
     truncate,
@@ -274,6 +277,33 @@ def test_alpha_zero_and_one_match_spectrum_ends():
     assert "eta-probe" not in top.build_info.notes
 
 
+def test_alpha_krylov_split_takes_both_ends_from_one_run():
+    s = band(100)
+    fac = ic0(s)
+    values = sym_eig(scaled_error(s, fac, cap=4096)).values
+    params = EigsParams(tol=1e-10, slack=40)
+    p = build_alpha(s, fac, 8, 0.5, params, positive_method="krylov_schur")
+    np.testing.assert_allclose(p.W.lam, np.concatenate([values[:4], values[-4:]]), atol=1e-7)
+    assert p.build_info.notes == ()  # no eta probe, no shifted run
+    assert np.all(p.W.lam > -1.0)
+    assert np.max(np.abs(p.W.Z.T @ p.W.Z - np.eye(8))) <= 1e-8
+    # the S-products of exactly one two-ended run
+    counting = CountingOperator(scaled_operator(s, fac))
+    lanczos_tr(counting, 4, params, bottom=4)
+    assert p.build_info.matvecs_s == counting.count
+
+
+def test_alpha_krylov_split_partial_gives_one_note():
+    s = band(120)
+    p = build_alpha(
+        s, ic0(s), 6, 0.5, EigsParams(tol=1e-14, max_restarts=1, slack=5, seed=4),
+        positive_method="krylov_schur", allow_partial=True,
+    )
+    (note,) = p.build_info.notes
+    assert note.startswith("partial:") and note.endswith("/6")
+    assert p.build_info.matvecs_s == 6 + 5  # the one cycle's basis
+
+
 def test_alpha_build_counts_probe_matvecs():
     s = band(80)
     fac = ic0(s)
@@ -440,6 +470,8 @@ def test_build_reports_the_spmv_calls_it_makes(monkeypatch, label, options):
         assert any(note.startswith("partial:") for note in notes)
     if label == "breg_alpha" and kwargs["alpha"] == 0.0:
         assert "eta-probe" in notes
+    elif label == "breg_alpha" and kwargs.get("positive_method") == "krylov_schur":
+        assert "eta-probe" not in notes and np.all(p.W.lam > -1.0)
 
 
 def test_build_rejects_unknown_label():
@@ -462,15 +494,15 @@ _GOLDEN_LAM_SVD_KS = [
     -0.5544076793986986, -0.5332153747504869, -0.5293072907857634, -0.5266488694934703,
     -0.5046047645578006, -0.5021516011137354,
 ]
-_GOLDEN_LAM_ALPHA = [
-    -0.9498080039639868, -0.9034687023346774, -0.9021458712035643, -0.8591924042795658,
-    -0.8317830447896993, -0.8314455167141629, -0.7968696858101906, -0.788700691062599,
-    -0.7451128274157637, -0.7445136046460616, -0.7370561188018437, -0.7122740086264712,
-    -0.7073821885348529, -0.6738483088603477, -0.6526853692444748, 0.1654037887414613,
-    0.16949311497552152, 0.17440851306570102, 0.1775568651155337, 0.18171165425522331,
-    0.18391134390960645, 0.18815882253442257, 0.19081831311703448, 0.19339967016829243,
-    0.1950804685169536, 0.19724128487436285, 0.1992354412453142, 0.2009988056871809,
-    0.2026092603924343, 0.2028223785844651,
+_GOLDEN_LAM_ALPHA = [  # both ends from one two-ended Lanczos run
+    -0.9498080039639867, -0.9034687023346789, -0.9021458712035648, -0.8591924042795667,
+    -0.8317830447897002, -0.8314455167141632, -0.7968696858101922, -0.7887006910625993,
+    -0.7451128274157661, -0.744513604646073, -0.7370561188018436, -0.7122740086265216,
+    -0.7073821885349116, -0.6738483088676809, -0.6526864576443838, 0.17621053347906757,
+    0.1790861960716681, 0.18221657128264224, 0.18392574118979743, 0.1877066218202994,
+    0.1892380419227837, 0.1914612489710541, 0.19341204270210888, 0.19447014744850377,
+    0.19527176966729298, 0.19724461183746844, 0.19923574993175142, 0.2009988431494516,
+    0.20282187850886535, 0.2028236809898969,
 ]
 
 
@@ -480,7 +512,7 @@ _GOLDEN_LAM_ALPHA = [
         (lambda s, q, p: build_svd_krylov(s, q, 30, p), 146, 15, _GOLDEN_LAM_SVD_KS),
         (
             lambda s, q, p: build_alpha(s, q, 30, 0.5, p, positive_method="krylov_schur"),
-            190,
+            136,
             19,
             _GOLDEN_LAM_ALPHA,
         ),
