@@ -2,9 +2,12 @@
 
 Every preconditioner here has the shape P = Q (I + W) Q^T with Q a sparse
 triangular factor and W a symmetric low-rank term with orthonormal columns,
-which makes the inverse cheap: with d_i = lam_i / (1 + lam_i),
+which makes the inverse cheap: with d_i = lam_i / (1 + lam_i) and the
+Woodbury basis Y = Q^{-T} Z, solved once when P is built,
 
-    P^{-1} v = Q^{-T} (v' - Z diag(d) Z^T v'),   v' = Q^{-1} v.
+    P^{-1} v = (Q Q^T)^{-1} v - Y diag(d) Y^T v,
+
+one fused SuperLU sweep pair (``chol_solve``) plus two skinny products.
 
 Every builder runs one pipeline, ``_low_rank_build``: it counts S-products
 with one CountingOperator around Q^{-1} S Q^{-T}, merges the parts the builder
@@ -48,7 +51,7 @@ from .eigsolve import (
     smallest_from_estimate,
 )
 from .errors import InfeasibleLowRank, NoConvergence
-from .sparse_core import CholFactor, CsrMatrix, tri_solve
+from .sparse_core import CholFactor, CsrMatrix, chol_solve, tri_solve
 
 KIND_IDENTITY = "identity"
 KIND_FACTOR = "factor_only"
@@ -98,6 +101,12 @@ class Preconditioner:
     woodbury_diag: np.ndarray | None = None
     label: str = ""
     build_info: BuildInfo = field(default_factory=BuildInfo)
+    # Y = Q^{-T} Z, the Woodbury basis of the low-rank kind, solved at construction
+    Y: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == KIND_FACTOR_LOW_RANK:
+            self.Y = tri_solve(self.Q, self.W.Z, transposed=True)
 
     @property
     def n(self) -> int:
@@ -128,12 +137,15 @@ def identity(label: str = "none") -> Preconditioner:
 def assemble(q: CholFactor, w: LowRank | None = None, label: str = "") -> Preconditioner:
     """Wrap a factor and an optional low-rank term as a preconditioner.
 
-    A missing or rank-0 term degrades to the factor-only preconditioner.
     Any low-rank eigenvalue at or below -1 (within a small margin) makes
-    I + W indefinite and is rejected.
+    I + W indefinite and is rejected.  Directions whose Woodbury weight
+    lam / (1 + lam) is exactly zero change nothing and are dropped; a missing
+    term, or one left with no direction, degrades to the factor-only
+    preconditioner.  Constructing the low-rank kind solves its basis Y, so
+    that block solve counts as construction.
     """
-    if w is None or w.rank == 0:
-        return Preconditioner(kind=KIND_FACTOR, Q=q, label=label or "factor")
+    if w is None:
+        w = LowRank.empty(q.n)
     if w.n != q.n:
         raise ValueError("low-rank term and factor orders differ")
     if np.any(1.0 + w.lam <= FEASIBILITY_MARGIN):
@@ -141,6 +153,11 @@ def assemble(q: CholFactor, w: LowRank | None = None, label: str = "") -> Precon
             f"low-rank eigenvalue {w.lam.min():.9g} makes I + W indefinite"
         )
     diag = w.lam / (1.0 + w.lam)
+    keep = diag != 0.0
+    if not keep.any():
+        return Preconditioner(kind=KIND_FACTOR, Q=q, label=label or "factor")
+    if not keep.all():
+        w, diag = LowRank(w.Z[:, keep], w.lam[keep]), diag[keep]
     return Preconditioner(
         kind=KIND_FACTOR_LOW_RANK,
         Q=q,
@@ -156,11 +173,11 @@ def apply_inverse(p: Preconditioner, v: np.ndarray) -> np.ndarray:
         return v.copy()
     if v.shape != (p.Q.n,):
         raise ValueError(f"vector has shape {v.shape}, expected ({p.Q.n},)")
-    u = tri_solve(p.Q, v)
+    # chol_solve returns a fresh array, so it may be updated in place
+    x = chol_solve(p.Q, v)
     if p.kind == KIND_FACTOR_LOW_RANK:
-        z = p.W.Z
-        u = u - z @ (p.woodbury_diag * (z.T @ u))
-    return tri_solve(p.Q, u, transposed=True)
+        x -= p.Y @ (p.woodbury_diag * (p.Y.T @ v))
+    return x
 
 
 def _recompress(parts: list[LowRank], n: int) -> LowRank:

@@ -2,12 +2,18 @@
 
 Dense vectors and matrices are plain float64 numpy arrays throughout the
 package; this module owns the sparse side.  The kernels are scipy's: ``spmv``
-is a scipy CSR product, and ``tri_solve`` runs SuperLU's triangular solve
-from a plan each factor prepares once per orientation (see ``_SolvePlan``).
-Each plan holds a single SuperLU factor and agrees bitwise with
-``spsolve_triangular``; the lower plan drops the identity factor scipy pairs
-with it, and the upper plan keeps scipy's form (``_SolvePlan`` says why).
-Neither kernel uses threads, so repeated runs in one environment agree
+is a scipy CSR product, and ``tri_solve`` and ``chol_solve`` run SuperLU's
+triangular solve from a plan each factor prepares once per form (see
+``_SolvePlan``).  There are three forms, each one ``gstrs`` call:
+
+- lower, L y = b, and upper, L^T y = b (``tri_solve``), each agreeing
+  bitwise with ``spsolve_triangular``; the lower plan drops the identity
+  factor scipy pairs with it, and the upper plan keeps scipy's form;
+- both, (L L^T) x = b (``chol_solve``): SuperLU's own L U pair with both
+  triangles of the factor, so one call does the forward and the backward
+  sweep.  It agrees with the two ``tri_solve`` calls up to roundoff.
+
+No kernel here uses threads, so repeated runs in one environment agree
 bitwise.
 
 Explicit zeros are legal stored entries.  They matter: incomplete
@@ -167,11 +173,15 @@ class CholFactor:
 
     @cached_property
     def _lower_plan(self) -> "_SolvePlan":
-        return _SolvePlan(self.L.to_scipy(), lower=True)
+        return _SolvePlan(self.L.to_scipy(), "lower")
 
     @cached_property
     def _upper_plan(self) -> "_SolvePlan":
-        return _SolvePlan(self.L.to_scipy().T.tocsr(), lower=False)
+        return _SolvePlan(self.L.to_scipy(), "upper")
+
+    @cached_property
+    def _chol_plan(self) -> "_SolvePlan":
+        return _SolvePlan(self.L.to_scipy(), "both")
 
     def diagonal(self) -> np.ndarray:
         return self.L.diagonal()
@@ -181,53 +191,66 @@ class CholFactor:
 
 
 class _SolvePlan:
-    """The set-up of ``scipy.sparse.linalg.spsolve_triangular``, done once.
+    """One ``gstrs`` call set up once: the CSC ``L``/``U`` pair SuperLU sweeps.
 
-    For a fixed CSR triangle, scipy (1.17) copies the matrix, transposes it to
-    CSC, scales it by the inverse diagonal, sums duplicates, builds the
-    SuperLU ``L``/``U`` pair and casts their indices on every call.  Only
-    ``gstrs`` and the final ``x * invdiag`` depend on the right-hand side.
-    A plan does that set-up once and keeps one unit-lower CSC factor, handed
-    to SuperLU as ``L`` next to an empty ``U``:
+    ``gstrs("N")`` solves L U x = b with L unit lower and U upper, where U's
+    diagonal sits in L's stored diagonal (the divisor of the backward sweep);
+    ``"T"`` solves (L U)^T x = b.  For a factor L = M D with M unit lower and
+    D = diag(d), the three forms are:
 
-    - lower (L y = b): the column-scaled factor L diag(invdiag), with its
-      diagonal set to exactly 1.0, solved by ``gstrs("N")``.  scipy instead
-      transposes the CSR triangle into an upper ``U`` with an identity ``L``
-      and solves with ``"T"``; the identity half is most of the cost of a
+    - lower (L y = b): ``L`` = M with its stored diagonal set to exactly 1.0,
+      ``U`` empty, then y = x / d.  ``spsolve_triangular`` (scipy 1.17)
+      instead transposes the CSR triangle into an upper ``U`` with an identity
+      ``L`` and solves with ``"T"``; the identity half is most of the cost of a
       solve.  Both forms subtract the terms of each row in ascending column
       order and divide by exactly 1.0, so the results agree bit for bit.
-    - upper (L^T y = b): scipy's own form, the transposed scaled triangle
-      solved by ``gstrs("T")``.  A column-oriented ``"N"`` sweep here would
-      reverse the order of each row's sum.
+    - upper (L^T y = b): scipy's own form, ``L`` = D^{-1} L solved by
+      ``gstrs("T")``, then y = x / d.  A column-oriented ``"N"`` sweep here
+      would reverse the order of each row's sum.
+    - both (L L^T x = b): L L^T = M D^2 M^T, so ``L`` = M with stored
+      diagonal d^2 and ``U`` = D^2 M^T without its diagonal, which holds
+      d_j L[i, j] at (j, i).  ``gstrs("N")`` returns x itself.
 
-    ``tests/test_sparse_core.py`` checks both orientations against the public
-    function, which guards the private ``_superlu`` import on new scipy
-    versions.
+    The set-up ``spsolve_triangular`` repeats on every call (copy, transpose,
+    scale, sum duplicates, cast indices) is done here once.
+    ``tests/test_sparse_core.py`` checks every form against public solvers,
+    which guards the private ``_superlu`` import on new scipy versions.
     """
 
-    def __init__(self, tri: scipy.sparse.csr_matrix, lower: bool):
-        n = tri.shape[0]
-        self.invdiag = 1 / tri.diagonal()
-        scaled = tri @ scipy.sparse.diags_array(self.invdiag)
-        factor = scaled.tocsc() if lower else scaled.T
+    def __init__(self, low: scipy.sparse.csr_matrix, form: str):
+        n = low.shape[0]
+        diag = low.diagonal()
+        invdiag = 1 / diag
+        upper = scipy.sparse.csc_array((n, n), dtype=np.float64)
+        if form == "upper":
+            factor = (low.T.tocsr() @ scipy.sparse.diags_array(invdiag)).T
+        else:
+            factor = (low @ scipy.sparse.diags_array(invdiag)).tocsc()
         factor.sum_duplicates()
-        if lower:
+        if form == "lower":
             # gstrs divides by the stored diagonal, and L_jj * (1 / L_jj)
             # need not round to 1; scipy's identity factor divides by 1.0
             factor.setdiag(1.0)
-        self.trans = "N" if lower else "T"
-        empty = scipy.sparse.csc_array((n, n), dtype=np.float64)
+        elif form == "both":
+            factor.setdiag(diag * diag)
+            upper = (scipy.sparse.tril(low, k=-1, format="csr") @ scipy.sparse.diags_array(diag)).T
+            upper.sum_duplicates()
+        self.trans = "T" if form == "upper" else "N"
+        self.invdiag = None if form == "both" else invdiag
         self.args = tuple(
             arg
-            for m in (factor, empty)
+            for m in (factor, upper)
             for arg in (n, m.nnz, m.data, *scipy.sparse.safely_cast_index_arrays(m, np.intc, "SuperLU"))
         )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        # gstrs copies b into a fresh Fortran-ordered array, so b is not written
+        # gstrs copies b into a fresh Fortran-ordered array, so b is not
+        # written and the result shares memory with nothing else
         x, info = _superlu.gstrs(self.trans, *self.args, b)
         if info:
             raise LinAlgError("triangular factor is singular")
+        if self.invdiag is None:
+            return x
         return x * (self.invdiag if x.ndim == 1 else self.invdiag[:, None])
 
 
@@ -249,6 +272,19 @@ def tri_solve(factor: CholFactor, b, transposed: bool = False) -> np.ndarray:
         raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
     plan = factor._upper_plan if transposed else factor._lower_plan
     return plan.solve(b)
+
+
+def chol_solve(factor: CholFactor, b) -> np.ndarray:
+    """Solve (L L^T) x = b in one SuperLU call: a forward and a backward sweep.
+
+    ``b`` may be a vector or a dense matrix of stacked right-hand sides.  The
+    result equals ``tri_solve(factor, tri_solve(factor, b), True)`` up to
+    roundoff and is always a fresh array.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape[0] != factor.n:
+        raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
+    return factor._chol_plan.solve(b)
 
 
 def sparse_ata(a: CsrMatrix) -> CsrMatrix:

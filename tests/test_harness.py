@@ -182,7 +182,9 @@ def test_small_suite_rows_are_pinned(tmp_path, monkeypatch):
 
 def test_small_suite_forms_the_scaled_error_once(tmp_path, monkeypatch):
     # cond_ and div_ come from the truncation's own eigendecomposition, so a
-    # matrix costs one dense scaled error: one lower and one upper block solve
+    # matrix costs one dense scaled error: one lower and one upper n-column
+    # block solve.  Each low-rank preconditioner adds its Woodbury basis
+    # Y = Q^-T Z, an r-column upper solve.
     path = write_instance(tmp_path / "band.mtx", bumped_band(120, seed=3))
     original = sparse_core.tri_solve
     blocks = []
@@ -200,7 +202,10 @@ def test_small_suite_forms_the_scaled_error_once(tmp_path, monkeypatch):
     rows = run_small_suite(ExperimentConfig(suite="small", matrices=(path,), seed=5))
     assert len(rows) == 3
     assert not any(cell == "err" for row in rows for cell in row)
-    assert blocks == [120, 120]
+    assert [cols for cols in blocks if cols == 120] == [120, 120]
+    # breg, rbreg and svd at each rank of the table
+    ranks = [row[2] for row in rows]
+    assert [cols for cols in blocks if cols != 120] == [r for r in ranks for _ in range(3)]
 
 
 def test_small_suite_exact_completion_converges_fast(tmp_path):

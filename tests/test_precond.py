@@ -141,7 +141,7 @@ def test_apply_inverse_matches_dense_inverse():
         np.testing.assert_allclose(apply_inverse(p, v), inv @ v, atol=1e-10)
 
 
-def test_apply_inverse_rank_zero_is_two_triangular_solves():
+def test_apply_inverse_rank_zero_is_one_cholesky_solve():
     s = band(30)
     fac = ic0(s)
     p = assemble(fac, None)
@@ -150,6 +150,84 @@ def test_apply_inverse_rank_zero_is_two_triangular_solves():
     v = gen.standard_normal(30)
     expected = np.linalg.solve(low.T, np.linalg.solve(low, v))
     np.testing.assert_allclose(apply_inverse(p, v), expected, atol=1e-12)
+    np.testing.assert_array_equal(apply_inverse(p, v), sparse_core.chol_solve(fac, v))
+
+
+def test_apply_inverse_low_rank_matches_two_triangular_solves():
+    # the fused path against the textbook one: Q^-T (v' - Z diag(d) Z^T v'),
+    # v' = Q^-1 v; the two differ only in roundoff
+    s, fac = completed_system(150, 8, seed=5)
+    p = assemble(fac, _exact_term(s, fac, 8))
+    z = p.W.Z
+    gen = np.random.default_rng(8)
+    for _ in range(3):
+        v = gen.standard_normal(150)
+        u = sparse_core.tri_solve(fac, v)
+        want = sparse_core.tri_solve(fac, u - z @ (p.woodbury_diag * (z.T @ u)), transposed=True)
+        np.testing.assert_allclose(apply_inverse(p, v), want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_apply_inverse_returns_a_fresh_array():
+    # pcg_solve updates its first direction (the first z) in place, and the
+    # low-rank kind subtracts its projection in place: neither may touch the
+    # input, the basis Y or an array a cached solve plan holds
+    s, fac = completed_system(40, 5, seed=2)
+    kinds = {
+        "identity": identity(),
+        "factor_only": assemble(fac, None),
+        "factor_low_rank": assemble(fac, _exact_term(s, fac, 5)),
+    }
+    v = np.random.default_rng(6).standard_normal(40)
+    kept = v.copy()
+    for kind, p in kinds.items():
+        assert p.kind == kind
+        first, second = apply_inverse(p, v), apply_inverse(p, v)
+        held = [v]
+        if p.Y is not None:
+            held.append(p.Y)
+        if kind != "identity":
+            held += [arg for arg in fac._chol_plan.args if isinstance(arg, np.ndarray)]
+        assert not np.shares_memory(first, second)
+        for arr in held:
+            assert not np.shares_memory(first, arr), kind
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(v, kept)
+
+
+def test_woodbury_basis_is_solved_at_construction():
+    s, fac = completed_system(40, 5, seed=2)
+    p = assemble(fac, _exact_term(s, fac, 5))
+    np.testing.assert_array_equal(p.Y, sparse_core.tri_solve(fac, p.W.Z, transposed=True))
+    assert assemble(fac, None).Y is None and identity().Y is None
+
+
+def test_assemble_drops_zero_weight_directions():
+    fac = ic0(band(10))
+    z = np.eye(10)[:, :4]
+    p = assemble(fac, LowRank(z, np.array([0.5, 0.0, -0.0, -0.25])))
+    assert p.kind == "factor_low_rank"
+    np.testing.assert_array_equal(p.W.Z, z[:, [0, 3]])
+    np.testing.assert_array_equal(p.W.lam, [0.5, -0.25])
+    np.testing.assert_array_equal(p.woodbury_diag, [0.5 / 1.5, -0.25 / 0.75])
+    assert p.Y.shape == (10, 2)
+    # no tolerance: a tiny weight is still a direction
+    assert assemble(fac, LowRank(z[:, :1], np.array([3e-17]))).kind == "factor_low_rank"
+    only_zeros = assemble(fac, LowRank(z, np.zeros(4)), label="zeros")
+    assert only_zeros.kind == "factor_only" and only_zeros.W is None and only_zeros.Y is None
+    assert only_zeros.label == "zeros"
+
+
+def test_exact_factor_gives_factor_only_alpha_build():
+    # ic0 of tridiag(-1, 4, -1) is its exact Cholesky factor, so the scaled
+    # error is zero and every Ritz value maps back to a weight of exactly 0;
+    # the settings of ``bregpcg solve --eig-budget 20`` in the CI smoke test
+    n = 200
+    s = CsrMatrix.from_dense(4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+    params = EigsParams(max_restarts=20, slack=20)
+    p = build_alpha(s, ic0(s), 4, 0.5, params, positive_method="krylov_schur")
+    assert p.kind == "factor_only"
+    assert p.W is None and p.Y is None
+    assert p.build_info.matvecs_s == 24
 
 
 def test_apply_inverse_validates_shape():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from bregpcg import CholFactor, CsrMatrix, ic0, sparse_ata, spmv, tri_solve
+from bregpcg import CholFactor, CsrMatrix, chol_solve, ic0, sparse_ata, spmv, tri_solve
 from conftest import bumped_band, laplacian_2d
 
 
@@ -162,6 +162,64 @@ def test_tri_solve_leaves_right_hand_side_alone():
     tri_solve(fac, b)
     tri_solve(fac, b, transposed=True)
     np.testing.assert_array_equal(b, kept)
+
+
+CHOL_FACTORS = {
+    "ic0_laplacian": lambda: ic0(CsrMatrix.from_dense(laplacian_2d(12))),
+    "ic0_bumped_band": lambda: ic0(CsrMatrix.from_dense(bumped_band(300))),
+    "diagonal_only": lambda: lower_factor(np.diag(np.linspace(0.5, 3.0, 50))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHOL_FACTORS))
+def test_chol_solve_matches_two_triangular_solves(name):
+    # one gstrs call with both triangles against the public solver run twice;
+    # this guards the private _superlu call and SuperLU's convention that U's
+    # diagonal is the stored diagonal of L
+    fac = CHOL_FACTORS[name]()
+    low = fac.L.to_scipy()
+    gen = np.random.default_rng(22)
+    for b in (gen.standard_normal(fac.n), gen.standard_normal((fac.n, 7))):
+        half = scipy.sparse.linalg.spsolve_triangular(low, b, lower=True)
+        want = scipy.sparse.linalg.spsolve_triangular(low.T.tocsr(), half, lower=False)
+        got = chol_solve(fac, b)
+        assert got.shape == b.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("name", sorted(CHOL_FACTORS))
+def test_chol_solve_matches_dense_solve(name):
+    fac = CHOL_FACTORS[name]()
+    low = fac.to_dense()
+    gen = np.random.default_rng(23)
+    for b in (gen.standard_normal(fac.n), gen.standard_normal((fac.n, 5))):
+        want = np.linalg.solve(low @ low.T, b)
+        np.testing.assert_allclose(chol_solve(fac, b), want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+
+def test_chol_solve_block_is_columnwise():
+    fac = CHOL_FACTORS["ic0_bumped_band"]()
+    b = np.random.default_rng(24).standard_normal((fac.n, 4))
+    block = chol_solve(fac, b)
+    for j in range(4):
+        np.testing.assert_array_equal(block[:, j], chol_solve(fac, b[:, j]))
+
+
+def test_chol_solve_diagonal_factor_divides_by_the_square():
+    d = np.array([0.5, 2.0, 3.0])
+    b = np.array([1.0, -8.0, 9.0])
+    np.testing.assert_array_equal(chol_solve(lower_factor(np.diag(d)), b), b / (d * d))
+
+
+def test_chol_solve_leaves_right_hand_side_alone_and_checks_its_size():
+    fac = ic0(CsrMatrix.from_dense(bumped_band(40)))
+    b = np.random.default_rng(4).standard_normal(40)
+    kept = b.copy()
+    x = chol_solve(fac, b)
+    np.testing.assert_array_equal(b, kept)
+    assert not np.shares_memory(x, b)
+    with pytest.raises(ValueError):
+        chol_solve(fac, np.zeros(39))
 
 
 def test_chol_factor_rejects_bad_diagonals():
