@@ -23,11 +23,10 @@ import numpy as np
 import scipy.linalg
 
 from .dense_kernels import EigenDecomposition, dense_cholesky
-from .errors import CapExceeded, EigenvalueOutOfDomain, InfeasibleLowRank, NotPositiveDefinite
+from .errors import CapExceeded, EigenvalueOutOfDomain, NotPositiveDefinite
 from .sparse_core import CholFactor, CsrMatrix, tri_solve
 
 DENSIFY_CAP = 4096
-FEASIBILITY_MARGIN = 1e-12
 
 TRUNCATION_RULES = ("bld", "rbld", "tsvd")
 
@@ -173,28 +172,16 @@ class LowRank:
     def as_dense(self) -> np.ndarray:
         return (self.Z * self.lam) @ self.Z.T
 
-    def validate(self, ortho_tol: float = 1e-8) -> None:
-        """Check orthonormal columns and eigenvalues safely above -1."""
-        if self.rank:
-            gram_gap = np.abs(self.Z.T @ self.Z - np.eye(self.rank)).max()
-            if gram_gap > ortho_tol:
-                raise ValueError(f"columns are not orthonormal (gap {gram_gap:.2e})")
-        if np.any(1.0 + self.lam <= FEASIBILITY_MARGIN):
-            raise InfeasibleLowRank("low-rank eigenvalue at or below -1")
-
 
 def truncate(decomp: EigenDecomposition, indices) -> LowRank:
     """Copy the eigenpairs at ``indices`` into a low-rank term, unmodified.
 
-    Eigenvalues within ``FEASIBILITY_MARGIN`` of -1 are rejected rather than
-    clamped, since I + W must stay positive definite downstream.
+    Nothing is clamped: an eigenvalue at or near -1 is rejected when the
+    term is assembled into a preconditioner (``precond.Preconditioner``).
     """
     idx = np.asarray(tuple(indices), dtype=np.int64)
     if len(idx) != len(set(idx.tolist())):
         raise ValueError("indices must be distinct")
     if len(idx) and (idx.min() < 0 or idx.max() >= len(decomp.values)):
         raise ValueError("index out of range")
-    lam = decomp.values[idx]
-    if np.any(1.0 + lam <= FEASIBILITY_MARGIN):
-        raise InfeasibleLowRank("selected eigenvalue at or below -1")
-    return LowRank(decomp.vectors[:, idx], lam)
+    return LowRank(decomp.vectors[:, idx], decomp.values[idx])

@@ -15,7 +15,10 @@ one machine and BLAS build.
 The solver does not count its operator applications; wrap the operator in
 ``CountingOperator`` to count them.  ``smallest_from_estimate`` maps a run on
 the shifted operator eta*I - Q^{-1} S Q^{-T} back to the bottom of the scaled
-error, theta = (eta - 1) - lambda.
+error, theta = (eta - 1) - lambda.  The top of the shifted operator is the
+bottom of Q^{-1} S Q^{-T} for every eta, so the shift does not decide which
+pairs a run finds; it sets only the scale of the per-pair test tol * |theta|,
+and so how many applications the run takes.
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .bregman import LowRank
-from .errors import EtaTooSmall, NoConvergence
+from .errors import NoConvergence
 from .sparse_core import CholFactor, CsrMatrix, spmv, tri_solve
 
 
@@ -228,11 +231,9 @@ def lanczos_tr(
 
 
 def smallest_from_estimate(est: EigenEstimate, eta: float) -> LowRank:
-    """Map shifted eigenvalues back: theta = (eta - 1) - lambda."""
-    lam = (eta - 1.0) - est.values
-    if np.any(lam <= -1.0):
-        raise EtaTooSmall(
-            f"shift {eta} maps an estimate to {lam.min():.6g} <= -1; increase eta"
-        )
-    return LowRank(est.vectors, lam)
+    """Map shifted eigenvalues back: theta = (eta - 1) - lambda.
 
+    Whether every theta lies above -1 is checked where the term becomes a
+    preconditioner (``precond.Preconditioner``).
+    """
+    return LowRank(est.vectors, (eta - 1.0) - est.values)

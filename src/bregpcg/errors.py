@@ -44,10 +44,6 @@ class NoConvergence(RuntimeError):
         self.estimate = estimate
 
 
-class EtaTooSmall(ValueError):
-    """The spectral shift was too small and produced a value at or below -1."""
-
-
 class InfeasibleLowRank(ValueError):
     """A low-rank term has an eigenvalue at or below -1, so I + W is not SPD."""
 

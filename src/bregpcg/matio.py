@@ -11,7 +11,6 @@ same problem.  For normal-equations problems an A^T * (random) mode is
 available as well; the choice is recorded on the instance.
 """
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -42,17 +41,12 @@ def _parse_header(line: str):
 def read_matrix_market(source) -> CsrMatrix:
     """Read a Matrix Market file (a path or a file object) into CSR form.
 
-    A ``str`` is opened as a path; ``reads_matrix_market`` takes text.
+    A ``str`` or path is opened; text in memory goes in as ``io.StringIO``.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="ascii") as handle:
             return _read_stream(handle)
     return _read_stream(source)
-
-
-def reads_matrix_market(text: str) -> CsrMatrix:
-    """Read Matrix Market data from a string."""
-    return _read_stream(io.StringIO(text))
 
 
 def _data_lines(handle):

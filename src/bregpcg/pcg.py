@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .bregman import gamma, nu, scaled_error
 from .errors import CapExceeded, IndefinitePreconditionerDetected, NotPositiveDefinite
-from .precond import KIND_IDENTITY, Preconditioner
+from .precond import Preconditioner
 from .sparse_core import CsrMatrix, spmv
 
 _STAGNATION_WINDOW = 50
@@ -181,14 +181,14 @@ def preconditioned_spectrum(s: CsrMatrix, p: Preconditioner, cap: int = 4096) ->
     CapExceeded above ``cap`` and NotPositiveDefinite (``which="s"``) when
     the smallest eigenvalue is not positive.
     """
-    if p.kind == KIND_IDENTITY:
+    if p.Q is None:
         if s.n_rows > cap:
             raise CapExceeded(f"order {s.n_rows} exceeds the densification cap {cap}")
         m = s.to_dense()
     else:
         m = scaled_error(s, p.Q, cap)
         m[np.diag_indices(s.n_rows)] += 1.0
-        if p.W is not None and p.W.rank:
+        if p.W is not None:
             z = p.W.Z
             c = 1.0 / np.sqrt(1.0 + p.W.lam) - 1.0
             mz = m @ z

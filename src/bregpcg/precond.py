@@ -9,6 +9,10 @@ Woodbury basis Y = Q^{-T} Z, solved once when P is built,
 
 one fused SuperLU sweep pair (``chol_solve``) plus two skinny products.
 
+P is SPD exactly when every lam lies above -1.  ``Preconditioner`` checks
+that when it is built, by a builder or directly, and derives its kind, d and
+Y from Q and W; ``assemble`` and ``identity`` add default labels.
+
 Every builder runs one pipeline, ``_low_rank_build``: it counts S-products
 with one CountingOperator around Q^{-1} S Q^{-T}, merges the parts the builder
 estimates of the scaled error E = Q^{-1} S Q^{-T} - I, assembles P and records
@@ -33,13 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sketch as sketch_mod
-from .bregman import (
-    FEASIBILITY_MARGIN,
-    LowRank,
-    scaled_error,
-    select_indices,
-    truncate,
-)
+from .bregman import LowRank, scaled_error, select_indices, truncate
 from .dense_kernels import sym_eig, thin_qr
 from .eigsolve import (
     CountingOperator,
@@ -53,11 +51,9 @@ from .eigsolve import (
 from .errors import InfeasibleLowRank, NoConvergence
 from .sparse_core import CholFactor, CsrMatrix, chol_solve, tri_solve
 
-KIND_IDENTITY = "identity"
-KIND_FACTOR = "factor_only"
-KIND_FACTOR_LOW_RANK = "factor_low_rank"
-
 POSITIVE_PART_METHODS = ("krylov_schur", "nystrom")
+
+FEASIBILITY_MARGIN = 1e-12
 
 ETA_MARGIN = 1.01
 
@@ -95,87 +91,93 @@ def split_rank(r: int, alpha: float) -> AlphaSplit:
 
 @dataclass(eq=False)
 class Preconditioner:
-    kind: str
+    """P = Q (I + W) Q^T, or the identity when Q is None.
+
+    Construction is the one place that checks I + W: a low-rank eigenvalue
+    with 1 + lam at or below ``FEASIBILITY_MARGIN`` raises InfeasibleLowRank.
+    Directions whose Woodbury weight lam / (1 + lam) is exactly zero change
+    nothing and are dropped, and a term left with none becomes W = None.
+    The weights and the basis Y = Q^{-T} Z are derived here, so that block
+    solve counts as construction.
+    """
+
     Q: CholFactor | None = None
     W: LowRank | None = None
-    woodbury_diag: np.ndarray | None = None
     label: str = ""
     build_info: BuildInfo = field(default_factory=BuildInfo)
-    # Y = Q^{-T} Z, the Woodbury basis of the low-rank kind, solved at construction
+    woodbury_diag: np.ndarray | None = field(default=None, init=False, repr=False)
     Y: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind == KIND_FACTOR_LOW_RANK:
-            self.Y = tri_solve(self.Q, self.W.Z, transposed=True)
+        w = self.W
+        if w is None:
+            return
+        if self.Q is None:
+            raise ValueError("a low-rank term needs a factor")
+        if w.n != self.Q.n:
+            raise ValueError("low-rank term and factor orders differ")
+        if np.any(1.0 + w.lam <= FEASIBILITY_MARGIN):
+            raise InfeasibleLowRank(
+                f"low-rank eigenvalue {w.lam.min():.9g} makes I + W indefinite"
+            )
+        diag = w.lam / (1.0 + w.lam)
+        keep = diag != 0.0
+        if not keep.any():
+            self.W = None
+            return
+        if not keep.all():
+            self.W, diag = LowRank(w.Z[:, keep], w.lam[keep]), diag[keep]
+        self.woodbury_diag = diag
+        self.Y = tri_solve(self.Q, self.W.Z, transposed=True)
+
+    @property
+    def kind(self) -> str:
+        """"identity", "factor_only" or "factor_low_rank"."""
+        if self.Q is None:
+            return "identity"
+        return "factor_only" if self.W is None else "factor_low_rank"
 
     @property
     def n(self) -> int:
-        if self.Q is not None:
-            return self.Q.n
-        if self.W is not None:
-            return self.W.n
-        raise ValueError("identity preconditioner has no fixed order")
+        if self.Q is None:
+            raise ValueError("identity preconditioner has no fixed order")
+        return self.Q.n
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         return apply_inverse(self, v)
 
     def to_dense(self) -> np.ndarray:
-        """Materialize P = Q (I + W) Q^T (or the identity) densely."""
-        if self.kind == KIND_IDENTITY:
+        """Materialize P = Q (I + W) Q^T densely."""
+        if self.Q is None:
             raise ValueError("identity preconditioner needs a dimension to densify")
         q = self.Q.to_dense()
         inner = np.eye(self.Q.n)
-        if self.W is not None and self.W.rank:
+        if self.W is not None:
             inner = inner + self.W.as_dense()
         return q @ inner @ q.T
 
 
 def identity(label: str = "none") -> Preconditioner:
-    return Preconditioner(kind=KIND_IDENTITY, label=label)
+    return Preconditioner(label=label)
 
 
 def assemble(q: CholFactor, w: LowRank | None = None, label: str = "") -> Preconditioner:
-    """Wrap a factor and an optional low-rank term as a preconditioner.
-
-    Any low-rank eigenvalue at or below -1 (within a small margin) makes
-    I + W indefinite and is rejected.  Directions whose Woodbury weight
-    lam / (1 + lam) is exactly zero change nothing and are dropped; a missing
-    term, or one left with no direction, degrades to the factor-only
-    preconditioner.  Constructing the low-rank kind solves its basis Y, so
-    that block solve counts as construction.
-    """
-    if w is None:
-        w = LowRank.empty(q.n)
-    if w.n != q.n:
-        raise ValueError("low-rank term and factor orders differ")
-    if np.any(1.0 + w.lam <= FEASIBILITY_MARGIN):
-        raise InfeasibleLowRank(
-            f"low-rank eigenvalue {w.lam.min():.9g} makes I + W indefinite"
-        )
-    diag = w.lam / (1.0 + w.lam)
-    keep = diag != 0.0
-    if not keep.any():
-        return Preconditioner(kind=KIND_FACTOR, Q=q, label=label or "factor")
-    if not keep.all():
-        w, diag = LowRank(w.Z[:, keep], w.lam[keep]), diag[keep]
-    return Preconditioner(
-        kind=KIND_FACTOR_LOW_RANK,
-        Q=q,
-        W=w,
-        woodbury_diag=diag,
-        label=label or "factor+lowrank",
-    )
+    """P = q (I + w) q^T, labelled "factor" or "factor+lowrank" unless
+    ``label`` is given; ``Preconditioner`` checks and trims w."""
+    p = Preconditioner(Q=q, W=w, label=label)
+    p.label = label or ("factor" if p.W is None else "factor+lowrank")
+    return p
 
 
 def apply_inverse(p: Preconditioner, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    if p.kind == KIND_IDENTITY:
+    if p.Q is None:
         return v.copy()
     if v.shape != (p.Q.n,):
         raise ValueError(f"vector has shape {v.shape}, expected ({p.Q.n},)")
     # chol_solve returns a fresh array, so it may be updated in place
     x = chol_solve(p.Q, v)
-    if p.kind == KIND_FACTOR_LOW_RANK:
+    if p.W is not None:
         x -= p.Y @ (p.woodbury_diag * (p.Y.T @ v))
     return x
 
@@ -234,7 +236,8 @@ def _top_nystrom(scaled: LinearOperator, r: int, params) -> LowRank:
 
 def _bottom(scaled, r, eta, params, notes, allow_partial) -> LowRank:
     """Bottom of the scaled error: the top of eta*I - Q^{-1} S Q^{-T}, mapped
-    back by ``smallest_from_estimate``."""
+    back by ``smallest_from_estimate``.  Any eta gives the bottom (see
+    ``smallest_part``); it sets only the scale of the per-pair test."""
     est = _lanczos(shifted_operator(scaled, eta), r, params, notes, allow_partial)
     return smallest_from_estimate(est, eta)
 
@@ -242,9 +245,14 @@ def _bottom(scaled, r, eta, params, notes, allow_partial) -> LowRank:
 def smallest_part(s: CsrMatrix, q: CholFactor, r_minus: int, eta: float, params: EigsParams) -> LowRank:
     """Smallest eigenpairs of the scaled error, reached through the shift.
 
-    ``eta`` must be at least the top eigenvalue of Q^{-1} S Q^{-T}; a value
-    that is too small surfaces as EtaTooSmall.  Only operator applications
-    are used, never inner solves.
+    Lanczos ranks eta*I - Q^{-1} S Q^{-T} from its top, which is the bottom
+    of Q^{-1} S Q^{-T} for every eta, and a shift leaves the Krylov space
+    unchanged; each Ritz value of the shifted operator lies in
+    [eta - a_max, eta - a_min], so for SPD S every value mapped back is at
+    least a_min - 1 > -1, whatever eta is.  The shift does not decide
+    correctness: it sets only the scale of the per-pair test tol * |theta|,
+    and so how many operator applications a run takes.  Only operator
+    applications are used, never inner solves.
     """
     return _bottom(scaled_operator(s, q), r_minus, eta, params, [], allow_partial=False)
 
@@ -282,7 +290,8 @@ def build_alpha(
     Nystrom positive part, or no positive part, the bottom comes from a run
     on the shifted operator, whose shift is the top Ritz value of a short
     one-pair probe run inflated by its residual norm and a one percent
-    margin.  ``allow_partial`` downgrades eigensolver NoConvergence to a note
+    margin (it scales the convergence test; see ``smallest_part``).
+    ``allow_partial`` downgrades eigensolver NoConvergence to a note
     and continues with the partial estimates.
     """
     if positive_method not in POSITIVE_PART_METHODS:

@@ -183,9 +183,6 @@ class CholFactor:
     def _chol_plan(self) -> "_SolvePlan":
         return _SolvePlan(self.L.to_scipy(), "both")
 
-    def diagonal(self) -> np.ndarray:
-        return self.L.diagonal()
-
     def to_dense(self) -> np.ndarray:
         return self.L.to_dense()
 

@@ -286,7 +286,8 @@ def test_truncate_extracts_selected_pairs():
     w = truncate(decomp, (0, 3))
     assert w.rank == 2
     np.testing.assert_allclose(sorted(w.lam), [-0.5, 2.0], atol=1e-12)
-    w.validate()
+    np.testing.assert_allclose(w.Z.T @ w.Z, np.eye(2), atol=1e-12)
+    assert np.all(w.lam > -1.0)
     full = truncate(decomp, (0, 1, 2, 3))
     np.testing.assert_allclose(full.as_dense(), err, atol=1e-12)
 
@@ -297,8 +298,11 @@ def test_truncate_validates_indices_and_feasibility():
         truncate(decomp, (0, 0))
     with pytest.raises(ValueError):
         truncate(decomp, (0, 5))
+    # the value near -1 is copied unclamped; assembling it is what fails
+    w = truncate(decomp, (2,))
+    np.testing.assert_array_equal(w.lam, decomp.values[[2]])
     with pytest.raises(InfeasibleLowRank):
-        truncate(decomp, (2,))
+        assemble(CholFactor(CsrMatrix.from_dense(np.eye(3))), w)
 
 
 def test_low_rank_container():
@@ -306,7 +310,7 @@ def test_low_rank_container():
     assert empty.rank == 0 and empty.n == 6
     np.testing.assert_array_equal(empty.as_dense(), np.zeros((6, 6)))
     with pytest.raises(ValueError):
-        LowRank(np.ones((4, 2)), np.array([0.5, 0.5])).validate()  # not orthonormal
+        LowRank(np.ones((4, 2)), np.array([0.5]))  # one value per column
 
 
 def test_scaled_error_exact_factor_is_zero():

@@ -6,7 +6,6 @@ from bregpcg import (
     build_alpha,
     EigenEstimate,
     EigsParams,
-    EtaTooSmall,
     NoConvergence,
     ic0,
     lanczos_tr,
@@ -239,9 +238,23 @@ def test_smallest_from_estimate_shift_arithmetic():
     ok = EigenEstimate(np.array([1.9]), vec, np.zeros(1), 1)
     w = smallest_from_estimate(ok, 2.0)
     np.testing.assert_allclose(w.lam, [-0.9], atol=1e-15)
-    too_deep = EigenEstimate(np.array([2.9]), vec, np.zeros(1), 1)
-    with pytest.raises(EtaTooSmall):
-        smallest_from_estimate(too_deep, 2.0)
+
+
+@pytest.mark.parametrize("eta", [0.01, 10.0])
+def test_smallest_part_does_not_depend_on_eta(eta):
+    # Q^-1 S Q^-T spans [0.054, 1.201] here: eta = 0.01 lies below its whole
+    # spectrum and eta = 10 far above it, and both runs find the same bottom
+    n = 200
+    dense = 4.01 * np.eye(n)
+    for k in (1, 10):
+        dense -= np.eye(n, k=k) + np.eye(n, k=-k)
+    s = CsrMatrix.from_dense(dense)
+    fac = ic0(s)
+    q = fac.L.to_dense()
+    scaled = np.linalg.solve(q, np.linalg.solve(q, dense).T).T
+    bottom = np.linalg.eigvalsh((scaled + scaled.T) / 2.0)[:5] - 1.0
+    w = smallest_part(s, fac, 5, eta, EigsParams(tol=1e-8))
+    np.testing.assert_allclose(np.sort(w.lam), bottom, rtol=0, atol=1e-12)
 
 
 def test_smallest_part_round_trip():

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from bregpcg import (
     load_problem,
     make_rhs,
     read_matrix_market,
-    reads_matrix_market,
     write_matrix_market,
 )
 from conftest import ref_normals
@@ -21,7 +22,7 @@ def test_symmetric_coordinate_mirrors_lower_triangle():
 2 1 -1
 2 2 2
 """
-    a = reads_matrix_market(text)
+    a = read_matrix_market(io.StringIO(text))
     np.testing.assert_array_equal(a.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
 
 
@@ -45,7 +46,7 @@ def test_duplicate_entries_are_summed():
 1 1 2.5
 2 2 1
 """
-    a = reads_matrix_market(text)
+    a = read_matrix_market(io.StringIO(text))
     np.testing.assert_array_equal(a.to_dense(), [[4.0, 0.0], [0.0, 1.0]])
 
 
@@ -55,7 +56,7 @@ def test_integer_field_reads_as_floats():
 1 1 3
 2 1 -2
 """
-    a = reads_matrix_market(text)
+    a = read_matrix_market(io.StringIO(text))
     assert a.values.dtype == np.float64
     np.testing.assert_array_equal(a.to_dense(), [[3.0, -2.0], [-2.0, 0.0]])
 
@@ -70,7 +71,7 @@ def test_array_format_column_major():
 5
 6
 """
-    a = reads_matrix_market(text)
+    a = read_matrix_market(io.StringIO(text))
     np.testing.assert_array_equal(a.to_dense(), [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
 
 
@@ -84,7 +85,7 @@ def test_array_symmetric_packed_lower():
 5
 6
 """
-    a = reads_matrix_market(text)
+    a = read_matrix_market(io.StringIO(text))
     np.testing.assert_array_equal(
         a.to_dense(), [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]
     )
@@ -98,26 +99,26 @@ def test_unsupported_and_malformed_headers():
         "%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 1\n1 1 1\n",
     ):
         with pytest.raises(UnsupportedFormat):
-            reads_matrix_market(bad)
+            read_matrix_market(io.StringIO(bad))
     with pytest.raises(ParseError):
-        reads_matrix_market("% not a matrix market header\n1 1 1\n")
+        read_matrix_market(io.StringIO("% not a matrix market header\n1 1 1\n"))
     with pytest.raises(ParseError):
-        reads_matrix_market("%%MatrixMarket matrix coordinate real general\n2 2\n")
+        read_matrix_market(io.StringIO("%%MatrixMarket matrix coordinate real general\n2 2\n"))
 
 
 def test_entry_errors():
     header = "%%MatrixMarket matrix coordinate real general\n2 2 1\n"
     with pytest.raises(ParseError):
-        reads_matrix_market(header + "3 1 1.0\n")  # row out of bounds
+        read_matrix_market(io.StringIO(header + "3 1 1.0\n"))  # row out of bounds
     with pytest.raises(ParseError):
-        reads_matrix_market(header + "0 1 1.0\n")  # indices are 1-based
+        read_matrix_market(io.StringIO(header + "0 1 1.0\n"))  # indices are 1-based
     with pytest.raises(ParseError):
-        reads_matrix_market(header + "1 1 abc\n")
+        read_matrix_market(io.StringIO(header + "1 1 abc\n"))
     with pytest.raises(ParseError):
-        reads_matrix_market(header)  # fewer entries than promised
+        read_matrix_market(io.StringIO(header))  # fewer entries than promised
     with pytest.raises(ParseError):
-        reads_matrix_market(
-            "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 5.0\n"
+        read_matrix_market(
+            io.StringIO("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 5.0\n")
         )  # symmetric files store the lower triangle
 
 
@@ -128,7 +129,7 @@ def test_explicit_zero_entries_are_kept():
 2 1 0.0
 2 2 2
 """
-    a = reads_matrix_market(text)
+    a = read_matrix_market(io.StringIO(text))
     assert a.nnz == 4  # mirrored stored zero at (0,1) and (1,0)
 
 

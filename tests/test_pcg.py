@@ -9,9 +9,7 @@ from bregpcg import (
     CsrMatrix,
     EigsParams,
     IndefinitePreconditionerDetected,
-    LowRank,
     NotPositiveDefinite,
-    Preconditioner,
     SketchParams,
     assemble,
     build_alpha,
@@ -153,22 +151,21 @@ def test_stagnation_reason_on_hopeless_system():
     assert rep.iterations < 2000
 
 
+class _NegatedIdentity:
+    """P^-1 v = -v: pcg_solve reads only ``apply_inverse`` and ``label``, so this
+    stands in for an indefinite P that ``Preconditioner`` refuses to build."""
+
+    label = "negated"
+
+    def apply_inverse(self, v):
+        return -v
+
+
 def test_indefinite_preconditioner_detected():
     n = 5
-    z = np.zeros((n, 1))
-    z[0, 0] = 1.0
-    lam = np.array([-3.0])
-    bad = Preconditioner(
-        kind="factor_low_rank",
-        Q=CholFactor(CsrMatrix.from_dense(np.eye(n))),
-        W=LowRank(z, lam),
-        woodbury_diag=lam / (1.0 + lam),
-        label="broken",
-    )
     s = CsrMatrix.from_dense(np.eye(n))
-    b = z[:, 0].copy()
-    with pytest.raises(IndefinitePreconditionerDetected):
-        pcg_solve(s, b, bad, tol=1e-10)
+    with pytest.raises(IndefinitePreconditionerDetected, match="at iteration 0"):
+        pcg_solve(s, np.ones(n), _NegatedIdentity(), tol=1e-10)
 
 
 @pytest.mark.parametrize("second", [0.0, -1.0], ids=["zero", "negative"])

@@ -12,6 +12,7 @@ from bregpcg import (
     EigsParams,
     InfeasibleLowRank,
     LowRank,
+    Preconditioner,
     RankCollapse,
     SketchParams,
     apply_inverse,
@@ -106,6 +107,23 @@ def test_assemble_rejects_infeasible_eigenvalue():
     for bad in (-1.0, -1.0000001, -5.0):
         with pytest.raises(InfeasibleLowRank):
             assemble(fac, LowRank(z, np.array([bad])))
+
+
+def test_direct_construction_is_gated():
+    # the constructor is the one SPD check: no builder or keyword skips it
+    fac = ic0(band(5))
+    z = np.eye(5)[:, :1]
+    with pytest.raises(InfeasibleLowRank):
+        Preconditioner(Q=fac, W=LowRank(z, [-3.0]))
+    zeros = Preconditioner(Q=fac, W=LowRank(np.eye(5)[:, :2], [0.0, -0.0]))
+    assert zeros.kind == "factor_only" and zeros.W is None and zeros.Y is None
+    assert Preconditioner().kind == "identity"
+    with pytest.raises(ValueError):
+        Preconditioner(W=LowRank(z, [0.5]))  # a low-rank term needs a factor
+    with pytest.raises(TypeError):
+        Preconditioner(kind="factor_low_rank", Q=fac)
+    with pytest.raises(AttributeError):
+        zeros.kind = "factor_low_rank"
 
 
 def test_apply_inverse_identity_kind():
