@@ -14,6 +14,7 @@ import sys
 import time
 
 from . import harness, rng
+from .bregman import DENSIFY_CAP
 from .eigsolve import EigsParams
 from .errors import Breakdown, NotPositiveDefinite, ParseError
 from .harness import ExperimentConfig, parse_config
@@ -52,7 +53,7 @@ def _build_parser():
     solve.add_argument("--eig-budget", type=int, default=60, help="restarts and slack")
     solve.add_argument("--oversample", type=int, default=60)
     solve.add_argument("--width-factor", type=float, default=1.5)
-    solve.add_argument("--cap", type=int, default=4096, help="densification cap")
+    solve.add_argument("--cap", type=int, default=DENSIFY_CAP, help="densification cap")
 
     bench = sub.add_parser("bench", help="run a benchmark suite and write CSV")
     # flags given override the config file, which overrides the defaults
@@ -68,7 +69,7 @@ def _build_parser():
     spectrum.add_argument("--out", default="spectrum.csv")
     spectrum.add_argument("--seed", type=int, default=0)
     spectrum.add_argument("--diag-shift", type=float, default=0.0)
-    spectrum.add_argument("--cap", type=int, default=4096)
+    spectrum.add_argument("--cap", type=int, default=DENSIFY_CAP)
     return parser
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import rng
-from .bregman import gamma, nu, scaled_error, select_indices, truncate
+from .bregman import DENSIFY_CAP, gamma, nu, scaled_error, select_indices, truncate
 from .dense_kernels import sym_eig
 from .eigsolve import EigsParams
 from .ichol import ic0
@@ -75,7 +75,7 @@ class ExperimentConfig:
     oversample: int = 60
     width_factor: float = 1.5
     diag_shift: float = 0.0
-    cap: int = 4096
+    cap: int = DENSIFY_CAP
     out: str = ""
 
     def resolved_epsilons(self):
@@ -331,10 +331,10 @@ def run_large_suite(cfg: ExperimentConfig):
     return rows
 
 
-SPECTRUM_HEADER = ("index", "theta", "gamma_theta", "nu_theta", "abs_theta")
+SPECTRUM_HEADER = ["index", "theta", "gamma_theta", "nu_theta", "abs_theta"]
 
 
-def spectrum_rows(s, factor, cap: int = 4096):
+def spectrum_rows(s, factor, cap: int = DENSIFY_CAP):
     """Scaled-error spectrum with both selection curves, descending."""
     decomp = sym_eig(scaled_error(s, factor, cap=cap))
     rows = []

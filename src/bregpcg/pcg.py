@@ -1,7 +1,7 @@
 """Preconditioned conjugate gradients and spectral diagnostics.
 
 The solver starts from x0 = 0, monitors the recurrence residual, and guards
-it with true-residual recomputations: every ``true_res_every`` iterations,
+it with true-residual recomputations: every ``_TRUE_RES_EVERY`` iterations,
 whenever the recurrence claims convergence, and at termination.  The
 reported final residual is always a true one.  Matrix products are counted
 exactly: one per iteration plus one per true-residual recomputation.
@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bregman import gamma, nu, scaled_error
+from .bregman import DENSIFY_CAP, gamma, nu, scaled_error
 from .errors import CapExceeded, IndefinitePreconditionerDetected, NotPositiveDefinite
 from .precond import Preconditioner
 from .sparse_core import CsrMatrix, spmv
 
+_TRUE_RES_EVERY = 25
 _STAGNATION_WINDOW = 50
 _STAGNATION_DECREASE = 10.0 * np.finfo(float).eps  # required true-residual progress
 
@@ -50,7 +51,6 @@ def pcg_solve(
     p: Preconditioner,
     tol: float = 1e-10,
     maxit: int = 100,
-    true_res_every: int = 25,
 ):
     """Run PCG on S x = b from x0 = 0.
 
@@ -131,7 +131,7 @@ def pcg_solve(
                 converged = True
                 final_true = checked
                 break
-        elif k % true_res_every == 0:
+        elif k % _TRUE_RES_EVERY == 0:
             checked = true_rel(x)
 
         if checked is not None:
@@ -172,7 +172,7 @@ def pcg_solve(
     return x, report
 
 
-def preconditioned_spectrum(s: CsrMatrix, p: Preconditioner, cap: int = 4096) -> np.ndarray:
+def preconditioned_spectrum(s: CsrMatrix, p: Preconditioner, cap: int = DENSIFY_CAP) -> np.ndarray:
     """Eigenvalues of P^{-1} S in ascending order, from one dense solve.
 
     The factor kinds start from Q^{-1} S Q^{-T} = I + E (sparse triangular
@@ -199,13 +199,13 @@ def preconditioned_spectrum(s: CsrMatrix, p: Preconditioner, cap: int = 4096) ->
     return mu
 
 
-def cond2_preconditioned(s: CsrMatrix, p: Preconditioner, cap: int = 4096) -> float:
+def cond2_preconditioned(s: CsrMatrix, p: Preconditioner, cap: int = DENSIFY_CAP) -> float:
     """Two-norm condition number mu_max / mu_min of the preconditioned system."""
     mu = preconditioned_spectrum(s, p, cap)
     return float(mu[-1] / mu[0])
 
 
-def divergence_columns(s: CsrMatrix, p: Preconditioner, cap: int = 4096):
+def divergence_columns(s: CsrMatrix, p: Preconditioner, cap: int = DENSIFY_CAP):
     """Both divergence directions between the system and its preconditioner.
 
     Returns (D(S, P), D(P, S)); the reverse direction is what a reverse

@@ -20,9 +20,9 @@ BuildInfo.  Builders differ only in how they estimate each end of E:
 
 - top: Lanczos on Q^{-1} S Q^{-T} minus 1, or Nystrom on E;
 - both ends: one two-ended Lanczos run on Q^{-1} S Q^{-T} minus 1, which
-  ``build_alpha`` uses when its positive part is Krylov;
+  ``build_alpha`` uses at every alpha when its positive part is Krylov;
 - bottom: Lanczos on eta I - Q^{-1} S Q^{-T}, mapped back (``smallest_part``),
-  for ``build_alpha`` with a Nystrom or no positive part;
+  for ``build_alpha`` with the Nystrom positive part;
 - magnitude: Lanczos ranked by |theta|, or the widened indefinite Nystrom;
 - exact: the dense eigendecomposition of E, truncated (no S-products).
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sketch as sketch_mod
-from .bregman import LowRank, scaled_error, select_indices, truncate
+from .bregman import DENSIFY_CAP, LowRank, scaled_error, select_indices, truncate
 from .dense_kernels import sym_eig, thin_qr
 from .eigsolve import (
     CountingOperator,
@@ -258,7 +258,7 @@ def smallest_part(s: CsrMatrix, q: CholFactor, r_minus: int, eta: float, params:
 
 
 def build_exact(
-    s: CsrMatrix, q: CholFactor, r: int, rule: str, cap: int = 4096, label: str = ""
+    s: CsrMatrix, q: CholFactor, r: int, rule: str, cap: int = DENSIFY_CAP, label: str = ""
 ) -> Preconditioner:
     """Truncation preconditioner from the dense scaled-error eigendecomposition."""
 
@@ -285,12 +285,13 @@ def build_alpha(
     the scaled error, the rest from the bottom.
 
     With the Krylov positive part, one two-ended Lanczos run on
-    Q^{-1} S Q^{-T} gives both sides; its Ritz values lie inside the
-    operator's spectrum, so every value it maps back is above -1.  With the
-    Nystrom positive part, or no positive part, the bottom comes from a run
-    on the shifted operator, whose shift is the top Ritz value of a short
-    one-pair probe run inflated by its residual norm and a one percent
-    margin (it scales the convergence test; see ``smallest_part``).
+    Q^{-1} S Q^{-T} gives both sides at every alpha (with no top pairs when
+    alpha*r < 1); its Ritz values lie inside the operator's spectrum, so
+    every value it maps back is above -1.  With the Nystrom positive part,
+    the bottom comes from a run on the shifted operator, whose shift is the
+    top Ritz value of a short one-pair probe run inflated by its residual
+    norm and a one percent margin (it scales the convergence test; see
+    ``smallest_part``).
     ``allow_partial`` downgrades eigensolver NoConvergence to a note
     and continues with the partial estimates.
     """
@@ -299,7 +300,7 @@ def build_alpha(
     split = split_rank(r, alpha)
 
     def estimate(scaled, notes):
-        if split.r_plus and positive_method == "krylov_schur":
+        if positive_method == "krylov_schur":
             both = _lanczos(scaled, split.r_plus, eig_params, notes, allow_partial, bottom=split.r_minus)
             return [LowRank(both.vectors, both.values - 1.0)]
         parts = []
@@ -372,7 +373,7 @@ def build(
     eig: EigsParams | None = None,
     sketch=None,
     positive_method: str = "nystrom",
-    cap: int = 4096,
+    cap: int = DENSIFY_CAP,
 ) -> Preconditioner:
     """Build the preconditioner a label from ``LABELS`` names, on the factor q.
 

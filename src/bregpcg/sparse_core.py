@@ -125,9 +125,6 @@ class CsrMatrix:
     def transpose(self) -> "CsrMatrix":
         return CsrMatrix.from_scipy(self._sp.T)
 
-    def diagonal(self) -> np.ndarray:
-        return self._sp.diagonal()
-
     def lower_triangle(self) -> "CsrMatrix":
         """Stored entries on or below the diagonal, pattern preserved."""
         mask = self.col_idx <= np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr))

@@ -70,7 +70,7 @@ def test_headers_are_pinned():
         "matvecs_S",
         "note",
     ]
-    assert SPECTRUM_HEADER == ("index", "theta", "gamma_theta", "nu_theta", "abs_theta")
+    assert SPECTRUM_HEADER == ["index", "theta", "gamma_theta", "nu_theta", "abs_theta"]
 
 
 def test_parse_config_full(tmp_path):
@@ -365,16 +365,18 @@ _PINNED_SHARED = [
     ("nys", 3, "-", 6, 30, ""),
     ("nys_indef", 3, "-", 6, 12, ""),
     ("svd_ks", 3, "-", 6, 70, ""),
-    ("breg_alpha", 3, "0", 6, 131, "eta-probe"),
-    ("breg_alpha", 3, "0.25", 6, 131, "eta-probe"),
 ]
 PINNED_LARGE = {
     False: _PINNED_SHARED + [  # Nystrom positive part
+        ("breg_alpha", 3, "0", 6, 131, "eta-probe"),
+        ("breg_alpha", 3, "0.25", 6, 131, "eta-probe"),
         ("breg_alpha", 3, "0.5", 6, 151, "eta-probe"),
         ("breg_alpha", 3, "0.75", 6, 151, "eta-probe"),
         ("breg_alpha", 3, "1", 5, 29, ""),
     ],
-    True: _PINNED_SHARED + [  # Krylov positive part: both ends from one run
+    True: _PINNED_SHARED + [  # Krylov positive part: both ends from one run at every alpha
+        ("breg_alpha", 3, "0", 6, 70, ""),
+        ("breg_alpha", 3, "0.25", 6, 70, ""),
         ("breg_alpha", 3, "0.5", 6, 70, ""),
         ("breg_alpha", 3, "0.75", 6, 70, ""),
         ("breg_alpha", 3, "1", 5, 69, ""),
@@ -611,5 +613,5 @@ def test_cli_spectrum_writes_csv(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with open(out) as handle:
         reader = list(csv.reader(handle))
-    assert reader[0] == list(SPECTRUM_HEADER)
+    assert reader[0] == SPECTRUM_HEADER
     assert len(reader) == 41

@@ -1,8 +1,11 @@
 import itertools
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregpcg import (
     AlphaSplit,
@@ -32,7 +35,7 @@ from bregpcg import (
     split_rank,
     truncate,
 )
-from bregpcg import rng, sparse_core
+from bregpcg import precond, rng, sparse_core
 from bregpcg.dense_kernels import sym_eig
 from bregpcg.precond import LABELS, build
 from conftest import bumped_band, divergence_dense, laplacian_2d
@@ -369,7 +372,8 @@ def test_alpha_zero_and_one_match_spectrum_ends():
     )
     bottom = build_alpha(s, fac, 4, 0.0, params)
     np.testing.assert_allclose(np.sort(bottom.W.lam), np.sort(decomp.values)[:4], atol=1e-7)
-    assert "eta-probe" in bottom.build_info.notes
+    # the Krylov positive part is one two-ended run at every alpha: no probe
+    assert "eta-probe" not in bottom.build_info.notes
     assert "eta-probe" not in top.build_info.notes
 
 
@@ -400,11 +404,40 @@ def test_alpha_krylov_split_partial_gives_one_note():
     assert p.build_info.matvecs_s == 6 + 5  # the one cycle's basis
 
 
+def random_sparse_spd(n, density, margin, seed):
+    """A random symmetric M-matrix, strictly diagonally dominant by
+    ``margin``: SPD, and ic0 exists; ``margin`` near 0 puts the bottom of
+    the scaled error near -1."""
+    gen = np.random.default_rng(seed)
+    a = np.tril(gen.random((n, n)) * (gen.random((n, n)) < density), -1)
+    a = a + a.T
+    return CsrMatrix.from_dense(np.diag(a.sum(axis=1) + margin) - a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=30, max_value=70),
+    density=st.floats(min_value=0.02, max_value=0.2),
+    margin=st.floats(min_value=1e-6, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+    r=st.integers(min_value=1, max_value=8),
+    alpha=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+)
+def test_alpha_krylov_build_is_one_feasible_run_at_every_alpha(n, density, margin, seed, r, alpha):
+    s = random_sparse_spd(n, density, margin, seed)
+    params = EigsParams(slack=min(20, n - r), seed=seed)
+    with mock.patch.object(precond, "lanczos_tr", wraps=lanczos_tr) as runs:
+        p = build_alpha(s, ic0(s), r, alpha, params, positive_method="krylov_schur", allow_partial=True)
+    assert runs.call_count == 1
+    assert "eta-probe" not in p.build_info.notes
+    assert p.W is None or np.all(p.W.lam > -1.0)
+
+
 def test_alpha_build_counts_probe_matvecs():
     s = band(80)
     fac = ic0(s)
     params = EigsParams(tol=1e-8, slack=20)
-    p = build_alpha(s, fac, 4, 0.0, params)
+    p = build_alpha(s, fac, 4, 0.0, params, positive_method="nystrom")
     assert p.build_info.matvecs_s > 0
     assert "eta-probe" in p.build_info.notes
 

@@ -74,5 +74,22 @@ def test_traced_builds_are_one_span_each_and_reach_their_kernels():
     assert "bregman.scaled_error" in names
 
 
+def test_traced_krylov_alpha_zero_build_is_one_lanczos_run():
+    # with the Krylov positive part both sides come from one two-ended run,
+    # also when floor(alpha * r) = 0
+    from bregpcg.precond import build
+
+    s = bregpcg.CsrMatrix.from_dense(bumped_band(80))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        build("breg_alpha", s, bregpcg.ic0(s), 4, alpha=0.0, eig=bregpcg.EigsParams(slack=10),
+              positive_method="krylov_schur")
+    finally:
+        tracer.uninstall()
+    names = [span.name for span in tracer.spans]
+    assert names.count("eigsolve.lanczos_tr") == 1
+
+
 def test_every_public_name_resolves():
     assert [name for name in bregpcg.__all__ if not hasattr(bregpcg, name)] == []
