@@ -1,5 +1,9 @@
+import inspect
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from bregpcg import (
     CountingOperator,
@@ -15,6 +19,7 @@ from bregpcg import (
     smallest_from_estimate,
     smallest_part,
 )
+from bregpcg import eigsolve
 from bregpcg.dense_kernels import sym_eig
 from bregpcg.precond import _minus_identity
 from bregpcg.sparse_core import CsrMatrix
@@ -29,6 +34,12 @@ def dense_symmetric(n, seed):
     gen = np.random.default_rng(seed)
     a = gen.standard_normal((n, n))
     return (a + a.T) / 2.0
+
+
+def poisson_70():
+    """The 70x70 Poisson matrix plus 0.01 I (n = 4900)."""
+    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(70, 70))
+    return CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(4900))
 
 
 def test_small_diagonal_top_pair():
@@ -69,14 +80,19 @@ def test_large_random_matches_dense_solver():
     assert np.max(np.abs(gram - np.eye(10))) <= 1e-8
 
 
-def test_residual_norms_are_honest():
+def check_residual_norms_are_honest():
     a = dense_symmetric(300, seed=11)
-    op = operator_from_dense(a)
-    est = lanczos_tr(op, 6, EigsParams(tol=1e-9))
+    counting = CountingOperator(operator_from_dense(a))
+    est = lanczos_tr(counting, 6, EigsParams(tol=1e-9))
     for k in range(6):
         v = est.vectors[:, k]
         actual = np.linalg.norm(a @ v - est.values[k] * v)
         assert actual <= est.residual_norms[k] * 1.01 + 1e-13
+    return est, counting.count
+
+
+def test_residual_norms_are_honest():
+    check_residual_norms_are_honest()
 
 
 def test_matvec_count_matches_operator_counter():
@@ -108,7 +124,7 @@ def test_magnitude_ranking_prefers_large_negative():
     np.testing.assert_allclose(alg.values, [3.0, 1.0], atol=1e-10)
 
 
-def test_two_ended_run_matches_dense_oracle_at_both_ends():
+def check_two_ended_run_matches_dense_oracle_at_both_ends():
     a = dense_symmetric(400, seed=23)
     exact = np.linalg.eigvalsh(a)
     counting = CountingOperator(operator_from_dense(a))
@@ -122,6 +138,11 @@ def test_two_ended_run_matches_dense_oracle_at_both_ends():
         assert np.linalg.norm(a @ v - est.values[k] * v) <= est.residual_norms[k] * 1.01 + 1e-13
     # the run restarted, so the ranking drove which pairs were kept
     assert counting.count > 5 + 3 + 30
+    return est, counting.count
+
+
+def test_two_ended_run_matches_dense_oracle_at_both_ends():
+    check_two_ended_run_matches_dense_oracle_at_both_ends()
 
 
 def test_bottom_zero_is_the_largest_ranking_bitwise():
@@ -153,6 +174,55 @@ def test_two_ended_no_convergence_counts_both_ends():
     with pytest.raises(NoConvergence, match="of 7 pairs") as info:
         lanczos_tr(operator_from_dense(a), 4, EigsParams(tol=1e-15, slack=5, max_restarts=1), bottom=3)
     assert info.value.estimate.values.shape == (7,)
+
+
+def test_full_passes_run_on_every_step_below_the_size_crossover():
+    a = dense_symmetric(200, seed=13)
+    assert 200 * (5 + 60 + 1) <= eigsolve.ALWAYS_FULL_SIZE
+    counting = CountingOperator(operator_from_dense(a))
+    est = lanczos_tr(counting, 5, EigsParams(tol=1e-8))
+    assert est.full_passes == counting.count == 124
+    # the partial estimate that NoConvergence carries counts them too
+    counting = CountingOperator(operator_from_dense(a))
+    with pytest.raises(NoConvergence) as info:
+        lanczos_tr(counting, 5, EigsParams(tol=1e-15, slack=60, max_restarts=2))
+    assert info.value.estimate.full_passes == counting.count
+
+
+def test_recurrence_path_keeps_the_honesty_checks(monkeypatch):
+    # both checks above, with the omega recurrence deciding the full passes:
+    # the components those passes remove must enter the returned norms
+    monkeypatch.setattr(eigsolve, "ALWAYS_FULL_SIZE", 0)
+    for check in (check_residual_norms_are_honest, check_two_ended_run_matches_dense_oracle_at_both_ends):
+        est, steps = check()
+        assert 0 < est.full_passes < steps
+
+
+def test_basis_stays_semi_orthogonal_through_restarts():
+    # above the size crossover, at tol 1e-8: max |V^T V - I| <= sqrt(eps)
+    # for the whole basis before every Rayleigh-Ritz step, read from
+    # lanczos_tr's frame when it calls eigh on the projected matrix
+    s = poisson_70()
+    counting = CountingOperator(scaled_operator(s, ic0(s)))
+    params = EigsParams(tol=1e-8, slack=40)
+    assert 4900 * (10 + 10 + 40 + 1) > eigsolve.ALWAYS_FULL_SIZE
+    worst = []
+    eigh = np.linalg.eigh
+
+    def rayleigh_ritz(t_proj):
+        m = t_proj.shape[0]
+        basis = inspect.currentframe().f_back.f_locals["v_basis"][:, : m + 1]
+        worst.append(np.max(np.abs(basis.T @ basis - np.eye(m + 1))))
+        return eigh(t_proj)
+
+    with mock.patch.object(eigsolve.np.linalg, "eigh", rayleigh_ritz):
+        est = lanczos_tr(counting, 10, params, bottom=10)
+    assert len(worst) >= 4  # three restarts at least
+    assert max(worst) <= np.sqrt(np.finfo(np.float64).eps)
+    # two forced passes per cycle, more where the estimate called for one,
+    # and still a small share of the steps
+    assert 2 * len(worst) < est.full_passes < counting.count / 4
+    assert np.max(np.abs(est.vectors.T @ est.vectors - np.eye(20))) <= np.sqrt(np.finfo(np.float64).eps)
 
 
 def test_identity_operator_exercises_invariant_subspace_restart():

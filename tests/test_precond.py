@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bregpcg import (
@@ -35,7 +35,7 @@ from bregpcg import (
     split_rank,
     truncate,
 )
-from bregpcg import precond, rng, sparse_core
+from bregpcg import eigsolve, precond, rng, sparse_core
 from bregpcg.dense_kernels import sym_eig
 from bregpcg.precond import LABELS, build
 from conftest import bumped_band, divergence_dense, laplacian_2d
@@ -414,8 +414,8 @@ def random_sparse_spd(n, density, margin, seed):
     return CsrMatrix.from_dense(np.diag(a.sum(axis=1) + margin) - a)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+# random sparse SPD problems, diagonally dominant by a margin down to 1e-6
+_SPD_CASES = dict(
     n=st.integers(min_value=30, max_value=70),
     density=st.floats(min_value=0.02, max_value=0.2),
     margin=st.floats(min_value=1e-6, max_value=1.0),
@@ -423,7 +423,9 @@ def random_sparse_spd(n, density, margin, seed):
     r=st.integers(min_value=1, max_value=8),
     alpha=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
 )
-def test_alpha_krylov_build_is_one_feasible_run_at_every_alpha(n, density, margin, seed, r, alpha):
+
+
+def check_one_feasible_run(n, density, margin, seed, r, alpha):
     s = random_sparse_spd(n, density, margin, seed)
     params = EigsParams(slack=min(20, n - r), seed=seed)
     with mock.patch.object(precond, "lanczos_tr", wraps=lanczos_tr) as runs:
@@ -431,6 +433,24 @@ def test_alpha_krylov_build_is_one_feasible_run_at_every_alpha(n, density, margi
     assert runs.call_count == 1
     assert "eta-probe" not in p.build_info.notes
     assert p.W is None or np.all(p.W.lam > -1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SPD_CASES)
+def test_alpha_krylov_build_is_one_feasible_run_at_every_alpha(n, density, margin, seed, r, alpha):
+    check_one_feasible_run(n, density, margin, seed, r, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SPD_CASES)
+# an operator that rounds far above eps ||T||: full passes run straight on
+# op(v_j), not after the local three-term step, make this build infeasible
+@example(n=51, density=0.02, margin=1e-6, seed=0, r=1, alpha=0.0)
+def test_alpha_krylov_build_is_feasible_on_the_recurrence_path(n, density, margin, seed, r, alpha):
+    # these sizes fall below the size crossover; patch it so that the omega
+    # recurrence decides which steps run a full pass
+    with mock.patch.object(eigsolve, "ALWAYS_FULL_SIZE", 0):
+        check_one_feasible_run(n, density, margin, seed, r, alpha)
 
 
 def test_alpha_build_counts_probe_matvecs():
@@ -657,3 +677,13 @@ def test_lanczos_builds_are_golden(make, matvecs, iterations, lam):
     _, report = pcg_solve(s, rng.normals(3, 900), p, tol=1e-10, maxit=200)
     assert report.converged and report.iterations == iterations
     np.testing.assert_allclose(np.sort(p.W.lam), lam, rtol=1e-10, atol=0)
+
+
+def test_alpha_golden_build_keeps_its_top_cluster():
+    # the golden alpha build runs on the omega recurrence (900 * 91 basis
+    # entries); its top 15 values must still reach 0.1762, as with a full
+    # pass on every step, where the dense 15th largest is 0.1930
+    s = CsrMatrix.from_dense(laplacian_2d(30) + 0.01 * np.eye(900))
+    assert 900 * (30 + 60 + 1) > eigsolve.ALWAYS_FULL_SIZE
+    p = build_alpha(s, ic0(s), 30, 0.5, EigsParams(tol=1e-2, slack=60, seed=0), positive_method="krylov_schur")
+    assert np.sort(p.W.lam)[::-1][14] >= 0.1762
