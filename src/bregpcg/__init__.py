@@ -10,6 +10,7 @@ from .bregman import (
     gamma,
     nu,
     scaled_error,
+    scaled_operator,
     select_indices,
     truncate,
 )
@@ -20,9 +21,6 @@ from .eigsolve import (
     LinearOperator,
     lanczos_tr,
     operator_from_dense,
-    scaled_operator,
-    shifted_operator,
-    smallest_from_estimate,
 )
 from .errors import (
     Breakdown,
@@ -57,7 +55,6 @@ from .matio import (
 )
 from .pcg import SolveReport, cond2_preconditioned, divergence_columns, pcg_solve
 from .precond import (
-    AlphaSplit,
     BuildInfo,
     Preconditioner,
     apply_inverse,
@@ -68,15 +65,13 @@ from .precond import (
     build_svd_krylov,
     identity,
     smallest_part,
-    split_rank,
 )
-from .sketch import SketchParams, gaussian_sketch, nystrom, nystrom_indefinite
+from .sketch import SketchParams, nystrom, nystrom_indefinite
 from .sparse_core import CholFactor, CsrMatrix, chol_solve, sparse_ata, spmv, tri_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaSplit",
     "Breakdown",
     "BuildInfo",
     "CapExceeded",
@@ -114,7 +109,6 @@ __all__ = [
     "divergence_columns",
     "divergence_ld",
     "gamma",
-    "gaussian_sketch",
     "ic0",
     "identity",
     "lanczos_tr",
@@ -132,12 +126,9 @@ __all__ = [
     "scaled_error",
     "scaled_operator",
     "select_indices",
-    "shifted_operator",
-    "smallest_from_estimate",
     "smallest_part",
     "sparse_ata",
     "spectrum_rows",
-    "split_rank",
     "spmv",
     "tri_solve",
     "truncate",

@@ -15,6 +15,11 @@ scalar curves:
 A rank-r correction W that copies r eigenpairs of E is optimal exactly when
 it keeps the r eigenvalues with the largest curve value.  ``select_indices``
 implements that rule for both curves and for plain magnitude truncation.
+
+The E that a preconditioner P = Q (I + W) Q^T corrects is the scaled
+factorization error Q^{-1} S Q^{-T} - I, and this module defines it both
+ways: ``scaled_error`` forms it densely, and ``scaled_operator`` applies
+Q^{-1} S Q^{-T} = I + E matrix-free, one product with S per application.
 """
 
 from dataclasses import dataclass
@@ -23,8 +28,9 @@ import numpy as np
 import scipy.linalg
 
 from .dense_kernels import EigenDecomposition, dense_cholesky
+from .eigsolve import LinearOperator
 from .errors import CapExceeded, EigenvalueOutOfDomain, NotPositiveDefinite
-from .sparse_core import CholFactor, CsrMatrix, tri_solve
+from .sparse_core import CholFactor, CsrMatrix, spmv, tri_solve
 
 DENSIFY_CAP = 4096
 
@@ -101,6 +107,17 @@ def scaled_error(s: CsrMatrix, q: CholFactor, cap: int = DENSIFY_CAP) -> np.ndar
     err = (whole + whole.T) / 2.0
     err[np.diag_indices(n)] -= 1.0
     return err
+
+
+def scaled_operator(s: CsrMatrix, q: CholFactor) -> LinearOperator:
+    """v -> Q^{-1} S Q^{-T} v.  One S product and two triangular solves."""
+    if s.n_rows != q.n:
+        raise ValueError("matrix and factor orders differ")
+
+    def apply(v):
+        return tri_solve(q, spmv(s, tri_solve(q, v, transposed=True)))
+
+    return LinearOperator(s.n_rows, apply)
 
 
 def select_indices(values, r: int, rule: str):

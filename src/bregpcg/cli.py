@@ -67,7 +67,6 @@ def _build_parser():
     spectrum = sub.add_parser("spectrum", help="dump the scaled-error spectrum to CSV")
     spectrum.add_argument("matrix", help="Matrix Market file")
     spectrum.add_argument("--out", default="spectrum.csv")
-    spectrum.add_argument("--seed", type=int, default=0)
     spectrum.add_argument("--diag-shift", type=float, default=0.0)
     spectrum.add_argument("--cap", type=int, default=DENSIFY_CAP)
     return parser
@@ -143,7 +142,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    problem = load_problem(args.matrix, seed=args.seed)
+    problem = load_problem(args.matrix)
     factor = ic0(problem.S, diag_shift=args.diag_shift)
     rows = harness.spectrum_rows(problem.S, factor, cap=args.cap)
     harness.write_csv(args.out, harness.SPECTRUM_HEADER, rows)

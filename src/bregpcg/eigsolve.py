@@ -20,13 +20,10 @@ matrix-vector product over one contiguous block of leading columns.
 Everything is driven by the pinned random streams, so a given (operator,
 params, seed) triple reproduces bitwise on one machine and BLAS build.
 
-The solver does not count its operator applications; wrap the operator in
-``CountingOperator`` to count them.  ``smallest_from_estimate`` maps a run on
-the shifted operator eta*I - Q^{-1} S Q^{-T} back to the bottom of the scaled
-error, theta = (eta - 1) - lambda.  The top of the shifted operator is the
-bottom of Q^{-1} S Q^{-T} for every eta, so the shift does not decide which
-pairs a run finds; it sets only the scale of the per-pair test tol * |theta|,
-and so how many applications the run takes.
+The module knows symmetric operators only, given by a dimension and an apply
+callable; what an operator stands for (the scaled error, a shift of it) is
+its caller's business.  The solver does not count its operator applications;
+wrap the operator in ``CountingOperator`` to count them.
 """
 
 from dataclasses import dataclass
@@ -34,9 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .bregman import LowRank
 from .errors import NoConvergence
-from .sparse_core import CholFactor, CsrMatrix, spmv, tri_solve
 
 # With n * (m + 1) basis entries at most this, every Lanczos step runs the full
 # Gram-Schmidt pass: there the omega recurrence's per-step numpy calls cost
@@ -72,22 +67,6 @@ class CountingOperator(LinearOperator):
 def operator_from_dense(a: np.ndarray) -> LinearOperator:
     a = np.asarray(a, dtype=np.float64)
     return LinearOperator(a.shape[0], lambda v: a @ v)
-
-
-def scaled_operator(s: CsrMatrix, q: CholFactor) -> LinearOperator:
-    """v -> Q^{-1} S Q^{-T} v.  One S product and two triangular solves."""
-    if s.n_rows != q.n:
-        raise ValueError("matrix and factor orders differ")
-
-    def apply(v):
-        return tri_solve(q, spmv(s, tri_solve(q, v, transposed=True)))
-
-    return LinearOperator(s.n_rows, apply)
-
-
-def shifted_operator(op: LinearOperator, eta: float) -> LinearOperator:
-    """v -> eta*v - op(v); flips the spectrum so its bottom becomes the top."""
-    return LinearOperator(op.dimension, lambda v: eta * v - op.apply(v))
 
 
 @dataclass
@@ -145,12 +124,14 @@ def lanczos_tr(
     -------
     EigenEstimate
         ``full_passes`` counts the steps that ran the full Gram-Schmidt pass
-        (every step when n * (m + 1) <= ``ALWAYS_FULL_SIZE``).  A full pass
-        removes components along older basis vectors that the projected
-        matrix does not record, so ``residual_norms`` bound the true
-        residuals: each is the Ritz residual plus the root sum of squares
-        of all such components removed in the run.  Convergence is tested
-        on the Ritz residual alone.
+        (every step when n * (m + 1) <= ``ALWAYS_FULL_SIZE``).  When every
+        step runs the pass, ``residual_norms`` are the plain Ritz residuals.
+        Otherwise each is the Ritz residual plus one term for the whole run,
+        the same for every pair: the root sum of squares of the components
+        the full passes removed along older basis vectors, which the
+        projected matrix does not record.  That term can exceed a pair's
+        true residual by orders of magnitude.  Convergence is tested on the
+        Ritz residual alone.
 
     Raises
     ------
@@ -307,12 +288,3 @@ def _cgs2(basis: np.ndarray, w: np.ndarray):
     w = w - basis @ coeffs
     coeffs2 = basis.T @ w
     return w - basis @ coeffs2, coeffs, coeffs2
-
-
-def smallest_from_estimate(est: EigenEstimate, eta: float) -> LowRank:
-    """Map shifted eigenvalues back: theta = (eta - 1) - lambda.
-
-    Whether every theta lies above -1 is checked where the term becomes a
-    preconditioner (``precond.Preconditioner``).
-    """
-    return LowRank(est.vectors, (eta - 1.0) - est.values)

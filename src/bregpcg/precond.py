@@ -14,15 +14,19 @@ that when it is built, by a builder or directly, and derives its kind, d and
 Y from Q and W; ``assemble`` and ``identity`` add default labels.
 
 Every builder runs one pipeline, ``_low_rank_build``: it counts S-products
-with one CountingOperator around Q^{-1} S Q^{-T}, merges the parts the builder
-estimates of the scaled error E = Q^{-1} S Q^{-T} - I, assembles P and records
-BuildInfo.  Builders differ only in how they estimate each end of E:
+with one CountingOperator around Q^{-1} S Q^{-T} (``bregman.scaled_operator``),
+merges the parts the builder estimates of the scaled error
+E = Q^{-1} S Q^{-T} - I, assembles P and records BuildInfo.  The eigensolver
+and the sketches see operators only; this module owns every map between
+them and E: the minus-one shift, the shift eta and the map back from it.
+Builders differ only in how they estimate each end of E:
 
 - top: Lanczos on Q^{-1} S Q^{-T} minus 1, or Nystrom on E;
 - both ends: one two-ended Lanczos run on Q^{-1} S Q^{-T} minus 1, which
   ``build_alpha`` uses at every alpha when its positive part is Krylov;
-- bottom: Lanczos on eta I - Q^{-1} S Q^{-T}, mapped back (``smallest_part``),
-  for ``build_alpha`` with the Nystrom positive part;
+- bottom: Lanczos on eta I - Q^{-1} S Q^{-T}, mapped back to E by
+  theta = (eta - 1) - lambda (``smallest_part``), for ``build_alpha`` with
+  the Nystrom positive part;
 - magnitude: Lanczos ranked by |theta|, or the widened indefinite Nystrom;
 - exact: the dense eigendecomposition of E, truncated (no S-products).
 
@@ -37,17 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sketch as sketch_mod
-from .bregman import DENSIFY_CAP, LowRank, scaled_error, select_indices, truncate
+from .bregman import DENSIFY_CAP, LowRank, scaled_error, scaled_operator, select_indices, truncate
 from .dense_kernels import sym_eig, thin_qr
-from .eigsolve import (
-    CountingOperator,
-    EigsParams,
-    LinearOperator,
-    lanczos_tr,
-    scaled_operator,
-    shifted_operator,
-    smallest_from_estimate,
-)
+from .eigsolve import CountingOperator, EigsParams, LinearOperator, lanczos_tr
 from .errors import InfeasibleLowRank, NoConvergence
 from .sparse_core import CholFactor, CsrMatrix, chol_solve, tri_solve
 
@@ -65,28 +61,6 @@ class BuildInfo:
     matvecs_s: int = 0
     seconds: float = 0.0
     notes: tuple = ()
-
-
-@dataclass(frozen=True)
-class AlphaSplit:
-    """Rank budget split: r_plus directions from the top, r_minus from the bottom."""
-
-    r_plus: int
-    r_minus: int
-
-    @property
-    def r(self) -> int:
-        return self.r_plus + self.r_minus
-
-
-def split_rank(r: int, alpha: float) -> AlphaSplit:
-    """r_plus = floor(alpha * r), r_minus = the rest."""
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    r_plus = int(math.floor(alpha * r))
-    return AlphaSplit(r_plus=r_plus, r_minus=r - r_plus)
 
 
 @dataclass(eq=False)
@@ -229,17 +203,13 @@ def _lanczos(op, want, params, notes, allow_partial, which="largest", bottom=0):
         return exc.estimate
 
 
-def _top_nystrom(scaled: LinearOperator, r: int, params) -> LowRank:
-    """Top of the scaled error: Nystrom on Q^{-1} S Q^{-T} - I."""
-    return sketch_mod.nystrom(_minus_identity(scaled), r, params)
-
-
 def _bottom(scaled, r, eta, params, notes, allow_partial) -> LowRank:
     """Bottom of the scaled error: the top of eta*I - Q^{-1} S Q^{-T}, mapped
-    back by ``smallest_from_estimate``.  Any eta gives the bottom (see
+    back by theta = (eta - 1) - lambda.  Any eta gives the bottom (see
     ``smallest_part``); it sets only the scale of the per-pair test."""
-    est = _lanczos(shifted_operator(scaled, eta), r, params, notes, allow_partial)
-    return smallest_from_estimate(est, eta)
+    shifted = LinearOperator(scaled.dimension, lambda v: eta * v - scaled.apply(v))
+    est = _lanczos(shifted, r, params, notes, allow_partial)
+    return LowRank(est.vectors, (eta - 1.0) - est.values)
 
 
 def smallest_part(s: CsrMatrix, q: CholFactor, r_minus: int, eta: float, params: EigsParams) -> LowRank:
@@ -297,21 +267,26 @@ def build_alpha(
     """
     if positive_method not in POSITIVE_PART_METHODS:
         raise ValueError(f"unknown positive-part method {positive_method!r}")
-    split = split_rank(r, alpha)
+    if r < 0:
+        raise ValueError("rank must be nonnegative")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    r_plus = int(math.floor(alpha * r))
+    r_minus = r - r_plus
 
     def estimate(scaled, notes):
         if positive_method == "krylov_schur":
-            both = _lanczos(scaled, split.r_plus, eig_params, notes, allow_partial, bottom=split.r_minus)
+            both = _lanczos(scaled, r_plus, eig_params, notes, allow_partial, bottom=r_minus)
             return [LowRank(both.vectors, both.values - 1.0)]
         parts = []
-        if split.r_plus:
+        if r_plus:
             params = sketch_params or sketch_mod.SketchParams(seed=eig_params.seed)
-            parts.append(_top_nystrom(scaled, split.r_plus, params))
-        if split.r_minus:
+            parts.append(sketch_mod.nystrom(_minus_identity(scaled), r_plus, params))
+        if r_minus:
             probe = _lanczos(scaled, 1, eig_params, notes, allow_partial)
             notes.append("eta-probe")
             eta = (float(probe.values[0]) + float(probe.residual_norms[0])) * ETA_MARGIN
-            parts.append(_bottom(scaled, split.r_minus, eta, eig_params, notes, allow_partial))
+            parts.append(_bottom(scaled, r_minus, eta, eig_params, notes, allow_partial))
         return parts
 
     return _low_rank_build(s, q, label or f"alpha={alpha}", estimate)
@@ -333,9 +308,8 @@ def build_randomized(
     params = sketch_params or sketch_mod.SketchParams()
 
     def estimate(scaled, notes):
-        if variant == "nystrom":
-            return [_top_nystrom(scaled, r, params)]
-        return [sketch_mod.nystrom_indefinite(_minus_identity(scaled), r, params)]
+        sketch = sketch_mod.nystrom if variant == "nystrom" else sketch_mod.nystrom_indefinite
+        return [sketch(_minus_identity(scaled), r, params)]
 
     return _low_rank_build(s, q, label or variant, estimate)
 
@@ -372,7 +346,7 @@ def build(
     alpha: float = 0.5,
     eig: EigsParams | None = None,
     sketch=None,
-    positive_method: str = "nystrom",
+    positive_method: str = "krylov_schur",
     cap: int = DENSIFY_CAP,
 ) -> Preconditioner:
     """Build the preconditioner a label from ``LABELS`` names, on the factor q.
@@ -381,7 +355,8 @@ def build(
     truncations under ``cap``; ``nys`` and ``nys_indef`` sketch with
     ``sketch``; ``svd_ks`` and ``breg_alpha`` run Lanczos with ``eig``
     (``breg_alpha`` splits r by ``alpha`` and takes its positive part by
-    ``positive_method``).  Krylov builds keep partial estimates as notes.
+    ``positive_method``, Krylov by default as in ``build_alpha``).  Krylov
+    builds keep partial estimates as notes.
     """
     eig = eig or EigsParams()
     if label == "ichol":

@@ -30,13 +30,6 @@ class SketchParams:
     seed: int = 0
 
 
-def gaussian_sketch(n: int, k: int, seed: int) -> np.ndarray:
-    """n-by-k standard normal test matrix from the pinned stream."""
-    if n < 0 or k < 0:
-        raise ValueError("sketch dimensions must be nonnegative")
-    return rng.normal_matrix(seed, n, k)
-
-
 def _apply_columns(op: LinearOperator, block: np.ndarray) -> np.ndarray:
     out = np.empty_like(block)
     for i in range(block.shape[1]):
@@ -46,7 +39,7 @@ def _apply_columns(op: LinearOperator, block: np.ndarray) -> np.ndarray:
 
 def _nystrom_core(op: LinearOperator, r: int, width: int, seed: int) -> LowRank:
     n = op.dimension
-    omega = gaussian_sketch(n, width, seed)
+    omega = rng.normal_matrix(seed, n, width)  # the Gaussian test matrix
     sample = _apply_columns(op, omega)  # exactly `width` applications
     core = omega.T @ sample
     # the operator's roundoff makes the core asymmetric by more than sym_eig's

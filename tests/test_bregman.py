@@ -19,11 +19,12 @@ from bregpcg import (
     ic0,
     nu,
     scaled_error,
+    scaled_operator,
     select_indices,
     truncate,
 )
 from bregpcg.dense_kernels import sym_eig
-from bregpcg.precond import assemble
+from bregpcg.precond import _minus_identity, assemble
 from conftest import bumped_band, divergence_dense, random_spd
 
 # the worked diagonal example used throughout: spectrum of the error matrix,
@@ -348,3 +349,23 @@ def test_scaled_error_cap():
     fac = CholFactor(CsrMatrix.from_dense(np.eye(8)))
     with pytest.raises(CapExceeded):
         scaled_error(s, fac, cap=7)
+
+
+def test_scaled_and_error_operators_agree_with_dense():
+    s = CsrMatrix.from_dense(bumped_band(60))
+    fac = ic0(s)
+    q = fac.L.to_dense()
+    s_dense = s.to_dense()
+    scaled_dense = np.linalg.solve(q, np.linalg.solve(q, s_dense).T).T
+    gen = np.random.default_rng(3)
+    v = gen.standard_normal(60)
+    np.testing.assert_allclose(
+        scaled_operator(s, fac).apply(v), scaled_dense @ v, atol=1e-10
+    )
+    np.testing.assert_allclose(
+        _minus_identity(scaled_operator(s, fac)).apply(v), scaled_dense @ v - v, atol=1e-10
+    )
+    # the matrix-free E against its dense twin
+    np.testing.assert_allclose(
+        _minus_identity(scaled_operator(s, fac)).apply(v), scaled_error(s, fac) @ v, atol=1e-10
+    )

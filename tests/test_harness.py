@@ -615,3 +615,5 @@ def test_cli_spectrum_writes_csv(tmp_path):
         reader = list(csv.reader(handle))
     assert reader[0] == SPECTRUM_HEADER
     assert len(reader) == 41
+    # the spectrum has no right-hand side, so it takes no seed
+    assert run_cli("spectrum", path, "--seed", "1", "--out", str(out)).returncode == 2

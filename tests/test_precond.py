@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bregpcg import (
-    AlphaSplit,
     CholFactor,
     CountingOperator,
     CsrMatrix,
@@ -32,7 +31,6 @@ from bregpcg import (
     scaled_error,
     scaled_operator,
     select_indices,
-    split_rank,
     truncate,
 )
 from bregpcg import eigsolve, precond, rng, sparse_core
@@ -64,23 +62,6 @@ def completed_system(n, r, seed):
     s_dense = low @ inner @ low.T
     s_dense = (s_dense + s_dense.T) / 2.0
     return CsrMatrix.from_dense(s_dense), CholFactor(CsrMatrix.from_dense(low))
-
-
-def test_split_rank_boundaries():
-    assert split_rank(4, 0.0) == AlphaSplit(0, 4)
-    assert split_rank(4, 1.0) == AlphaSplit(4, 0)
-    assert split_rank(5, 0.5) == AlphaSplit(2, 3)
-    assert split_rank(0, 0.5) == AlphaSplit(0, 0)
-    assert split_rank(7, 0.5).r == 7
-
-
-def test_split_rank_rejects_bad_input():
-    with pytest.raises(ValueError):
-        split_rank(-1, 0.5)
-    with pytest.raises(ValueError):
-        split_rank(3, 1.5)
-    with pytest.raises(ValueError):
-        split_rank(3, -0.1)
 
 
 def test_assemble_degrades_to_factor_only():
@@ -377,6 +358,28 @@ def test_alpha_zero_and_one_match_spectrum_ends():
     assert "eta-probe" not in top.build_info.notes
 
 
+@pytest.mark.parametrize("r,alpha,top", [(5, 0.5, 2), (7, 0.25, 1)])
+def test_alpha_split_takes_floor_alpha_r_from_the_top(r, alpha, top):
+    # floor(alpha * r) pairs from the top of E and the rest from its bottom
+    s = band(100)
+    fac = ic0(s)
+    values = sym_eig(scaled_error(s, fac, cap=4096)).values
+    p = build_alpha(s, fac, r, alpha, EigsParams(tol=1e-10, slack=40), positive_method="krylov_schur")
+    expected = np.concatenate([values[:top], values[top - r:]])
+    np.testing.assert_allclose(np.sort(p.W.lam), np.sort(expected), atol=1e-7)
+
+
+@pytest.mark.parametrize("r,alpha,match", [(-1, 0.5, "rank"), (3, 1.5, "alpha"), (3, -0.1, "alpha")])
+def test_alpha_build_rejects_bad_split(monkeypatch, r, alpha, match):
+    s = band(20)
+    fac = ic0(s)
+    calls = count_spmv(monkeypatch)
+    for method in ("krylov_schur", "nystrom"):
+        with pytest.raises(ValueError, match=match):
+            build_alpha(s, fac, r, alpha, EigsParams(slack=5), positive_method=method)
+    assert calls == []  # rejected before any S-product
+
+
 def test_alpha_krylov_split_takes_both_ends_from_one_run():
     s = band(100)
     fac = ic0(s)
@@ -546,7 +549,7 @@ def test_alpha_one_collapsed_sketch_is_factor_only():
     with pytest.warns(RankCollapse):
         nys = build("nys", s, fac, 4, **options)
     with pytest.warns(RankCollapse):
-        p = build("breg_alpha", s, fac, 4, alpha=1.0, **options)
+        p = build("breg_alpha", s, fac, 4, alpha=1.0, positive_method="nystrom", **options)
     assert nys.kind == p.kind == "factor_only"
     assert p.build_info.matvecs_s == nys.build_info.matvecs_s == 14
 
@@ -590,12 +593,13 @@ def count_spmv(monkeypatch):
 _CONVERGED = EigsParams(tol=1e-8, slack=20, seed=4)
 _PARTIAL = EigsParams(tol=1e-14, max_restarts=1, slack=5, seed=4)
 _COUNT_CASES = [(label, {}) for label in LABELS] + [
-    ("breg_alpha", {"alpha": 0.0}),  # eta probe
+    ("breg_alpha", {"alpha": 0.0, "positive_method": "nystrom"}),  # eta probe
     ("breg_alpha", {"alpha": 0.5, "positive_method": "krylov_schur"}),
     ("breg_alpha", {"alpha": 1.0, "positive_method": "krylov_schur"}),
-    ("breg_alpha", {"alpha": 0.0, "eig": _PARTIAL}),
+    ("breg_alpha", {"alpha": 0.0, "positive_method": "nystrom", "eig": _PARTIAL}),
     ("breg_alpha", {"alpha": 0.5, "positive_method": "krylov_schur", "eig": _PARTIAL}),
     ("svd_ks", {"eig": _PARTIAL}),
+    ("breg_alpha", {"alpha": 0.5, "positive_method": "nystrom"}),  # sketch, eta probe, shifted run
 ]
 
 

@@ -29,9 +29,11 @@ def test_normals_match_reference_even_and_odd_counts():
 
 
 def test_normal_matrix_is_row_major_fill():
+    # the sketches' Gaussian test matrix: the reference stream, row by row
     flat = rng.normals(9, 12)
     mat = rng.normal_matrix(9, 3, 4)
     np.testing.assert_array_equal(mat, np.asarray(flat).reshape(3, 4))
+    np.testing.assert_array_equal(mat, np.array(ref_normals(9, 12)).reshape(3, 4))
 
 
 def test_unit_vector_normalized_and_deterministic():

@@ -6,13 +6,11 @@ from bregpcg import (
     LowRank,
     RankCollapse,
     SketchParams,
-    gaussian_sketch,
     nystrom,
     nystrom_indefinite,
     operator_from_dense,
 )
 from bregpcg.dense_kernels import sym_eig
-from conftest import ref_normals
 
 
 def exact_rank_psd(n, r, seed):
@@ -27,22 +25,6 @@ def exact_rank_mixed(n, r, seed):
     z, _ = np.linalg.qr(gen.standard_normal((n, r)))
     lam = gen.uniform(0.5, 2.0, size=r) * np.where(np.arange(r) % 2, 1.0, -1.0)
     return (z * lam) @ z.T, np.sort(lam)
-
-
-def test_gaussian_sketch_matches_pinned_stream():
-    got = gaussian_sketch(3, 4, seed=9)
-    expected = np.array(ref_normals(9, 12)).reshape(3, 4)
-    np.testing.assert_array_equal(got, expected)
-    # deterministic across calls
-    np.testing.assert_array_equal(got, gaussian_sketch(3, 4, seed=9))
-
-
-def test_gaussian_sketch_statistics_and_validation():
-    big = gaussian_sketch(10000, 1, seed=1)[:, 0]
-    assert abs(big.mean()) <= 5.0 / np.sqrt(10000)
-    assert abs(big.std() - 1.0) <= 0.05
-    with pytest.raises(ValueError):
-        gaussian_sketch(-1, 2, seed=0)
 
 
 def test_nystrom_recovers_exact_rank():

@@ -59,7 +59,7 @@ def test_traced_builds_are_one_span_each_and_reach_their_kernels():
     tracer = load_tracing().Tracer()
     try:
         tracer.install()
-        build("breg_alpha", s, factor, 4, alpha=0.5, eig=eig, sketch=sketch)
+        build("breg_alpha", s, factor, 4, alpha=0.5, eig=eig, sketch=sketch, positive_method="nystrom")
         build("nys_indef", s, factor, 4, sketch=sketch)
         build("svd", s, factor, 4)
     finally:
