@@ -2,16 +2,24 @@
 
 Computes a lower-triangular L with the sparsity pattern of the lower
 triangle of S (stored zeros included) such that L L^T agrees with S on that
-pattern.  The row recurrence runs in a fixed order, off-diagonals in
-ascending column order and the pivot last, so results are deterministic.
-When the pattern admits no fill at all this reduces to the exact Cholesky
+pattern.  The row recurrence (the IKJ form of IC(0)) runs in a fixed order,
+off-diagonals in ascending column order and the pivot last.  When the
+pattern admits no fill at all this reduces to the exact Cholesky
 factorization.
 
-The work is split in two passes.  A symbolic pass (``_shared_slots``) finds,
-for every off-diagonal entry (i, j), the pairs of stored entries of rows i
-and j that share a column below j.  The numeric pass then runs the row
-recurrence over those pairs, with one ``np.dot`` per entry in ascending
-column order.
+The work is split in two passes.  The symbolic pass (``_shared_slots``) is
+vectorized numpy: for every off-diagonal entry (i, j) it finds the pairs of
+stored entries of rows i and j that share a column below j, by looking the
+candidate (row, column) keys up in the sorted keys of the pattern.  The
+numeric pass runs the row recurrence over those pairs on Python floats,
+reading and writing the numpy buffers through ``memoryview``.
+
+Summation contract: every product is rounded on its own and the products
+are summed left to right, in ascending column order, starting from 0.0;
+the pivot subtracts the sum of squares of its row, formed the same way.
+No BLAS call, no fused multiply-add and no compensated summation (such as
+the builtin ``sum`` of Python 3.12) is involved, so the factor is bitwise
+the same on every machine, BLAS build and thread count.
 """
 
 import math
@@ -56,19 +64,29 @@ def ic0(s: CsrMatrix, diag_shift: float = 0.0) -> CholFactor:
         vals[ends] *= 1.0 + diag_shift
 
     pair_ptr, left, right = _shared_slots(row_ptr, cols)
-    rp = row_ptr.tolist()
+    v = memoryview(vals)
+    pp, lt, rt = memoryview(pair_ptr), memoryview(left), memoryview(right)
+    div = memoryview(ends[cols])  # slot of the diagonal entry of column j
+    rp = memoryview(row_ptr)
+    p0 = 0  # pair_ptr[t]; diagonal slots add no pairs, so it carries across rows
     for i in range(n):
-        lo, hi = rp[i], rp[i + 1]
-        for t, j in enumerate(cols[lo : hi - 1].tolist(), lo):
+        lo, end = rp[i], rp[i + 1] - 1
+        squares = 0.0
+        for t in range(lo, end):
             # dot product of rows i and j over their shared columns before j
-            p0, p1 = pair_ptr[t], pair_ptr[t + 1]
-            acc = float(np.dot(vals[left[p0:p1]], vals[right[p0:p1]])) if p1 > p0 else 0.0
-            vals[t] = (vals[t] - acc) / vals[rp[j + 1] - 1]
-        row = vals[lo : hi - 1]
-        pivot = vals[hi - 1] - float(np.dot(row, row))
+            p1 = pp[t + 1]
+            acc = 0.0
+            if p1 > p0:
+                for a, b in zip(lt[p0:p1], rt[p0:p1]):
+                    acc += v[a] * v[b]
+            p0 = p1
+            x = (v[t] - acc) / v[div[t]]
+            v[t] = x
+            squares += x * x
+        pivot = v[end] - squares
         if pivot <= 0.0:
             raise Breakdown(i)
-        vals[hi - 1] = math.sqrt(pivot)
+        v[end] = math.sqrt(pivot)
 
     return CholFactor(CsrMatrix(n, n, row_ptr, cols, vals))
 
@@ -80,22 +98,49 @@ def _shared_slots(row_ptr: np.ndarray, cols: np.ndarray):
     slots ``left[k]`` in row i and ``right[k]`` in row j, for ``k`` in
     ``range(pair_ptr[t], pair_ptr[t + 1])``, that hold the same column
     below j, in ascending column order.  Diagonal slots get no pairs.
+
+    Each entry enumerates the shorter of its two candidate lists, the
+    slots of row i before t or the off-diagonal slots of row j, and looks
+    the other row's (row, column) key up in the sorted keys of the pattern
+    (CSR order sorts them already), so one long row costs no more than its
+    own length.
     """
-    rp = row_ptr.tolist()
-    pair_ptr = [0] * (len(cols) + 1)
-    left, right = [], []
-    for i in range(len(rp) - 1):
-        lo, hi = rp[i], rp[i + 1]
-        slot_of = {}  # column -> slot, for row i's entries before the current one
-        for t, j in enumerate(cols[lo : hi - 1].tolist(), lo):
-            if slot_of:  # row i's first entry has no earlier columns to share
-                q0 = rp[j]
-                for q, k in enumerate(cols[q0 : rp[j + 1] - 1].tolist(), q0):
-                    p = slot_of.get(k)
-                    if p is not None:
-                        left.append(p)
-                        right.append(q)
-            slot_of[j] = t
-            pair_ptr[t + 1] = len(left)
-        pair_ptr[hi] = len(left)
-    return pair_ptr, np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+    n, nnz = len(row_ptr) - 1, len(cols)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
+    keys = rows * n + cols
+    t = np.flatnonzero(cols < rows)
+    i, j = rows[t], cols[t]
+    before_t = t - row_ptr[i]
+    below_j = row_ptr[j + 1] - 1 - row_ptr[j]
+    from_i = before_t <= below_j
+
+    # walk row i's slots before t and look up (j, k); or walk row j's
+    # off-diagonal slots and look up (i, k)
+    seg_a, own = _expand(row_ptr[i[from_i]], before_t[from_i])
+    seg_b, other = _expand(row_ptr[j[~from_i]], below_j[~from_i])
+    found_a = _lookup(keys, j[from_i][seg_a] * n + cols[own])
+    found_b = _lookup(keys, i[~from_i][seg_b] * n + cols[other])
+
+    slot = np.concatenate([t[from_i][seg_a], t[~from_i][seg_b]])
+    left = np.concatenate([own, found_b])
+    right = np.concatenate([found_a, other])
+    hit = np.flatnonzero((left >= 0) & (right >= 0))
+    # each slot's candidates came out in ascending column order; a stable
+    # sort on the slot keeps that order
+    keep = hit[np.argsort(slot[hit], kind="stable")]
+    pair_ptr = np.zeros(nnz + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot[keep], minlength=nnz), out=pair_ptr[1:])
+    return pair_ptr, left[keep], right[keep]
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray):
+    """Segment id and index of every element of the ranges ``[start, start + count)``."""
+    seg = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return seg, np.arange(len(seg), dtype=np.int64) + (starts - first)[seg]
+
+
+def _lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Slot of each wanted key in the sorted ``keys``, or -1 when not stored."""
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[pos] == want, pos, -1)

@@ -1,18 +1,35 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bregpcg
 from bregpcg import Breakdown, CsrMatrix, ic0, scaled_error
+from bregpcg.ichol import _shared_slots
 from conftest import bumped_band, laplacian_2d, random_spd, ref_ic0_dense
+
+
+def ref_dot(x, y):
+    """Left-to-right sum of rounded products from 0.0: the summation ``ic0`` promises."""
+    acc = 0.0
+    for a, b in zip(x.tolist(), y.tolist()):
+        acc += a * b
+    return acc
 
 
 def ref_ic0_intersect(s, diag_shift=0.0):
     """Row-by-row IC(0) that intersects row patterns entry by entry.
 
     The order of every dot product and division is the one ``ic0`` must
-    keep, so its values are compared bitwise.  Returns the values of L, or
-    the row index where the pivot failed (as an int).
+    keep, and each dot product is ``ref_dot``, so its values are compared
+    bitwise.  Returns the values of L, or the row index where the pivot
+    failed (as an int).
     """
     lower = s.lower_triangle()
     row_ptr, cols = lower.row_ptr, lower.col_idx
@@ -26,16 +43,43 @@ def ref_ic0_intersect(s, diag_shift=0.0):
         for t in range(lo, hi - 1):
             j = cols[t]
             jlo, jhi = row_ptr[j], row_ptr[j + 1]
-            common, ia, ib = np.intersect1d(
+            _, ia, ib = np.intersect1d(
                 cols_i[: t - lo], cols[jlo : jhi - 1], assume_unique=True, return_indices=True
             )
-            acc = float(np.dot(vals[lo + ia], vals[jlo + ib])) if len(common) else 0.0
+            acc = ref_dot(vals[lo + ia], vals[jlo + ib])
             vals[t] = (vals[t] - acc) / vals[jhi - 1]
-        pivot = vals[hi - 1] - float(np.dot(vals[lo : hi - 1], vals[lo : hi - 1]))
+        pivot = vals[hi - 1] - ref_dot(vals[lo : hi - 1], vals[lo : hi - 1])
         if pivot <= 0.0:
             return i
         vals[hi - 1] = math.sqrt(pivot)
     return vals
+
+
+def ref_shared_slots(row_ptr, cols):
+    """Brute-force ``_shared_slots``: intersect the two rows of every entry."""
+    pair_ptr, left, right = [0], [], []
+    for i in range(len(row_ptr) - 1):
+        lo, hi = row_ptr[i], row_ptr[i + 1]
+        for t in range(lo, hi):
+            j = cols[t]
+            if j < i:
+                jlo, jhi = row_ptr[j], row_ptr[j + 1]
+                _, ia, ib = np.intersect1d(
+                    cols[lo:t], cols[jlo : jhi - 1], assume_unique=True, return_indices=True
+                )
+                left.extend((lo + ia).tolist())
+                right.extend((jlo + ib).tolist())
+            pair_ptr.append(len(left))
+    return pair_ptr, left, right
+
+
+def arrowhead_band(n):
+    """tridiag(-1, 4, -1) with a dense first row and column: every entry
+    (i, i - 1) shares column 0 with row i - 1, so ic0 has pairs to sum."""
+    dense = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    dense[0, 1:] = dense[1:, 0] = 0.5
+    dense[0, 0] = n
+    return dense
 
 
 @pytest.mark.parametrize(
@@ -166,3 +210,150 @@ def test_rejects_missing_or_negative_diagonal():
         ic0(CsrMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 2.0]])))
     with pytest.raises(ValueError):
         ic0(CsrMatrix.from_dense(np.array([[-1.0, 0.0], [0.0, 2.0]])))
+
+
+def test_makes_no_blas_call(monkeypatch):
+    def no_blas(*args, **kwargs):
+        raise AssertionError("ic0 must not call BLAS")
+
+    s = CsrMatrix.from_dense(bumped_band(120))
+    want = ref_ic0_intersect(s)
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, no_blas)
+    np.testing.assert_array_equal(ic0(s).L.values, want)
+
+
+def _stored_zero():
+    # (2, 1) is a stored zero, and entry (3, 2) sums over it: rows 3 and 2
+    # share column 1
+    rows = np.array([0, 1, 1, 2, 2, 2, 3, 3, 3])
+    cols = np.array([0, 0, 1, 1, 0, 2, 1, 2, 3])
+    vals = np.array([4.0, 1.0, 4.0, 0.0, 1.0, 4.0, 1.0, 1.0, 4.0])
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    vals = np.concatenate([vals, vals]) / np.where(rows == cols, 2.0, 1.0)
+    return CsrMatrix.from_coo(4, 4, rows, cols, vals)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CsrMatrix.from_dense(laplacian_2d(12)),
+        lambda: CsrMatrix.from_dense(bumped_band(300)),
+        lambda: CsrMatrix.from_dense(random_spd(40, seed=3)),
+        lambda: CsrMatrix.from_dense(np.eye(1)),
+        lambda: CsrMatrix.from_dense(np.diag([1.0, 2.0, 3.0])),
+        _stored_zero,
+        lambda: CsrMatrix.from_dense(arrowhead_band(30)),
+        # a dense last row: its entries walk row j, which has no off-diagonals
+        lambda: CsrMatrix.from_dense(arrowhead_band(30)[::-1, ::-1]),
+    ],
+    ids=[
+        "laplacian", "bumped_band", "random_spd", "1x1", "diagonal", "stored_zero",
+        "arrowhead", "arrowhead_last_row",
+    ],
+)
+def test_shared_slots_match_brute_force_intersection(make):
+    lower = make().lower_triangle()
+    pair_ptr, left, right = _shared_slots(lower.row_ptr, lower.col_idx)
+    want_ptr, want_left, want_right = ref_shared_slots(lower.row_ptr, lower.col_idx)
+    np.testing.assert_array_equal(pair_ptr, want_ptr)
+    np.testing.assert_array_equal(left, want_left)
+    np.testing.assert_array_equal(right, want_right)
+
+
+def test_pair_fixtures_are_not_vacuous():
+    # the pattern cases above check pairs only where some exist
+    for dense in (bumped_band(300), arrowhead_band(30)):
+        lower = CsrMatrix.from_dense(dense).lower_triangle()
+        assert len(_shared_slots(lower.row_ptr, lower.col_idx)[1]) > 0
+    lower = _stored_zero().lower_triangle()
+    _, _, right = _shared_slots(lower.row_ptr, lower.col_idx)
+    assert 4 in right.tolist()  # the stored zero (2, 1), slot 4, is summed over
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """A sparse symmetric matrix with positive diagonal, stored with some
+    explicit zeros in its pattern: either B B^T + D with its small entries
+    dropped (mostly definite) or B + B^T + D (mostly indefinite)."""
+    n = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.floats(0.05, 0.6))
+    spd = draw(st.booleans())
+    gen = np.random.default_rng(seed)
+    mask = np.tril(gen.random((n, n)) < density, -1)
+    low = np.where(mask, gen.standard_normal((n, n)), 0.0)
+    if spd:
+        dense = low @ low.T + np.diag(0.1 + gen.random(n))
+        dense[np.abs(dense) < 0.05] = 0.0
+        dense = np.tril(dense, -1) + np.tril(dense, -1).T + np.diag(np.diag(dense))
+    else:
+        dense = low + low.T + np.diag(0.1 + 2.0 * gen.random(n))
+    pattern = np.tril(dense != 0.0) | np.tril(gen.random((n, n)) < density / 4, -1)
+    rows, cols = np.nonzero(pattern)
+    values = dense[rows, cols]
+    off = rows != cols
+    return CsrMatrix.from_coo(
+        n, n,
+        np.concatenate([rows, cols[off]]),
+        np.concatenate([cols, rows[off]]),
+        np.concatenate([values, values[off]]),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=sparse_symmetric(), diag_shift=st.sampled_from([0.0, 0.1, 1.5]))
+def test_property_bitwise_reference_and_breakdown_row(s, diag_shift):
+    want = ref_ic0_intersect(s, diag_shift)
+    if isinstance(want, int):
+        with pytest.raises(Breakdown) as info:
+            ic0(s, diag_shift=diag_shift)
+        assert info.value.row == want
+    else:
+        np.testing.assert_array_equal(ic0(s, diag_shift=diag_shift).L.values, want)
+
+
+_HASH_IC0 = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+from bregpcg import CsrMatrix, ic0
+from conftest import bumped_band
+gen = np.random.default_rng(0)
+x, y = gen.standard_normal(1001), gen.standard_normal(1001)
+blas = hashlib.sha1(np.dot(x, y).tobytes()).hexdigest()
+s = CsrMatrix.from_dense(bumped_band(600, bumps=6, seed=2))
+print(blas, hashlib.sha1(ic0(s).L.values.tobytes()).hexdigest())
+"""
+
+
+def _dynamic_arch_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict form
+        return False
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64") or not _dynamic_arch_openblas(),
+    reason="needs numpy on a DYNAMIC_ARCH OpenBLAS on x86-64",
+)
+def test_factor_bits_do_not_depend_on_the_blas_kernel():
+    paths = [
+        os.path.dirname(os.path.dirname(os.path.abspath(bregpcg.__file__))),
+        os.path.dirname(os.path.abspath(__file__)),
+    ]
+    blas_hashes, ic0_hashes = set(), set()
+    for core in ("Haswell", "Sandybridge", "Prescott"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_IC0, *paths],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        blas, factor = out.stdout.split()
+        blas_hashes.add(blas)
+        ic0_hashes.add(factor)
+    if len(blas_hashes) == 1:
+        pytest.skip("OPENBLAS_CORETYPE did not change the BLAS kernel here")
+    assert len(ic0_hashes) == 1

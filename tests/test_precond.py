@@ -36,7 +36,7 @@ from bregpcg import (
 from bregpcg import eigsolve, precond, rng, sparse_core
 from bregpcg.dense_kernels import sym_eig
 from bregpcg.precond import LABELS, build
-from conftest import bumped_band, divergence_dense, laplacian_2d
+from conftest import bumped_band, laplacian_2d
 
 
 def band(n, **kw):

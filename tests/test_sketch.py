@@ -3,7 +3,6 @@ import pytest
 
 from bregpcg import (
     CountingOperator,
-    LowRank,
     RankCollapse,
     SketchParams,
     nystrom,
