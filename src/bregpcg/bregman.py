@@ -110,12 +110,23 @@ def scaled_error(s: CsrMatrix, q: CholFactor, cap: int = DENSIFY_CAP) -> np.ndar
 
 
 def scaled_operator(s: CsrMatrix, q: CholFactor) -> LinearOperator:
-    """v -> Q^{-1} S Q^{-T} v.  One S product and two triangular solves."""
+    """v -> Q^{-1} S Q^{-T} v.  One S product and two triangular solves.
+
+    An (n, k) block takes one upper block solve, one S product per column
+    and one lower block solve, and equals its column-by-column applications
+    bitwise.
+    """
     if s.n_rows != q.n:
         raise ValueError("matrix and factor orders differ")
 
     def apply(v):
-        return tri_solve(q, spmv(s, tri_solve(q, v, transposed=True)))
+        half = tri_solve(q, v, transposed=True)
+        if half.ndim == 1:
+            return tri_solve(q, spmv(s, half))
+        prod = np.empty_like(half)
+        for i in range(half.shape[1]):
+            prod[:, i] = spmv(s, half[:, i])
+        return tri_solve(q, prod)
 
     return LinearOperator(s.n_rows, apply)
 

@@ -42,7 +42,11 @@ ALWAYS_FULL_SIZE = 2**16
 
 
 class LinearOperator:
-    """A symmetric operator given by its dimension and an apply callable."""
+    """A symmetric operator given by its dimension and an apply callable.
+
+    ``apply`` takes a vector or an (n, k) block, whose columns it maps as
+    k separate applications would.
+    """
 
     def __init__(self, dimension: int, apply):
         self.dimension = dimension
@@ -53,14 +57,15 @@ class LinearOperator:
 
 
 class CountingOperator(LinearOperator):
-    """Wraps an operator and counts how many times it is applied."""
+    """Wraps an operator and counts its applications: one per vector, k per
+    (n, k) block."""
 
     def __init__(self, inner: LinearOperator):
         super().__init__(inner.dimension, inner.apply)
         self.count = 0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        self.count += 1
+        self.count += 1 if v.ndim == 1 else v.shape[1]
         return self._apply(v)
 
 

@@ -109,7 +109,8 @@ def _shared_slots(row_ptr: np.ndarray, cols: np.ndarray):
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
     keys = rows * n + cols
     t = np.flatnonzero(cols < rows)
-    i, j = rows[t], cols[t]
+    # keys are formed in int64: j * n wraps in int32 indices once n > 46,340
+    i, j = rows[t], cols[t].astype(np.int64)
     before_t = t - row_ptr[i]
     below_j = row_ptr[j + 1] - 1 - row_ptr[j]
     from_i = before_t <= below_j

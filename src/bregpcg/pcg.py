@@ -16,6 +16,7 @@ condition number mu_max / mu_min and both log-determinant divergences,
 without materializing P or factoring anything densely.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -92,14 +93,21 @@ def pcg_solve(
         )
         return np.zeros(s.n_rows), report
 
+    # with the identity, z is the residual itself and rho is the r.r that the
+    # residual norm needs anyway (numpy's 1-D norm is sqrt(r.dot(r))); a
+    # duck-typed preconditioner without a factor takes the general path.
+    # ``a.dot(b)`` runs the same BLAS dot as ``a @ b`` with less dispatch.
+    plain = isinstance(p, Preconditioner) and p.Q is None
     x = np.zeros(s.n_rows)
     residual = b.copy()
+    scratch = np.empty(s.n_rows)  # step * direction, then step * S direction
     history = [1.0]
-    z = p.apply_inverse(residual)
-    rho = float(residual @ z)
+    z = residual if plain else p.apply_inverse(residual)
+    rho = float(residual.dot(z))
     if rho <= 0.0:
         raise IndefinitePreconditionerDetected(f"<z, r> = {rho:.6g} at iteration 0")
-    direction = z
+    # the identity's z is the residual, which the loop updates in place
+    direction = z.copy() if plain else z
 
     converged = False
     reason = None
@@ -112,13 +120,17 @@ def pcg_solve(
     for k in range(1, maxit + 1):
         s_dir = spmv(s, direction)
         matvecs += 1
-        curvature = float(direction @ s_dir)
+        curvature = float(direction.dot(s_dir))
         if curvature <= 0.0:
             raise NotPositiveDefinite(f"<d, S d> = {curvature:.6g} at iteration {k}", which="s")
         step = rho / curvature
-        x += step * direction
-        residual -= step * s_dir
-        rel = float(np.linalg.norm(residual) / b_norm)
+        x += np.multiply(direction, step, out=scratch)
+        residual -= np.multiply(s_dir, step, out=scratch)
+        if plain:
+            rho_next = float(residual.dot(residual))
+            rel = math.sqrt(rho_next) / b_norm
+        else:
+            rel = float(np.linalg.norm(residual) / b_norm)
         history.append(rel)
         iterations = k
 
@@ -143,12 +155,15 @@ def pcg_solve(
                 final_true = checked
                 break
 
-        z = p.apply_inverse(residual)
-        rho_next = float(residual @ z)
+        if plain:
+            z = residual
+        else:
+            z = p.apply_inverse(residual)
+            rho_next = float(residual.dot(z))
         if rho_next <= 0.0:
             raise IndefinitePreconditionerDetected(f"<z, r> = {rho_next:.6g} at iteration {k}")
-        # z is a fresh array on every call, so the first direction (which is
-        # the first z) may be updated in place
+        # z is a fresh array on every general call, so the first direction
+        # (which is the first z) may be updated in place
         direction *= rho_next / rho
         direction += z
         rho = rho_next

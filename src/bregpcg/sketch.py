@@ -2,9 +2,11 @@
 widened variant for indefinite ones.
 
 All sketches draw from the pinned generator, so a fixed (operator, rank,
-seed) triple reproduces bitwise.  Operator application counts are exact and
-part of the contract: ``nystrom`` applies the operator r + oversample times,
-``nystrom_indefinite`` ceil(width_factor * r) times.
+seed) triple reproduces bitwise.  The operator's ``apply`` gets the whole
+(n, width) Gaussian test matrix in one call, so it must take a block as well
+as a vector.  Operator application counts are exact and part of the
+contract, one per column: ``nystrom`` applies the operator r + oversample
+times, ``nystrom_indefinite`` ceil(width_factor * r) times.
 """
 
 import math
@@ -30,17 +32,10 @@ class SketchParams:
     seed: int = 0
 
 
-def _apply_columns(op: LinearOperator, block: np.ndarray) -> np.ndarray:
-    out = np.empty_like(block)
-    for i in range(block.shape[1]):
-        out[:, i] = op.apply(block[:, i])
-    return out
-
-
 def _nystrom_core(op: LinearOperator, r: int, width: int, seed: int) -> LowRank:
     n = op.dimension
     omega = rng.normal_matrix(seed, n, width)  # the Gaussian test matrix
-    sample = _apply_columns(op, omega)  # exactly `width` applications
+    sample = op.apply(omega)  # one block: exactly `width` applications
     core = omega.T @ sample
     # the operator's roundoff makes the core asymmetric by more than sym_eig's
     # check allows on ill-conditioned problems (1.1e-12 relative on a 100x100

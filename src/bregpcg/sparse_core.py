@@ -1,10 +1,16 @@
 """Compressed sparse row matrices and the kernels built on them.
 
 Dense vectors and matrices are plain float64 numpy arrays throughout the
-package; this module owns the sparse side.  The kernels are scipy's: ``spmv``
-is a scipy CSR product, and ``tri_solve`` and ``chol_solve`` run SuperLU's
-triangular solve from a plan each factor prepares once per form (see
-``_SolvePlan``).  There are three forms, each one ``gstrs`` call:
+package; this module owns the sparse side.  Index arrays follow scipy's rule:
+int32 while the dimensions and nnz are below 2**31, int64 beyond, so the
+scipy view of a matrix shares its arrays.  The kernels are scipy's: ``spmv``
+calls ``csr_matvec`` from scipy's private ``_sparsetools``, the kernel that
+``A @ x`` runs, without the dispatch around it, and ``tri_solve`` and
+``chol_solve`` run SuperLU's triangular solve from a plan each factor
+prepares once per form (see ``_SolvePlan``).  ``tests/test_sparse_core.py``
+checks ``spmv`` bitwise against scipy's product, which guards the private
+import on new scipy versions.  There are three solve forms, each one
+``gstrs`` call:
 
 - lower, L y = b, and upper, L^T y = b (``tri_solve``), each agreeing
   bitwise with ``spsolve_triangular``; the lower plan drops the identity
@@ -27,12 +33,23 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 from scipy.linalg import LinAlgError
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
+
+
+def _exact_index(a) -> np.ndarray:
+    """``a`` as int32 when it already is, else as int64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.int32 else np.asarray(a, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
-    """CSR storage with strictly increasing column indices in every row."""
+    """CSR storage with strictly increasing column indices in every row.
+
+    ``row_ptr`` and ``col_idx`` share one dtype, scipy's rule: int32 when
+    ``n_rows``, ``n_cols`` and ``nnz`` are all below 2**31, int64 otherwise.
+    """
 
     n_rows: int
     n_cols: int
@@ -41,12 +58,10 @@ class CsrMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        row_ptr = np.ascontiguousarray(self.row_ptr, dtype=np.int64)
-        col_idx = np.ascontiguousarray(self.col_idx, dtype=np.int64)
         values = np.ascontiguousarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "row_ptr", row_ptr)
-        object.__setattr__(self, "col_idx", col_idx)
-        object.__setattr__(self, "values", values)
+        # the index arrays are checked in a dtype that holds any input exactly,
+        # then narrowed to scipy's: int32 while every index and nnz fit
+        row_ptr, col_idx = _exact_index(self.row_ptr), _exact_index(self.col_idx)
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if row_ptr.shape != (self.n_rows + 1,):
@@ -71,6 +86,12 @@ class CsrMatrix:
                 raise ValueError("column indices must increase strictly within each row")
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix values must be finite")
+        index = np.int32 if max(self.n_rows, self.n_cols, len(values)) < 2**31 else np.int64
+        row_ptr = np.ascontiguousarray(row_ptr, dtype=index)
+        col_idx = np.ascontiguousarray(col_idx, dtype=index)
+        object.__setattr__(self, "row_ptr", row_ptr)
+        object.__setattr__(self, "col_idx", col_idx)
+        object.__setattr__(self, "values", values)
         for arr in (row_ptr, col_idx, values):
             arr.flags.writeable = False
 
@@ -243,17 +264,23 @@ class _SolvePlan:
         x, info = _superlu.gstrs(self.trans, *self.args, b)
         if info:
             raise LinAlgError("triangular factor is singular")
-        if self.invdiag is None:
-            return x
-        return x * (self.invdiag if x.ndim == 1 else self.invdiag[:, None])
+        if self.invdiag is not None:
+            x *= self.invdiag if x.ndim == 1 else self.invdiag[:, None]
+        return x
 
 
 def spmv(a: CsrMatrix, x) -> np.ndarray:
-    """Matrix-vector product with row-major, ascending-column accumulation."""
+    """Matrix-vector product with row-major, ascending-column accumulation.
+
+    Calls the kernel behind scipy's ``a.to_scipy() @ x`` directly, which
+    skips the dispatch around it; the result is the same to the bit.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.n_cols,):
         raise ValueError(f"operand has shape {x.shape}, expected ({a.n_cols},)")
-    return a.to_scipy() @ x
+    y = np.zeros(a.n_rows)
+    _sparsetools.csr_matvec(a.n_rows, a.n_cols, a.row_ptr, a.col_idx, a.values, x, y)
+    return y
 
 
 def tri_solve(factor: CholFactor, b, transposed: bool = False) -> np.ndarray:

@@ -369,3 +369,14 @@ def test_scaled_and_error_operators_agree_with_dense():
     np.testing.assert_allclose(
         _minus_identity(scaled_operator(s, fac)).apply(v), scaled_error(s, fac) @ v, atol=1e-10
     )
+
+
+def test_scaled_operator_block_is_bitwise_columnwise():
+    s = CsrMatrix.from_dense(bumped_band(60))
+    fac = ic0(s)
+    block = np.random.default_rng(4).standard_normal((60, 7))
+    for op in (scaled_operator(s, fac), _minus_identity(scaled_operator(s, fac))):
+        got = op.apply(block)
+        assert got.shape == block.shape
+        for i in range(block.shape[1]):
+            np.testing.assert_array_equal(got[:, i], op.apply(block[:, i]))

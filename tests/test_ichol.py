@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -259,6 +260,23 @@ def test_shared_slots_match_brute_force_intersection(make):
     np.testing.assert_array_equal(pair_ptr, want_ptr)
     np.testing.assert_array_equal(left, want_left)
     np.testing.assert_array_equal(right, want_right)
+
+
+def test_shared_slots_keys_do_not_wrap_with_int32_indices():
+    # n = 50,000: the lookup key j * n + k passes 2**31 for j > 42,949, so
+    # keys formed in the int32 of the indices would wrap and miss their pairs
+    n = 50_000
+    band = scipy.sparse.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n))
+    rows = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=np.int64)])
+    cols = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n)])
+    arrow = scipy.sparse.coo_matrix((np.full(2 * n - 1, 0.01), (rows, cols)), shape=(n, n))
+    lower = CsrMatrix.from_scipy(band + arrow).lower_triangle()
+    assert lower.col_idx.dtype == np.int32
+    narrow = _shared_slots(lower.row_ptr, lower.col_idx)
+    wide = _shared_slots(lower.row_ptr.astype(np.int64), lower.col_idx.astype(np.int64))
+    assert len(wide[1]) == n - 2  # every (i, i - 1), i >= 2, shares column 0
+    for got, want in zip(narrow, wide):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_pair_fixtures_are_not_vacuous():

@@ -208,6 +208,32 @@ def test_plain_cg_golden_laplacian():
     np.testing.assert_array_equal(b, b_before)
 
 
+class _CopyingIdentity:
+    """P^-1 v = v through ``apply_inverse``: the general path of the loop."""
+
+    label = "copying"
+
+    def apply_inverse(self, v):
+        return v.copy()
+
+
+@pytest.mark.parametrize("tol, maxit", [(1e-10, 2000), (1e-14, 60)], ids=["converged", "maxit"])
+def test_identity_path_is_bitwise_the_general_path(tol, maxit):
+    # identity() skips apply_inverse and reuses r.r; the iterates, the
+    # history and the report must not notice
+    m = 30
+    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    s = CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(m * m))
+    b = make_rhs(m * m, 3)
+    x_lean, lean = pcg_solve(s, b, identity(), tol=tol, maxit=maxit)
+    x_general, general = pcg_solve(s, b, _CopyingIdentity(), tol=tol, maxit=maxit)
+    np.testing.assert_array_equal(x_lean, x_general)
+    assert lean.rel_residual_history == general.rel_residual_history
+    assert (lean.iterations, lean.matvecs_S, lean.final_rel_residual, lean.reason) == (
+        general.iterations, general.matvecs_S, general.final_rel_residual, general.reason
+    )
+
+
 def test_zero_rhs_short_circuits():
     s = band(10)
     x, rep = pcg_solve(s, np.zeros(10), identity(), tol=1e-10)

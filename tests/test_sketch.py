@@ -1,15 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from bregpcg import (
     CountingOperator,
+    CsrMatrix,
+    LinearOperator,
     RankCollapse,
     SketchParams,
+    ic0,
     nystrom,
     nystrom_indefinite,
     operator_from_dense,
+    scaled_operator,
 )
 from bregpcg.dense_kernels import sym_eig
+from bregpcg.precond import _minus_identity
+from conftest import bumped_band
 
 
 def exact_rank_psd(n, r, seed):
@@ -69,6 +77,39 @@ def test_nystrom_matvec_count_is_sketch_width():
     op2 = CountingOperator(operator_from_dense(x))
     nystrom(op2, 4, SketchParams(oversample=10, seed=1))
     assert op2.count == 14
+
+
+def test_counting_operator_counts_k_per_block():
+    op = CountingOperator(operator_from_dense(np.eye(6)))
+    op.apply(np.ones(6))
+    op.apply(np.ones((6, 4)))
+    assert op.count == 5
+
+
+@pytest.mark.parametrize(
+    "sketch, applies, digest",
+    [
+        (nystrom, 4 + 10, "e6a005d767f5d7716d7eb5ca7ff9c54a0584e8651e089ea05d3005c001875a2b"),
+        (nystrom_indefinite, 6, "e5e57f60cc3b7a2b390c2c5bdab2812e6fa718c195f243110f7ccbe78ac847db"),
+    ],
+    ids=["nystrom", "nystrom_indefinite"],
+)
+def test_block_sketch_of_the_scaled_error_is_pinned(sketch, applies, digest):
+    # the sketch applies the operator to its whole test matrix at once; the
+    # result equals the column-by-column sample, and W the bits pinned when
+    # the sample was formed one column at a time
+    s = CsrMatrix.from_dense(bumped_band(80))
+    fac = ic0(s)
+    params = SketchParams(oversample=10, seed=3)
+    op = CountingOperator(scaled_operator(s, fac))
+    w = sketch(_minus_identity(op), 4, params)
+    assert op.count == applies
+    assert hashlib.sha256(w.Z.tobytes() + w.lam.tobytes()).hexdigest() == digest
+    scaled = scaled_operator(s, fac)
+    columns = LinearOperator(80, lambda v: np.column_stack([scaled.apply(c) for c in v.T]))
+    by_column = sketch(_minus_identity(columns), 4, params)
+    np.testing.assert_array_equal(by_column.Z, w.Z)
+    np.testing.assert_array_equal(by_column.lam, w.lam)
 
 
 def test_nystrom_decaying_spectrum_close_to_best():

@@ -72,6 +72,45 @@ def test_spmv_dimension_mismatch():
         spmv(a, np.ones(4))
 
 
+def test_spmv_is_bitwise_the_scipy_product():
+    # spmv calls scipy's private csr_matvec, the kernel behind ``@``; this
+    # guards that import on new scipy versions.  A column of a block is a
+    # strided operand.
+    gen = np.random.default_rng(5)
+    for n_rows, n_cols in ((1, 1), (37, 53), (200, 200)):
+        dense = gen.standard_normal((n_rows, n_cols))
+        dense[gen.random((n_rows, n_cols)) < 0.7] = 0.0
+        a = CsrMatrix.from_dense(dense)
+        block = gen.standard_normal((n_cols, 3))
+        for x in (block[:, 0].copy(), block[:, 1]):
+            got = spmv(a, x)
+            assert got.shape == (n_rows,)
+            np.testing.assert_array_equal(got, a.to_scipy() @ x)
+
+
+def test_csr_indices_are_int32_below_2_31():
+    a = CsrMatrix.from_dense(laplacian_2d(5))
+    assert a.row_ptr.dtype == a.col_idx.dtype == np.int32
+    # the scipy view shares the arrays instead of narrowing copies of them
+    assert np.shares_memory(a.to_scipy().indices, a.col_idx)
+    assert np.shares_memory(a.to_scipy().indptr, a.row_ptr)
+    b = CsrMatrix(2, 2, np.array([0, 1, 2], dtype=np.int64), np.array([1, 0]), np.array([1.0, 2.0]))
+    assert b.row_ptr.dtype == b.col_idx.dtype == np.int32
+
+
+def test_csr_indices_are_int64_from_2_31():
+    wide = 2**31
+    a = CsrMatrix(1, wide, np.array([0, 1]), np.array([wide - 1]), np.array([1.0]))
+    assert a.row_ptr.dtype == a.col_idx.dtype == np.int64
+    assert a.col_idx[0] == wide - 1
+
+
+def test_csr_validation_sees_indices_before_narrowing():
+    # 2**32 would wrap to column 0 in int32
+    with pytest.raises(ValueError, match="column index out of range"):
+        CsrMatrix(1, 2, np.array([0, 1]), np.array([2**32]), np.array([1.0]))
+
+
 def test_spmv_dense_oracle_various_sizes():
     # pinned relative accuracy on random instances up to n=200
     gen = np.random.default_rng(3)
