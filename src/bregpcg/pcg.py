@@ -93,8 +93,8 @@ def pcg_solve(
         )
         return np.zeros(s.n_rows), report
 
-    # with the identity, z is the residual itself and rho is the r.r that the
-    # residual norm needs anyway (numpy's 1-D norm is sqrt(r.dot(r))); a
+    # the residual norm is sqrt(r.r), as numpy's 1-D norm forms it; with the
+    # identity, z is the residual itself and rho is that same r.r.  A
     # duck-typed preconditioner without a factor takes the general path.
     # ``a.dot(b)`` runs the same BLAS dot as ``a @ b`` with less dispatch.
     plain = isinstance(p, Preconditioner) and p.Q is None
@@ -126,11 +126,8 @@ def pcg_solve(
         step = rho / curvature
         x += np.multiply(direction, step, out=scratch)
         residual -= np.multiply(s_dir, step, out=scratch)
-        if plain:
-            rho_next = float(residual.dot(residual))
-            rel = math.sqrt(rho_next) / b_norm
-        else:
-            rel = float(np.linalg.norm(residual) / b_norm)
+        rr = float(residual.dot(residual))
+        rel = math.sqrt(rr) / b_norm
         history.append(rel)
         iterations = k
 
@@ -157,6 +154,7 @@ def pcg_solve(
 
         if plain:
             z = residual
+            rho_next = rr
         else:
             z = p.apply_inverse(residual)
             rho_next = float(residual.dot(z))

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -87,24 +85,36 @@ def test_counting_operator_counts_k_per_block():
 
 
 @pytest.mark.parametrize(
-    "sketch, applies, digest",
+    "sketch, applies, lam, z_abs_sums",
     [
-        (nystrom, 4 + 10, "e6a005d767f5d7716d7eb5ca7ff9c54a0584e8651e089ea05d3005c001875a2b"),
-        (nystrom_indefinite, 6, "e5e57f60cc3b7a2b390c2c5bdab2812e6fa718c195f243110f7ccbe78ac847db"),
+        (
+            nystrom,
+            4 + 10,
+            [0.07997959326668275, 0.07444626426916547, -0.058491853154638236, -0.08871210130863832],
+            [3.110180458047232, 3.7410314445078505, 3.393123124465518, 2.7735318280049484],
+        ),
+        (
+            nystrom_indefinite,
+            6,
+            [0.09222272202013282, -0.04898448895471725, -0.07413097090223324, -0.08723604973991167],
+            [3.149468147525503, 3.7719191391706586, 3.6088137989582187, 3.730050250886759],
+        ),
     ],
     ids=["nystrom", "nystrom_indefinite"],
 )
-def test_block_sketch_of_the_scaled_error_is_pinned(sketch, applies, digest):
+def test_block_sketch_of_the_scaled_error_is_pinned(sketch, applies, lam, z_abs_sums):
     # the sketch applies the operator to its whole test matrix at once; the
-    # result equals the column-by-column sample, and W the bits pinned when
-    # the sample was formed one column at a time
+    # result equals the column-by-column sample bitwise, and W the values
+    # recorded when the sample was formed one column at a time (to a relative
+    # tolerance: eigh and QR round differently across BLAS builds)
     s = CsrMatrix.from_dense(bumped_band(80))
     fac = ic0(s)
     params = SketchParams(oversample=10, seed=3)
     op = CountingOperator(scaled_operator(s, fac))
     w = sketch(_minus_identity(op), 4, params)
     assert op.count == applies
-    assert hashlib.sha256(w.Z.tobytes() + w.lam.tobytes()).hexdigest() == digest
+    np.testing.assert_allclose(w.lam, lam, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(np.abs(w.Z).sum(axis=0), z_abs_sums, rtol=1e-10, atol=0)
     scaled = scaled_operator(s, fac)
     columns = LinearOperator(80, lambda v: np.column_stack([scaled.apply(c) for c in v.T]))
     by_column = sketch(_minus_identity(columns), 4, params)
