@@ -8,6 +8,7 @@ https://sparse.tamu.edu in Matrix Market format.
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import sys
@@ -32,6 +33,7 @@ _DOWNLOAD_HINT = (
 )
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser():
     parser = argparse.ArgumentParser(prog="bregpcg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

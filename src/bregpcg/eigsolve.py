@@ -20,15 +20,25 @@ matrix-vector product over one contiguous block of leading columns.
 Everything is driven by the pinned random streams, so a given (operator,
 params, seed) triple reproduces bitwise on one machine and BLAS build.
 
+Until a cycle's first restart its projected matrix is tridiagonal, and
+LAPACK's ``stevd`` solves it from the diagonal and off-diagonal; a cycle
+after a restart has the thick-restart arrow and takes the dense ``eigh``.
+The tridiagonal Ritz pairs agree with the dense solve's to roundoff, not
+bitwise in general.  With OpenBLAS they agree bit for bit, because ``eigh``
+reduces a tridiagonal matrix to itself and then runs the same divide and
+conquer as ``stevd``.
+
 The module knows symmetric operators only, given by a dimension and an apply
 callable; what an operator stands for (the scaled error, a shift of it) is
 its caller's business.  The solver does not count its operator applications;
 wrap the operator in ``CountingOperator`` to count them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from . import rng
 from .errors import NoConvergence
@@ -195,7 +205,7 @@ def lanczos_tr(
             if full_every_step:
                 w, coeffs, coeffs2 = _cgs2(v_basis[:, : j + 1], w)
                 t_proj[j, j] = coeffs[j] + coeffs2[j]
-                beta = float(np.linalg.norm(w))
+                beta = math.sqrt(w.dot(w))
                 full_passes += 1
             else:
                 # the local step: subtract beta_{j-1} v_{j-1} (the arrow
@@ -207,7 +217,7 @@ def lanczos_tr(
                 alpha = float(v_basis[:, j] @ w)
                 w = w - alpha * v_basis[:, j]
                 t_proj[j, j] = alpha
-                beta = float(np.linalg.norm(w))
+                beta = math.sqrt(w.dot(w))
                 t_norm = max(t_norm, abs(alpha) + beta + beta_prev)
                 full = full_next or j == m - 1  # v_m must be clean for the rotation
                 full_next = False
@@ -223,7 +233,7 @@ def lanczos_tr(
                     coeffs += coeffs2
                     t_proj[j, j] += coeffs[j]
                     dropped_sq += float(coeffs[:j] @ coeffs[:j])
-                    beta = float(np.linalg.norm(w))
+                    beta = math.sqrt(w.dot(w))
                     omega[j + 1, : j + 1] = eps
                     full_passes += 1
                 else:
@@ -235,13 +245,18 @@ def lanczos_tr(
                 injections += 1
                 fresh = rng.normals(rng.derive(params.seed, f"inject{injections}"), n)
                 fresh = _cgs2(v_basis[:, : j + 1], fresh)[0]
-                v_basis[:, j + 1] = fresh / np.linalg.norm(fresh)
+                np.divide(fresh, math.sqrt(fresh.dot(fresh)), out=v_basis[:, j + 1])
                 omega[j + 1, : j + 1] = eps
                 beta = 0.0
             else:
-                v_basis[:, j + 1] = w / beta
+                np.divide(w, beta, out=v_basis[:, j + 1])
 
-        theta, ritz = np.linalg.eigh(t_proj)
+        if kept:
+            theta, ritz = np.linalg.eigh(t_proj)
+        else:
+            # no restart yet: t_proj is tridiagonal, with zero couplings
+            # where a fresh direction was injected
+            theta, ritz = eigh_tridiagonal(np.diag(t_proj), np.diag(t_proj, 1), lapack_driver="stevd")
         residuals = np.abs(beta * ritz[m - 1, :])
         if which == "largest":
             ranking = np.argsort(-theta, kind="stable")
@@ -288,8 +303,13 @@ def lanczos_tr(
 
 def _cgs2(basis: np.ndarray, w: np.ndarray):
     """Classical Gram-Schmidt run twice: w less its components along the
-    columns of ``basis``, and the coefficients each sweep removed."""
+    columns of ``basis``, and the coefficients each sweep removed.
+
+    ``w`` itself is not written: the first sweep makes a new array, and the
+    second sweep runs in place on it.
+    """
     coeffs = basis.T @ w
     w = w - basis @ coeffs
     coeffs2 = basis.T @ w
-    return w - basis @ coeffs2, coeffs, coeffs2
+    w -= basis @ coeffs2
+    return w, coeffs, coeffs2

@@ -22,6 +22,7 @@ from .sparse_core import CsrMatrix, sparse_ata
 
 _FIELDS = ("real", "integer")
 _SYMMETRIES = ("general", "symmetric")
+_WRITE_BLOCK = 65536  # entries formatted per write
 
 
 def _parse_header(line: str):
@@ -165,13 +166,16 @@ def _read_array(lines, size_line, size_lineno, field, symmetry) -> CsrMatrix:
 
 def write_matrix_market(path, a: CsrMatrix) -> None:
     """Write CSR data as a general real coordinate file, stored zeros included."""
+    rows = np.repeat(np.arange(1, a.n_rows + 1), np.diff(a.row_ptr))
     with open(path, "w", encoding="ascii") as handle:
         handle.write("%%MatrixMarket matrix coordinate real general\n")
         handle.write(f"{a.n_rows} {a.n_cols} {a.nnz}\n")
-        for i in range(a.n_rows):
-            cols, vals = a.row(i)
-            for j, v in zip(cols, vals):
-                handle.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        for lo in range(0, a.nnz, _WRITE_BLOCK):
+            # one-based Python ints and floats, formatted as one write per
+            # entry would format them
+            block = slice(lo, lo + _WRITE_BLOCK)
+            entries = zip(rows[block].tolist(), (a.col_idx[block] + 1).tolist(), a.values[block].tolist())
+            handle.write("".join(f"{i} {j} {v!r}\n" for i, j, v in entries))
 
 
 def make_rhs(n: int, seed: int) -> np.ndarray:

@@ -227,7 +227,11 @@ class _SolvePlan:
       d_j L[i, j] at (j, i).  ``gstrs("N")`` returns x itself.
 
     The set-up ``spsolve_triangular`` repeats on every call (copy, transpose,
-    scale, sum duplicates, cast indices) is done here once.
+    scale, sum duplicates, cast indices) is done here once.  The scaling
+    multiplies L's stored values by the diagonal entries their rows or
+    columns pick: each plan entry is the one product a sparse product with a
+    diagonal matrix would form, and like that product the plan drops the
+    entries that come out zero.
     ``tests/test_sparse_core.py`` checks every form against public solvers,
     which guards the private ``_superlu`` import on new scipy versions.
     """
@@ -238,18 +242,25 @@ class _SolvePlan:
         invdiag = 1 / diag
         upper = scipy.sparse.csc_array((n, n), dtype=np.float64)
         if form == "upper":
-            factor = (low.T.tocsr() @ scipy.sparse.diags_array(invdiag)).T
+            rows = np.repeat(np.arange(n), np.diff(low.indptr))
+            factor = _scaled(low, invdiag[rows]).tocsc()  # D^-1 L
         else:
-            factor = (low @ scipy.sparse.diags_array(invdiag)).tocsc()
-        factor.sum_duplicates()
+            factor = _scaled(low, invdiag[low.indices]).tocsc()  # L D^-1
+        # L's diagonal is stored and nonzero, so it heads each CSC column
         if form == "lower":
             # gstrs divides by the stored diagonal, and L_jj * (1 / L_jj)
             # need not round to 1; scipy's identity factor divides by 1.0
-            factor.setdiag(1.0)
+            factor.data[factor.indptr[:-1]] = 1.0
         elif form == "both":
-            factor.setdiag(diag * diag)
-            upper = (scipy.sparse.tril(low, k=-1, format="csr") @ scipy.sparse.diags_array(diag)).T
-            upper.sum_duplicates()
+            factor.data[factor.indptr[:-1]] = diag * diag
+            # D L^T's strict upper triangle in CSC: the CSR arrays of L D's
+            # strict lower triangle, which leave out the diagonal that ends
+            # each row
+            strict = np.ones(low.nnz, dtype=bool)
+            strict[low.indptr[1:] - 1] = False
+            indptr = low.indptr - np.arange(n + 1, dtype=low.indptr.dtype)
+            lower = scipy.sparse.csr_array((low.data[strict], low.indices[strict], indptr), shape=(n, n))
+            upper = _scaled(lower, diag[lower.indices]).T
         self.trans = "T" if form == "upper" else "N"
         self.invdiag = None if form == "both" else invdiag
         self.args = tuple(
@@ -267,6 +278,19 @@ class _SolvePlan:
         if self.invdiag is not None:
             x *= self.invdiag if x.ndim == 1 else self.invdiag[:, None]
         return x
+
+
+def _scaled(a, scale: np.ndarray) -> scipy.sparse.csr_array:
+    """``a`` with each stored entry times its entry of ``scale``, zeros dropped.
+
+    The result shares ``a``'s index arrays unless a product is zero.
+    """
+    data = a.data * scale
+    if data.all():
+        return scipy.sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
+    out = scipy.sparse.csr_array((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
+    out.eliminate_zeros()
+    return out
 
 
 def spmv(a: CsrMatrix, x) -> np.ndarray:

@@ -43,6 +43,27 @@ def ref_normals(seed: int, count: int):
     return out[:count]
 
 
+def oneshot_normals(seed: int, count: int) -> np.ndarray:
+    """The normal stream in one vectorized pass over the whole count.
+
+    numpy's ``log``, ``cos`` and ``sin`` may run SIMD kernels that differ
+    from the C library in the last bit, so this, not ``ref_normals``, is
+    what a vectorized stream must equal bit for bit on every CPU.
+    """
+    pairs = (count + 1) // 2
+    z = np.uint64(seed & MASK) + np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    u = ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
 def ref_ic0_dense(s_dense):
     """Textbook IC(0) on a dense array, keeping the lower triangle of S.
 

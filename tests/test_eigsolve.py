@@ -21,7 +21,7 @@ from bregpcg import (
 from bregpcg import eigsolve
 from bregpcg.dense_kernels import sym_eig
 from bregpcg.sparse_core import CsrMatrix
-from conftest import bumped_band, random_spd
+from conftest import bumped_band, random_spd, spd_with_spectrum
 
 
 def band(n, **kw):
@@ -205,15 +205,22 @@ def test_basis_stays_semi_orthogonal_through_restarts():
     params = EigsParams(tol=1e-8, slack=40)
     assert 4900 * (10 + 10 + 40 + 1) > eigsolve.ALWAYS_FULL_SIZE
     worst = []
-    eigh = np.linalg.eigh
+    eigh, eigh_tridiagonal = np.linalg.eigh, eigsolve.eigh_tridiagonal
 
-    def rayleigh_ritz(t_proj):
-        m = t_proj.shape[0]
-        basis = inspect.currentframe().f_back.f_locals["v_basis"][:, : m + 1]
+    def record(m):
+        basis = inspect.currentframe().f_back.f_back.f_locals["v_basis"][:, : m + 1]
         worst.append(np.max(np.abs(basis.T @ basis - np.eye(m + 1))))
+
+    def rayleigh_ritz(t_proj):  # a cycle after a restart
+        record(t_proj.shape[0])
         return eigh(t_proj)
 
-    with mock.patch.object(eigsolve.np.linalg, "eigh", rayleigh_ritz):
+    def tridiagonal_rayleigh_ritz(d, e, **kwargs):  # the first cycle
+        record(len(d))
+        return eigh_tridiagonal(d, e, **kwargs)
+
+    with mock.patch.object(eigsolve.np.linalg, "eigh", rayleigh_ritz), \
+            mock.patch.object(eigsolve, "eigh_tridiagonal", tridiagonal_rayleigh_ritz):
         est = lanczos_tr(counting, 10, params, bottom=10)
     assert len(worst) >= 4  # three restarts at least
     assert max(worst) <= np.sqrt(np.finfo(np.float64).eps)
@@ -229,6 +236,74 @@ def test_identity_operator_exercises_invariant_subspace_restart():
     op = operator_from_dense(np.eye(40))
     est = lanczos_tr(op, 3, EigsParams(tol=1e-10, slack=5))
     np.testing.assert_allclose(est.values, np.ones(3), atol=1e-12)
+
+
+def ritz_solves(op, want, params, **kwargs):
+    """Run lanczos_tr and record each cycle's Ritz solve: which solver ran,
+    the projected matrix it solved and the pairs it returned."""
+    solves = []
+    eigh, eigh_tridiagonal = np.linalg.eigh, eigsolve.eigh_tridiagonal
+
+    def dense(t_proj):
+        out = eigh(t_proj)
+        solves.append(("dense", t_proj.copy(), out))
+        return out
+
+    def tridiagonal(d, e, **kw):
+        out = eigh_tridiagonal(d, e, **kw)
+        t_proj = inspect.currentframe().f_back.f_locals["t_proj"]
+        solves.append(("tridiagonal", t_proj.copy(), out))
+        return out
+
+    with mock.patch.object(eigsolve.np.linalg, "eigh", dense), \
+            mock.patch.object(eigsolve, "eigh_tridiagonal", tridiagonal):
+        try:
+            est = lanczos_tr(op, want, params, **kwargs)
+        except NoConvergence as exc:
+            est = exc.estimate
+    return est, solves
+
+
+@pytest.mark.parametrize("case", ["random", "injections"])
+def test_unrestarted_cycle_solves_its_tridiagonal_projection(case):
+    # the first cycle's projection is tridiagonal; its Ritz pairs are those of
+    # the dense eigh on the same matrix, to 1e-12 ||T||
+    if case == "random":
+        # a separated top converges in the first cycle
+        spectrum = np.concatenate([[10.0, 9.0, 8.0, 7.0, 6.0, 5.0], np.linspace(-1.0, 1.0, 294)])
+        a, want, params = spd_with_spectrum(spectrum, seed=31), 6, EigsParams(tol=1e-6, slack=40)
+    else:
+        # three distinct eigenvalues: the Krylov space is exhausted after three
+        # steps, and every later step injects a fresh direction with a zero
+        # coupling
+        a = np.diag(np.repeat([3.0, 1.0, -2.0], [20, 20, 20]))
+        want, params = 2, EigsParams(tol=1e-10, slack=8)
+    est, solves = ritz_solves(operator_from_dense(a), want, params)
+    assert [kind for kind, _, _ in solves] == ["tridiagonal"]
+    _, t_proj, (theta, ritz) = solves[0]
+    assert np.array_equal(t_proj, np.diag(np.diag(t_proj)) + np.diag(np.diag(t_proj, 1), 1)
+                          + np.diag(np.diag(t_proj, 1), -1))
+    if case == "injections":
+        assert np.count_nonzero(np.diag(t_proj, 1) == 0.0) >= 3
+    t_size = np.linalg.norm(t_proj, 2)
+    dense_theta = np.linalg.eigh(t_proj)[0]
+    np.testing.assert_allclose(theta, dense_theta, rtol=0, atol=1e-12 * t_size)
+    m = t_proj.shape[0]
+    assert np.max(np.abs(t_proj @ ritz - ritz * theta)) <= 1e-12 * t_size
+    assert np.max(np.abs(ritz.T @ ritz - np.eye(m))) <= 1e-12
+    exact = np.linalg.eigvalsh(a)[::-1][:want]
+    np.testing.assert_allclose(est.values, exact, rtol=1e-6)
+
+
+def test_restarted_cycles_take_the_dense_ritz_solve():
+    # after a restart the projection has an arrow; only the first cycle is
+    # tridiagonal
+    a = dense_symmetric(200, seed=19)
+    est, solves = ritz_solves(operator_from_dense(a), 5, EigsParams(tol=1e-15, slack=5, max_restarts=4))
+    assert [kind for kind, _, _ in solves] == ["tridiagonal", "dense", "dense", "dense"]
+    for _, t_proj, _ in solves[1:]:
+        assert np.count_nonzero(np.triu(t_proj, 2)) > 0  # the arrow
+    assert est.values.shape == (5,)
 
 
 def test_no_convergence_carries_partial_estimate():

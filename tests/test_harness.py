@@ -493,6 +493,26 @@ def test_cli_solve_ichol_reports_factor_time(tmp_path):
     assert float(line.split()[-1]) > 0.0
 
 
+def test_cli_calls_in_one_process_share_one_parser(tmp_path, capsys):
+    # main builds its parser once; a later call sees none of an earlier
+    # call's options
+    from bregpcg import cli
+
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["solve", "a.mtx", "--seed", "5", "--rank", "3", "--precond", "ichol"])
+    again = parser.parse_args(["solve", "a.mtx"])
+    assert (first.seed, first.rank, first.precond) == (5, 3, "ichol")
+    assert (again.seed, again.rank, again.precond) == (0, None, "breg")
+    path = write_instance(tmp_path / "cli_p.mtx", bumped_band(40, seed=16))
+    out = tmp_path / "rows.csv"
+    assert cli.main(["bench", path, "--suite", "small", "--out", str(out), "--seed", "3"]) == 0
+    assert cli.main(["solve", path, "--precond", "ichol"]) == 0
+    assert cli.main(["spectrum", path, "--out", str(tmp_path / "spec.csv")]) == 0
+    assert cli._build_parser() is parser
+    assert "wrote" in capsys.readouterr().out
+
+
 def test_cli_bench_writes_csv(tmp_path):
     path = write_instance(tmp_path / "cli_b.mtx", bumped_band(60, seed=15))
     out = tmp_path / "rows.csv"

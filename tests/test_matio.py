@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from bregpcg import matio
 from bregpcg import (
     CsrMatrix,
     ParseError,
@@ -37,6 +38,37 @@ def test_general_roundtrip_is_identical(tmp_path):
     write_matrix_market(path, back)
     np.testing.assert_array_equal(read_matrix_market(path).to_dense(), first)
     np.testing.assert_array_equal(first, dense)
+
+
+def per_entry_mtx(a) -> bytes:
+    """The file written one entry at a time, with ``repr`` of each value."""
+    lines = ["%%MatrixMarket matrix coordinate real general\n", f"{a.n_rows} {a.n_cols} {a.nnz}\n"]
+    for i in range(a.n_rows):
+        cols, vals = a.row(i)
+        lines += [f"{i + 1} {j + 1} {float(v)!r}\n" for j, v in zip(cols, vals)]
+    return "".join(lines).encode("ascii")
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_written_bytes_equal_per_entry_formatting(tmp_path, monkeypatch, block):
+    # a negative zero, the smallest subnormal, a huge value and a stored zero,
+    # in rows of different lengths and an empty row; with a block of 3 the
+    # entries span several writes
+    if block:
+        monkeypatch.setattr(matio, "_WRITE_BLOCK", block)
+    values = [-0.0, 5e-324, 1e300, 0.0, -2.5, 1 / 3, 7.0]
+    a = CsrMatrix(4, 5, [0, 3, 3, 5, 7], [0, 2, 4, 1, 3, 0, 4], values)
+    gen = np.random.default_rng(3)
+    b = CsrMatrix.from_dense(gen.standard_normal((30, 20)) * (gen.random((30, 20)) < 0.3))
+    for m in (a, b, CsrMatrix(2, 2, [0, 0, 0], [], [])):
+        path = tmp_path / "out.mtx"
+        write_matrix_market(path, m)
+        assert path.read_bytes() == per_entry_mtx(m)
+    back = read_matrix_market(tmp_path / "out.mtx")
+    assert back.nnz == 0
+    write_matrix_market(path, a)
+    back = read_matrix_market(path)
+    assert back.values.tobytes() == np.asarray(values).tobytes()
 
 
 def test_duplicate_entries_are_summed():

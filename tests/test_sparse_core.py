@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg
 
 from bregpcg import CholFactor, CsrMatrix, chol_solve, ic0, sparse_ata, spmv, tri_solve
+from bregpcg.sparse_core import _SolvePlan
 from conftest import bumped_band, laplacian_2d
 
 
@@ -259,6 +260,76 @@ def test_chol_solve_leaves_right_hand_side_alone_and_checks_its_size():
     assert not np.shares_memory(x, b)
     with pytest.raises(ValueError):
         chol_solve(fac, np.zeros(39))
+
+
+def product_plan_args(low, form):
+    """A plan's gstrs arguments built with sparse-sparse products by
+    diagonal matrices, the way the plan was built before it scaled arrays."""
+    n = low.shape[0]
+    diag = low.diagonal()
+    invdiag = 1 / diag
+    upper = scipy.sparse.csc_array((n, n), dtype=np.float64)
+    if form == "upper":
+        factor = (low.T.tocsr() @ scipy.sparse.diags_array(invdiag)).T
+    else:
+        factor = (low @ scipy.sparse.diags_array(invdiag)).tocsc()
+    factor.sum_duplicates()
+    if form == "lower":
+        factor.setdiag(1.0)
+    elif form == "both":
+        factor.setdiag(diag * diag)
+        upper = (scipy.sparse.tril(low, k=-1, format="csr") @ scipy.sparse.diags_array(diag)).T
+        upper.sum_duplicates()
+    return tuple(
+        arg
+        for m in (factor, upper)
+        for arg in (n, m.nnz, m.data, *scipy.sparse.safely_cast_index_arrays(m, np.intc, "SuperLU"))
+    )
+
+
+def factor_with_stored_zero():
+    # a stored zero below the diagonal, which a product with a diagonal
+    # matrix drops from its result
+    dense = random_sparse_lower(np.random.default_rng(8), 40)
+    low = scipy.sparse.csr_array(dense)
+    lower = low.indices < np.repeat(np.arange(40), np.diff(low.indptr))
+    low.data[np.flatnonzero(lower)[:3]] = 0.0
+    return CholFactor(CsrMatrix(40, 40, low.indptr, low.indices, low.data))
+
+
+PLAN_FACTORS = {
+    "ic0_poisson20": lambda: ic0(CsrMatrix.from_dense(laplacian_2d(20))),
+    "ic0_bumped_band256": lambda: ic0(CsrMatrix.from_dense(bumped_band(256))),
+    "ic0_poisson70": lambda: ic0(CsrMatrix.from_scipy(scipy.sparse.kronsum(*[scipy.sparse.diags_array(
+        [-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(70, 70))] * 2))),
+    "stored_zero": factor_with_stored_zero,
+}
+
+
+@pytest.mark.parametrize("form", ["lower", "upper", "both"])
+@pytest.mark.parametrize("name", sorted(PLAN_FACTORS))
+def test_solve_plan_arrays_equal_the_diagonal_product_form(name, form):
+    # the plans scale L's arrays entry by entry; each entry is the one product
+    # a sparse product with a diagonal matrix forms, so every array is equal
+    fac = PLAN_FACTORS[name]()
+    low = fac.L.to_scipy()
+    if name == "stored_zero":
+        assert np.count_nonzero(low.data == 0.0) == 3
+    got = _SolvePlan(low, form)
+    want = product_plan_args(low, form)
+    assert len(got.args) == len(want) == 10
+    for a, b in zip(got.args, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b, strict=True)
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+    if form != "both":
+        np.testing.assert_array_equal(got.invdiag, 1 / low.diagonal(), strict=True)
+    # the factor's own arrays are not written
+    for arr in (fac.L.row_ptr, fac.L.col_idx, fac.L.values):
+        assert not arr.flags.writeable
 
 
 def test_chol_factor_rejects_bad_diagonals():
