@@ -9,8 +9,8 @@ factorization.
 
 The work is split in two passes.  The symbolic pass (``_shared_slots``) is
 vectorized numpy: for every off-diagonal entry (i, j) it finds the pairs of
-stored entries of rows i and j that share a column below j, by looking the
-candidate (row, column) keys up in the sorted keys of the pattern.  The
+stored entries of rows i and j that share a column below j, by looking each
+candidate (row, column) entry up within its row of the pattern.  The
 numeric pass runs the row recurrence over those pairs on Python floats,
 reading and writing the numpy buffers through ``memoryview``.
 
@@ -25,6 +25,7 @@ the same on every machine, BLAS build and thread count.
 import math
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .errors import Breakdown
 from .sparse_core import CholFactor, CsrMatrix
@@ -101,15 +102,12 @@ def _shared_slots(row_ptr: np.ndarray, cols: np.ndarray):
 
     Each entry enumerates the shorter of its two candidate lists, the
     slots of row i before t or the off-diagonal slots of row j, and looks
-    the other row's (row, column) key up in the sorted keys of the pattern
-    (CSR order sorts them already), so one long row costs no more than its
-    own length.
+    the other row's (row, column) entry up by a binary search within that
+    row (``_lookup``), so one long row costs no more than its own length.
     """
     n, nnz = len(row_ptr) - 1, len(cols)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
-    keys = rows * n + cols
     t = np.flatnonzero(cols < rows)
-    # keys are formed in int64: j * n wraps in int32 indices once n > 46,340
     i, j = rows[t], cols[t].astype(np.int64)
     before_t = t - row_ptr[i]
     below_j = row_ptr[j + 1] - 1 - row_ptr[j]
@@ -119,8 +117,8 @@ def _shared_slots(row_ptr: np.ndarray, cols: np.ndarray):
     # off-diagonal slots and look up (i, k)
     seg_a, own = _expand(row_ptr[i[from_i]], before_t[from_i])
     seg_b, other = _expand(row_ptr[j[~from_i]], below_j[~from_i])
-    found_a = _lookup(keys, j[from_i][seg_a] * n + cols[own])
-    found_b = _lookup(keys, i[~from_i][seg_b] * n + cols[other])
+    found_a = _lookup(row_ptr, cols, j[from_i][seg_a], cols[own])
+    found_b = _lookup(row_ptr, cols, i[~from_i][seg_b], cols[other])
 
     slot = np.concatenate([t[from_i][seg_a], t[~from_i][seg_b]])
     left = np.concatenate([own, found_b])
@@ -141,7 +139,23 @@ def _expand(starts: np.ndarray, counts: np.ndarray):
     return seg, np.arange(len(seg), dtype=np.int64) + (starts - first)[seg]
 
 
-def _lookup(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Slot of each wanted key in the sorted ``keys``, or -1 when not stored."""
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.where(keys[pos] == want, pos, -1)
+def _lookup(row_ptr: np.ndarray, cols: np.ndarray, want_rows, want_cols) -> np.ndarray:
+    """Slot of each wanted (row, column) entry of the pattern, or -1 when not stored.
+
+    scipy's ``csr_sample_offsets`` (the kernel behind ``A[rows, cols]``)
+    binary-searches each wanted column within its own row; the pattern's
+    strictly increasing columns are the sorted rows it needs.  It searches
+    only when asked for more than nnz / 10 entries and otherwise scans each
+    asked row whole, which would make a few lookups into one long row cost
+    its length each, so short requests are padded with entry (0, 0).
+    """
+    count = len(want_rows)
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    index, size = cols.dtype, max(count, len(cols) // 10 + 1)
+    rows, wanted = np.zeros(size, dtype=index), np.zeros(size, dtype=index)
+    rows[:count], wanted[:count] = want_rows, want_cols
+    found = np.empty(size, dtype=index)
+    n = len(row_ptr) - 1
+    _sparsetools.csr_sample_offsets(n, n, row_ptr, cols, size, rows, wanted, found)
+    return found[:count].astype(np.int64)

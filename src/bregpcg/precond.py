@@ -7,7 +7,8 @@ Woodbury basis Y = Q^{-T} Z, solved once when P is built,
 
     P^{-1} v = (Q Q^T)^{-1} v - Y diag(d) Y^T v,
 
-one fused SuperLU sweep pair (``chol_solve``) plus two skinny products.
+one forward and one backward sweep with the factor (``chol_solve``) plus
+two skinny products.
 
 P is SPD exactly when every lam lies above -1.  ``Preconditioner`` checks
 that when it is built, by a builder or directly, and derives its kind, d and

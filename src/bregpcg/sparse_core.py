@@ -3,24 +3,33 @@
 Dense vectors and matrices are plain float64 numpy arrays throughout the
 package; this module owns the sparse side.  Index arrays follow scipy's rule:
 int32 while the dimensions and nnz are below 2**31, int64 beyond, so the
-scipy view of a matrix shares its arrays.  The kernels are scipy's: ``spmv``
-calls ``csr_matvec`` from scipy's private ``_sparsetools``, the kernel that
-``A @ x`` runs, without the dispatch around it, and ``tri_solve`` and
-``chol_solve`` run SuperLU's triangular solve from a plan each factor
-prepares once per form (see ``_SolvePlan``).  ``tests/test_sparse_core.py``
-checks ``spmv`` bitwise against scipy's product, which guards the private
-import on new scipy versions.  There are three solve forms, each one
-``gstrs`` call:
+scipy view of a matrix shares its arrays.  Every kernel is scipy's
+``csr_matvec`` (``csr_matvecs`` for a block of vectors) from its private
+``_sparsetools``, the kernel that ``A @ x`` runs, called without the
+dispatch around it.
+
+``spmv`` is that product.  The triangular solves are the same kernel run in
+place: it computes y[i] += sum_jj A[i, j_jj] x[j_jj] row by row in stored
+order, so with x and y the same array, row i reads the entries of x that
+the rows before it have already written.  With the strict lower triangle of
+a unit factor M stored negated, that is forward substitution with M; run on
+the reversed vector with M^T's rows stored in reversed order, it is
+backward substitution.  Each factor L = M D, D = diag(d), prepares its
+sweeps once per form (see ``_SweepPlan``):
 
 - lower, L y = b, and upper, L^T y = b (``tri_solve``), each agreeing
-  bitwise with ``spsolve_triangular``; the lower plan drops the identity
-  factor scipy pairs with it, and the upper plan keeps scipy's form;
-- both, (L L^T) x = b (``chol_solve``): SuperLU's own L U pair with both
-  triangles of the factor, so one call does the forward and the backward
-  sweep.  It agrees with the two ``tri_solve`` calls up to roundoff.
+  bitwise with ``spsolve_triangular``: a + (-(m x)) is exactly a - m x in
+  IEEE arithmetic, signed zeros included, so each row subtracts the same
+  products in the same order that SuperLU's sweeps do, and the diagonal
+  scalings are the same divisions and products;
+- chol, (L L^T) x = b (``chol_solve``): the lower sweep, x / d^2, then the
+  sweep with M^T.  It agrees with two ``tri_solve`` calls, and with the
+  fused SuperLU solve earlier versions made, up to roundoff.
 
-No kernel here uses threads, so repeated runs in one environment agree
-bitwise.
+``tests/test_sparse_core.py`` checks ``spmv`` bitwise against scipy's
+product and pins the in-place reading of ``csr_matvec``, which guards the
+private import on new scipy versions.  No kernel here uses threads, so
+repeated runs in one environment agree bitwise.
 
 Explicit zeros are legal stored entries.  They matter: incomplete
 factorizations work with the sparsity pattern, and a stored zero is part of
@@ -29,12 +38,11 @@ the pattern even though it does not change any product.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import LinAlgError
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg._dsolve import _superlu
 
 
 def _exact_index(a) -> np.ndarray:
@@ -190,107 +198,138 @@ class CholFactor:
         return self.L.n_rows
 
     @cached_property
-    def _lower_plan(self) -> "_SolvePlan":
-        return _SolvePlan(self.L.to_scipy(), "lower")
+    def _lower_plan(self) -> "_SweepPlan":
+        return _SweepPlan(self.L, "lower")
 
     @cached_property
-    def _upper_plan(self) -> "_SolvePlan":
-        return _SolvePlan(self.L.to_scipy(), "upper")
+    def _upper_plan(self) -> "_SweepPlan":
+        return _SweepPlan(self.L, "upper")
 
     @cached_property
-    def _chol_plan(self) -> "_SolvePlan":
-        return _SolvePlan(self.L.to_scipy(), "both")
+    def _chol_plan(self) -> "_SweepPlan":
+        return _SweepPlan(self.L, "chol")
 
     def to_dense(self) -> np.ndarray:
         return self.L.to_dense()
 
 
-class _SolvePlan:
-    """One ``gstrs`` call set up once: the CSC ``L``/``U`` pair SuperLU sweeps.
+# columns of a block swept at a time, which bounds a block solve's scratch
+_BLOCK_COLUMNS = 32
 
-    ``gstrs("N")`` solves L U x = b with L unit lower and U upper, where U's
-    diagonal sits in L's stored diagonal (the divisor of the backward sweep);
-    ``"T"`` solves (L U)^T x = b.  For a factor L = M D with M unit lower and
-    D = diag(d), the three forms are:
 
-    - lower (L y = b): ``L`` = M with its stored diagonal set to exactly 1.0,
-      ``U`` empty, then y = x / d.  ``spsolve_triangular`` (scipy 1.17)
-      instead transposes the CSR triangle into an upper ``U`` with an identity
-      ``L`` and solves with ``"T"``; the identity half is most of the cost of a
-      solve.  Both forms subtract the terms of each row in ascending column
-      order and divide by exactly 1.0, so the results agree bit for bit.
-    - upper (L^T y = b): scipy's own form, ``L`` = D^{-1} L solved by
-      ``gstrs("T")``, then y = x / d.  A column-oriented ``"N"`` sweep here
-      would reverse the order of each row's sum.
-    - both (L L^T x = b): L L^T = M D^2 M^T, so ``L`` = M with stored
-      diagonal d^2 and ``U`` = D^2 M^T without its diagonal, which holds
-      d_j L[i, j] at (j, i).  ``gstrs("N")`` returns x itself.
+class _Sweep(NamedTuple):
+    """CSR arrays of a strictly lower triangle that ``run`` sweeps in place.
 
-    The set-up ``spsolve_triangular`` repeats on every call (copy, transpose,
-    scale, sum duplicates, cast indices) is done here once.  The scaling
-    multiplies L's stored values by the diagonal entries their rows or
-    columns pick: each plan entry is the one product a sparse product with a
-    diagonal matrix would form, and like that product the plan drops the
-    entries that come out zero.
-    ``tests/test_sparse_core.py`` checks every form against public solvers,
-    which guards the private ``_superlu`` import on new scipy versions.
+    ``csr_matvec`` computes y[i] += sum_jj data[jj] * x[indices[jj]] row by
+    row, in stored order.  With x and y the same array, row i reads entries
+    the rows before it have already written: unit forward substitution.
     """
 
-    def __init__(self, low: scipy.sparse.csr_matrix, form: str):
-        n = low.shape[0]
-        diag = low.diagonal()
-        invdiag = 1 / diag
-        upper = scipy.sparse.csc_array((n, n), dtype=np.float64)
-        if form == "upper":
-            rows = np.repeat(np.arange(n), np.diff(low.indptr))
-            factor = _scaled(low, invdiag[rows]).tocsc()  # D^-1 L
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def run(self, x: np.ndarray) -> None:
+        n = len(self.indptr) - 1
+        if x.ndim == 1:
+            _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.data, x, x)
         else:
-            factor = _scaled(low, invdiag[low.indices]).tocsc()  # L D^-1
-        # L's diagonal is stored and nonzero, so it heads each CSC column
-        if form == "lower":
-            # gstrs divides by the stored diagonal, and L_jj * (1 / L_jj)
-            # need not round to 1; scipy's identity factor divides by 1.0
-            factor.data[factor.indptr[:-1]] = 1.0
-        elif form == "both":
-            factor.data[factor.indptr[:-1]] = diag * diag
-            # D L^T's strict upper triangle in CSC: the CSR arrays of L D's
-            # strict lower triangle, which leave out the diagonal that ends
-            # each row
-            strict = np.ones(low.nnz, dtype=bool)
-            strict[low.indptr[1:] - 1] = False
-            indptr = low.indptr - np.arange(n + 1, dtype=low.indptr.dtype)
-            lower = scipy.sparse.csr_array((low.data[strict], low.indices[strict], indptr), shape=(n, n))
-            upper = _scaled(lower, diag[lower.indices]).T
-        self.trans = "T" if form == "upper" else "N"
-        self.invdiag = None if form == "both" else invdiag
-        self.args = tuple(
-            arg
-            for m in (factor, upper)
-            for arg in (n, m.nnz, m.data, *scipy.sparse.safely_cast_index_arrays(m, np.intc, "SuperLU"))
-        )
+            _sparsetools.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data, x, x)
+
+
+def _sweep(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> _Sweep:
+    """The sweep that holds ``-values`` at (rows, cols), in the order given.
+
+    The entries must come in ascending row order, and within a row they keep
+    the order given.  Entries that are exactly zero are dropped.
+    """
+    keep = values != 0.0
+    rows, cols = rows[keep], cols[keep]
+    indptr = np.zeros(n + 1, dtype=cols.dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return _Sweep(indptr, cols, -values[keep])
+
+
+class _SweepPlan:
+    """One solve form of a factor, set up once as in-place unit sweeps.
+
+    With L = M D, M unit lower and D = diag(d), each form scales, sweeps
+    and scales again:
+
+    - lower (L y = b): sweep with -M, M_ij = L_ij (1 / d_j), then y = x / d
+      (as a product with 1 / d).
+    - upper (L^T y = b): scipy's form N^T x = b with N = D^-1 L, whose
+      stored diagonal N_jj = L_jj (1 / d_j) need not be 1: divide b by it,
+      then sweep with -N^T on the reversed vector, rows j holding -N_ij in
+      ascending i, then y = x / d.
+    - chol (L L^T x = b = M D^2 M^T x): the lower sweep with -M, x / d^2,
+      then a sweep with -M^T on the reversed vector.
+
+    ``sweeps`` holds the forward sweep, or the reversed one, or both in that
+    order; ``pivots`` holds the divisors between them in reversed order
+    (None for lower); ``invdiag`` is 1 / d.
+    """
+
+    def __init__(self, low: CsrMatrix, form: str):
+        n = low.n_rows
+        rows = np.repeat(np.arange(n, dtype=low.row_ptr.dtype), np.diff(low.row_ptr))
+        diag = low.values[low.row_ptr[1:] - 1]
+        self.form = form
+        self.invdiag = 1 / diag
+        strict = low.col_idx < rows
+        i, j, values = rows[strict], low.col_idx[strict], low.values[strict]
+        if form == "upper":
+            self.pivots = (diag * self.invdiag)[::-1].copy()
+            self.sweeps = (_reversed_sweep(n, i, j, values * self.invdiag[i]),)
+            return
+        unit = values * self.invdiag[j]
+        self.sweeps = (_sweep(n, i, j, unit),)
+        self.pivots = None
+        if form == "chol":
+            self.pivots = (diag * diag)[::-1].copy()
+            self.sweeps += (_reversed_sweep(n, i, j, unit),)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        # gstrs copies b into a fresh Fortran-ordered array, so b is not
-        # written and the result shares memory with nothing else
-        x, info = _superlu.gstrs(self.trans, *self.args, b)
-        if info:
-            raise LinAlgError("triangular factor is singular")
-        if self.invdiag is not None:
-            x *= self.invdiag if x.ndim == 1 else self.invdiag[:, None]
-        return x
+        """A fresh solution; a block comes back Fortran-ordered.
+
+        ``csr_matvecs`` reads the k values of a row as one contiguous run, so
+        a block is swept in C-ordered scratch, ``_BLOCK_COLUMNS`` columns at a
+        time: the scratch stays small however wide the block is, and each
+        chunk's layout changes happen in cache.
+        """
+        if b.ndim == 1:
+            return self._solve_into(b, np.empty(len(b)))
+        out = np.empty(b.shape, order="F")
+        for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
+            self._solve_into(b[:, lo : lo + _BLOCK_COLUMNS], out[:, lo : lo + _BLOCK_COLUMNS])
+        return out
+
+    def _solve_into(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Solve for ``b``, a vector or some columns of a block, into ``out``."""
+        col = (slice(None), None) if b.ndim == 2 else slice(None)
+        if self.form == "upper":
+            x = np.divide(b[::-1], self.pivots[col], order="C")
+            self.sweeps[0].run(x)
+            return np.multiply(x[::-1], self.invdiag[col], out=out, order="F")
+        x = np.array(b, order="C")
+        self.sweeps[0].run(x)
+        if self.form == "lower":
+            return np.multiply(x, self.invdiag[col], out=out, order="F")
+        x = np.divide(x[::-1], self.pivots[col], order="C")
+        self.sweeps[1].run(x)
+        np.copyto(out, x[::-1])
+        return out
 
 
-def _scaled(a, scale: np.ndarray) -> scipy.sparse.csr_array:
-    """``a`` with each stored entry times its entry of ``scale``, zeros dropped.
+def _reversed_sweep(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> _Sweep:
+    """The sweep of the upper triangle with ``values`` at (j, i), on reversed vectors.
 
-    The result shares ``a``'s index arrays unless a product is zero.
+    Row j becomes row n - 1 - j and column i becomes n - 1 - i; each row keeps
+    its entries in ascending i, the order of ``i`` given.
     """
-    data = a.data * scale
-    if data.all():
-        return scipy.sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
-    out = scipy.sparse.csr_array((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
-    out.eliminate_zeros()
-    return out
+    rows = (n - 1) - j
+    order = np.argsort(rows, kind="stable")
+    return _sweep(n, rows[order], ((n - 1) - i)[order], values[order])
 
 
 def spmv(a: CsrMatrix, x) -> np.ndarray:
@@ -310,7 +349,9 @@ def spmv(a: CsrMatrix, x) -> np.ndarray:
 def tri_solve(factor: CholFactor, b, transposed: bool = False) -> np.ndarray:
     """Solve L y = b, or L^T y = b when ``transposed``.
 
-    ``b`` may be a vector or a dense matrix of stacked right-hand sides.
+    ``b`` may be a vector or a dense matrix of stacked right-hand sides.  The
+    result is bitwise ``spsolve_triangular``'s, is a fresh array, and is
+    Fortran-ordered for a block.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != factor.n:
@@ -320,11 +361,16 @@ def tri_solve(factor: CholFactor, b, transposed: bool = False) -> np.ndarray:
 
 
 def chol_solve(factor: CholFactor, b) -> np.ndarray:
-    """Solve (L L^T) x = b in one SuperLU call: a forward and a backward sweep.
+    """Solve (L L^T) x = b as L = M D: a forward sweep, x / d^2, a backward sweep.
 
-    ``b`` may be a vector or a dense matrix of stacked right-hand sides.  The
-    result equals ``tri_solve(factor, tri_solve(factor, b), True)`` up to
-    roundoff and is always a fresh array.
+    Both sweeps are with the unit factor M, so the divisions by the diagonal
+    happen once, between them; a diagonal factor gives exactly b / (d * d).
+    This is not the arithmetic of ``tri_solve``'s two forms (nor of the fused
+    SuperLU solve earlier versions made, which divided inside the backward
+    recurrence), so the result equals ``tri_solve(factor, tri_solve(factor,
+    b), True)`` only up to roundoff.  ``b`` may be a vector or a dense matrix
+    of stacked right-hand sides; the result is always a fresh array, and
+    Fortran-ordered for a block.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != factor.n:

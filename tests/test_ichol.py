@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import bregpcg
 from bregpcg import Breakdown, CsrMatrix, ic0, scaled_error
-from bregpcg.ichol import _shared_slots
+from bregpcg.ichol import _lookup, _shared_slots
 from conftest import bumped_band, laplacian_2d, random_spd, ref_ic0_dense
 
 
@@ -260,11 +260,29 @@ def test_shared_slots_match_brute_force_intersection(make):
     np.testing.assert_array_equal(pair_ptr, want_ptr)
     np.testing.assert_array_equal(left, want_left)
     np.testing.assert_array_equal(right, want_right)
+    check_lookup_against_brute_force(lower)
+
+
+def check_lookup_against_brute_force(lower):
+    # every (row, column) of the square, stored or not, in one request and
+    # one at a time (short requests are padded up to where the kernel
+    # binary-searches)
+    n, row_ptr, cols = lower.n_rows, lower.row_ptr, lower.col_idx
+    rows = np.repeat(np.arange(n), np.diff(row_ptr))
+    slot = {(r, c): t for t, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))}
+    want_rows, want_cols = (a.ravel() for a in np.indices((n, n)))
+    want = [slot.get(rc, -1) for rc in zip(want_rows.tolist(), want_cols.tolist())]
+    got = _lookup(row_ptr, cols, want_rows, want_cols)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    for k in np.random.default_rng(n).choice(n * n, size=min(n * n, 20), replace=False):
+        assert _lookup(row_ptr, cols, want_rows[k : k + 1], want_cols[k : k + 1]).tolist() == [want[k]]
+    assert len(_lookup(row_ptr, cols, want_rows[:0], want_cols[:0])) == 0
 
 
 def test_shared_slots_keys_do_not_wrap_with_int32_indices():
-    # n = 50,000: the lookup key j * n + k passes 2**31 for j > 42,949, so
-    # keys formed in the int32 of the indices would wrap and miss their pairs
+    # n = 50,000, where a flat (row, column) key j * n + k passes 2**31 for
+    # j > 42,949: int32 and int64 index arrays must find the same pairs
     n = 50_000
     band = scipy.sparse.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n))
     rows = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=np.int64)])
@@ -322,6 +340,11 @@ def sparse_symmetric(draw):
 @settings(max_examples=80, deadline=None)
 @given(s=sparse_symmetric(), diag_shift=st.sampled_from([0.0, 0.1, 1.5]))
 def test_property_bitwise_reference_and_breakdown_row(s, diag_shift):
+    lower = s.lower_triangle()
+    slots = _shared_slots(lower.row_ptr, lower.col_idx)
+    for got, ref in zip(slots, ref_shared_slots(lower.row_ptr, lower.col_idx)):
+        np.testing.assert_array_equal(got, ref)
+    check_lookup_against_brute_force(lower)
     want = ref_ic0_intersect(s, diag_shift)
     if isinstance(want, int):
         with pytest.raises(Breakdown) as info:

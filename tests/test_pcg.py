@@ -179,8 +179,8 @@ def test_nonpositive_curvature_is_a_typed_error(second):
 def test_ichol_pcg_golden_laplacian():
     # 50x50 five-point Laplacian + 0.01 I; the counts and the residual bits
     # are pinned so that faster kernels must reproduce the same arithmetic
-    # (the bits are those of the fused L L^T solve, chol_solve, on the
-    # BLAS-free ic0 factor)
+    # (the bits are those of chol_solve's two unit sweeps with the division
+    # by d^2 between them, on the BLAS-free ic0 factor)
     m = 50
     t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
     s = CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(m * m))
@@ -189,7 +189,7 @@ def test_ichol_pcg_golden_laplacian():
     assert rep.converged
     assert rep.iterations == 53
     assert rep.matvecs_S == 56
-    assert rep.final_rel_residual == 7.473130516981372e-11
+    assert rep.final_rel_residual == 7.473129958486034e-11
 
 
 def test_plain_cg_golden_laplacian():

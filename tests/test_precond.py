@@ -188,7 +188,8 @@ def test_apply_inverse_returns_a_fresh_array():
         if p.Y is not None:
             held.append(p.Y)
         if kind != "identity":
-            held += [arg for arg in fac._chol_plan.args if isinstance(arg, np.ndarray)]
+            plan = fac._chol_plan
+            held += [arr for sweep in plan.sweeps for arr in sweep] + [plan.pivots, plan.invdiag]
         assert not np.shares_memory(first, second)
         for arr in held:
             assert not np.shares_memory(first, arr), kind

@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import _sparsetools
 
 from bregpcg import CholFactor, CsrMatrix, chol_solve, ic0, sparse_ata, spmv, tri_solve
-from bregpcg.sparse_core import _SolvePlan
+from bregpcg.sparse_core import _SweepPlan
 from conftest import bumped_band, laplacian_2d
 
 
@@ -170,8 +175,8 @@ TRI_FACTORS = {
 @pytest.mark.parametrize("transposed", [False, True])
 @pytest.mark.parametrize("name", sorted(TRI_FACTORS))
 def test_tri_solve_is_bitwise_scipy_spsolve_triangular(name, transposed):
-    # tri_solve replays spsolve_triangular's set-up once and then calls
-    # SuperLU's private gstrs directly; this pins the two together
+    # tri_solve sweeps with scipy's private csr_matvec; this pins it to the
+    # public solver bit for bit
     fac = TRI_FACTORS[name]()
     tri = fac.L.to_scipy()
     if transposed:
@@ -213,9 +218,8 @@ CHOL_FACTORS = {
 
 @pytest.mark.parametrize("name", sorted(CHOL_FACTORS))
 def test_chol_solve_matches_two_triangular_solves(name):
-    # one gstrs call with both triangles against the public solver run twice;
-    # this guards the private _superlu call and SuperLU's convention that U's
-    # diagonal is the stored diagonal of L
+    # the two sweeps with the unit factor and the division by d^2 between
+    # them against the public solver run twice
     fac = CHOL_FACTORS[name]()
     low = fac.L.to_scipy()
     gen = np.random.default_rng(22)
@@ -262,29 +266,32 @@ def test_chol_solve_leaves_right_hand_side_alone_and_checks_its_size():
         chol_solve(fac, np.zeros(39))
 
 
-def product_plan_args(low, form):
-    """A plan's gstrs arguments built with sparse-sparse products by
-    diagonal matrices, the way the plan was built before it scaled arrays."""
+def product_sweeps(low, form):
+    """Each sweep of a plan as a matrix built with sparse products by diagonal
+    matrices and by the reversal permutation, ascending columns in each row."""
     n = low.shape[0]
-    diag = low.diagonal()
-    invdiag = 1 / diag
-    upper = scipy.sparse.csc_array((n, n), dtype=np.float64)
-    if form == "upper":
-        factor = (low.T.tocsr() @ scipy.sparse.diags_array(invdiag)).T
-    else:
-        factor = (low @ scipy.sparse.diags_array(invdiag)).tocsc()
-    factor.sum_duplicates()
+    invdiag = scipy.sparse.diags_array(1 / low.diagonal())
+    strict = scipy.sparse.tril(low, k=-1, format="csr")
+    unit = strict @ invdiag  # M = L D^-1 without its diagonal
+    flip = scipy.sparse.csr_array((np.ones(n), (np.arange(n), np.arange(n)[::-1])), shape=(n, n))
     if form == "lower":
-        factor.setdiag(1.0)
-    elif form == "both":
-        factor.setdiag(diag * diag)
-        upper = (scipy.sparse.tril(low, k=-1, format="csr") @ scipy.sparse.diags_array(diag)).T
-        upper.sum_duplicates()
-    return tuple(
-        arg
-        for m in (factor, upper)
-        for arg in (n, m.nnz, m.data, *scipy.sparse.safely_cast_index_arrays(m, np.intc, "SuperLU"))
-    )
+        sweeps = [-unit]
+    elif form == "upper":
+        sweeps = [-(flip @ (invdiag @ strict).T @ flip)]
+    else:
+        sweeps = [-unit, -(flip @ unit.T @ flip)]
+    sweeps = [scipy.sparse.csr_array(m) for m in sweeps]
+    for m in sweeps:
+        m.sum_duplicates()
+        m.eliminate_zeros()
+    return sweeps
+
+
+def rows_reversed(indptr, arr):
+    """``arr`` with the entries of each CSR row in reverse order."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    pos = np.arange(len(arr))
+    return arr[indptr[rows] + indptr[rows + 1] - 1 - pos]
 
 
 def factor_with_stored_zero():
@@ -306,30 +313,157 @@ PLAN_FACTORS = {
 }
 
 
+# "both" is chol_solve's form, a forward and a backward sweep
 @pytest.mark.parametrize("form", ["lower", "upper", "both"])
 @pytest.mark.parametrize("name", sorted(PLAN_FACTORS))
 def test_solve_plan_arrays_equal_the_diagonal_product_form(name, form):
-    # the plans scale L's arrays entry by entry; each entry is the one product
-    # a sparse product with a diagonal matrix forms, so every array is equal
+    # the plans scale and permute L's arrays entry by entry; each entry is the
+    # one product a sparse product with a diagonal matrix forms, so every
+    # array is equal.  A reversed sweep keeps ascending original rows, which
+    # are descending columns after the reversal
     fac = PLAN_FACTORS[name]()
     low = fac.L.to_scipy()
     if name == "stored_zero":
         assert np.count_nonzero(low.data == 0.0) == 3
-    got = _SolvePlan(low, form)
-    want = product_plan_args(low, form)
-    assert len(got.args) == len(want) == 10
-    for a, b in zip(got.args, want):
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b, strict=True)
-            assert a.tobytes() == b.tobytes()
-        else:
-            assert a == b
-    if form != "both":
-        np.testing.assert_array_equal(got.invdiag, 1 / low.diagonal(), strict=True)
+    plan = _SweepPlan(fac.L, "chol" if form == "both" else form)
+    want = product_sweeps(low, form)
+    assert len(plan.sweeps) == len(want)
+    for k, (got, mat) in enumerate(zip(plan.sweeps, want)):
+        reversed_ = form == "upper" or k == 1
+        indices, data = mat.indices, mat.data
+        if reversed_:
+            indices, data = rows_reversed(mat.indptr, indices), rows_reversed(mat.indptr, data)
+        for a, b in ((got.indptr, mat.indptr), (got.indices, indices)):
+            assert a.dtype == fac.L.row_ptr.dtype
+            np.testing.assert_array_equal(a, b)
+        assert data.dtype == got.data.dtype == np.float64
+        assert got.data.tobytes() == data.tobytes()
+    diag = low.diagonal()
+    np.testing.assert_array_equal(plan.invdiag, 1 / diag, strict=True)
+    pivots = {"lower": None, "upper": diag * (1 / diag), "both": diag * diag}[form]
+    if pivots is None:
+        assert plan.pivots is None
+    else:
+        assert plan.pivots.tobytes() == pivots[::-1].tobytes()
     # the factor's own arrays are not written
     for arr in (fac.L.row_ptr, fac.L.col_idx, fac.L.values):
         assert not arr.flags.writeable
+
+
+def test_sweep_reads_what_it_has_written():
+    # every solve rests on csr_matvec(x, x) updating x row by row in place:
+    # on the unit bidiagonal chain a copy of x, a restrict-qualified or a
+    # parallel kernel would give ones or a partial sum instead of 1, 2, ..., 6
+    indptr = np.array([0, 0, 1, 2, 3, 4, 5], dtype=np.int32)
+    indices = np.arange(5, dtype=np.int32)
+    data = np.ones(5)
+    x = np.ones(6)
+    _sparsetools.csr_matvec(6, 6, indptr, indices, data, x, x)
+    np.testing.assert_array_equal(x, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    block = np.ones((6, 3))
+    _sparsetools.csr_matvecs(6, 6, 3, indptr, indices, data, block, block)
+    np.testing.assert_array_equal(block, np.repeat(np.arange(1.0, 7.0)[:, None], 3, axis=1))
+
+
+def widened(low: CsrMatrix):
+    """``low``'s arrays with int64 indices, which CsrMatrix keeps only from 2**31."""
+    return SimpleNamespace(
+        n_rows=low.n_rows, row_ptr=low.row_ptr.astype(np.int64),
+        col_idx=low.col_idx.astype(np.int64), values=low.values,
+    )
+
+
+def ref_chol_solve(low: CsrMatrix, b):
+    """(L L^T) x = b on Python floats, the arithmetic ``chol_solve`` promises.
+
+    L = M D: a forward sweep with M in stored order, x / d^2, then a backward
+    sweep with M^T, each row in ascending original row order.  A row adds
+    (-m) * x_j to its running value, and a zero m adds nothing.
+    """
+    n, ptr, cols, vals = low.n_rows, low.row_ptr.tolist(), low.col_idx.tolist(), low.values.tolist()
+    d = [vals[ptr[i + 1] - 1] for i in range(n)]
+    entries = [
+        (i, cols[t], vals[t] * (1 / d[cols[t]]))
+        for i in range(n) for t in range(ptr[i], ptr[i + 1] - 1)
+    ]
+    entries = [(i, j, m) for i, j, m in entries if m != 0.0]
+    out = np.empty(b.shape)
+    for c in range(1 if b.ndim == 1 else b.shape[1]):
+        x = (b if b.ndim == 1 else b[:, c]).tolist()
+        for i, j, m in entries:
+            x[i] += (-m) * x[j]
+        x = [x[i] / (d[i] * d[i]) for i in range(n)]
+        for i, j, m in sorted(entries, key=lambda e: -e[1]):  # stable: ascending i per j
+            x[j] += (-m) * x[i]
+        if b.ndim == 1:
+            out[:] = x
+        else:
+            out[:, c] = x
+    return out
+
+
+@st.composite
+def lower_factors(draw):
+    """A sparse lower factor with positive diagonal: random entries, some
+    stored zeros, maybe a dense first column or a dense last row."""
+    n = draw(st.integers(1, 30))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+    mask = np.tril(gen.random((n, n)) < density, -1)
+    if draw(st.booleans()):
+        mask[1:, 0] = True
+    if draw(st.booleans()):
+        mask[-1, :-1] = True
+    vals = np.where(mask, gen.standard_normal((n, n)), 0.0)
+    zeros = mask & (gen.random((n, n)) < 0.2)
+    np.fill_diagonal(mask, True)
+    np.fill_diagonal(vals, 0.5 + gen.random(n))
+    rows, cols = np.nonzero(mask)
+    vals = np.where(zeros, 0.0, vals)[rows, cols]
+    return CholFactor(CsrMatrix.from_coo(n, n, rows, cols, vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fac=lower_factors(),
+    wide=st.booleans(),
+    k=st.sampled_from([None, 0, 1, 4, 40]),  # 40: more than one chunk of columns
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_sweeps_are_bitwise_their_references(fac, wide, k, fortran, seed):
+    n = fac.n
+    gen = np.random.default_rng(seed)
+    b = gen.standard_normal(n) if k is None else gen.standard_normal((n, k))
+    if fortran:
+        b = np.asfortranarray(b)
+    low = fac.L.to_scipy()
+    if wide:
+        plans = {form: _SweepPlan(widened(fac.L), form) for form in ("lower", "upper", "chol")}
+        for plan in plans.values():
+            for sweep in plan.sweeps:
+                assert sweep.indptr.dtype == sweep.indices.dtype == np.int64
+
+        def solve(form, rhs):
+            return plans[form].solve(rhs)
+    else:
+        def solve(form, rhs):
+            if form == "chol":
+                return chol_solve(fac, rhs)
+            return tri_solve(fac, rhs, form == "upper")
+    kept = b.copy()
+    for form, tri, lower in (("lower", low, True), ("upper", low.T.tocsr(), False)):
+        got = solve(form, b)
+        want = scipy.sparse.linalg.spsolve_triangular(tri, b, lower=lower)
+        assert got.shape == want.shape and got.flags.f_contiguous
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+    got = solve("chol", b)
+    assert got.shape == b.shape and got.flags.f_contiguous
+    assert got.tobytes(order="F") == np.asfortranarray(ref_chol_solve(fac.L, b)).tobytes(order="F")
+    half = scipy.sparse.linalg.spsolve_triangular(low, b, lower=True)
+    twice = scipy.sparse.linalg.spsolve_triangular(low.T.tocsr(), half, lower=False)
+    np.testing.assert_allclose(got, twice, rtol=1e-10, atol=1e-12 * max(1.0, np.abs(twice).max(initial=0.0)))
+    np.testing.assert_array_equal(b, kept)
 
 
 def test_chol_factor_rejects_bad_diagonals():
