@@ -12,20 +12,17 @@ import functools
 import logging
 import math
 import sys
-import time
 
 from . import harness, rng
-from .bregman import DENSIFY_CAP
 from .eigsolve import EigsParams
 from .errors import Breakdown, NotPositiveDefinite, ParseError
-from .harness import ExperimentConfig, parse_config
-from .ichol import ic0
+from .harness import COMMAND_LABELS, POSITIVE_PART, ExperimentConfig, parse_config
 from .matio import load_problem
 from .pcg import pcg_solve
 from .precond import LABELS, POSITIVE_PART_METHODS, build, identity
 from .sketch import SketchParams
 
-_SOLVE_PRECONDS = ("none", *LABELS)
+_DEFAULTS = ExperimentConfig()
 
 _DOWNLOAD_HINT = (
     "matrix files are Matrix Market (.mtx); the benchmark collections can be "
@@ -40,22 +37,22 @@ def _build_parser():
 
     solve = sub.add_parser("solve", help="solve one system with a chosen preconditioner")
     solve.add_argument("matrix", help="Matrix Market file")
-    solve.add_argument("--precond", choices=_SOLVE_PRECONDS, default="breg")
+    solve.add_argument("--precond", choices=COMMAND_LABELS, default="breg")
     group = solve.add_mutually_exclusive_group()
     group.add_argument("--rank", type=int, help="low-rank correction rank r")
     group.add_argument("--rank-frac", type=float, default=0.05, help="r = floor(n * frac)")
     solve.add_argument("--alpha", type=float, default=0.5, help="split for breg_alpha")
-    solve.add_argument("--positive-part", choices=POSITIVE_PART_METHODS, default="nystrom")
-    solve.add_argument("--tol", type=float, default=1e-10)
+    solve.add_argument("--positive-part", choices=POSITIVE_PART_METHODS, default=POSITIVE_PART)
+    solve.add_argument("--tol", type=float, default=_DEFAULTS.tol)
     solve.add_argument("--maxit", type=int, default=100)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--rhs", choices=("random", "atb"), default="random")
-    solve.add_argument("--diag-shift", type=float, default=0.0)
-    solve.add_argument("--eig-tol", type=float, default=1e-2)
+    solve.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    solve.add_argument("--rhs", choices=("random", "atb"), default=_DEFAULTS.rhs_mode)
+    solve.add_argument("--diag-shift", type=float, default=_DEFAULTS.diag_shift)
+    solve.add_argument("--eig-tol", type=float, default=_DEFAULTS.eig_tol)
     solve.add_argument("--eig-budget", type=int, default=60, help="restarts and slack")
-    solve.add_argument("--oversample", type=int, default=60)
-    solve.add_argument("--width-factor", type=float, default=1.5)
-    solve.add_argument("--cap", type=int, default=DENSIFY_CAP, help="densification cap")
+    solve.add_argument("--oversample", type=int, default=_DEFAULTS.oversample)
+    solve.add_argument("--width-factor", type=float, default=_DEFAULTS.width_factor)
+    solve.add_argument("--cap", type=int, default=_DEFAULTS.cap, help="densification cap")
 
     bench = sub.add_parser("bench", help="run a benchmark suite and write CSV")
     # flags given override the config file, which overrides the defaults
@@ -69,42 +66,35 @@ def _build_parser():
     spectrum = sub.add_parser("spectrum", help="dump the scaled-error spectrum to CSV")
     spectrum.add_argument("matrix", help="Matrix Market file")
     spectrum.add_argument("--out", default="spectrum.csv")
-    spectrum.add_argument("--diag-shift", type=float, default=0.0)
-    spectrum.add_argument("--cap", type=int, default=DENSIFY_CAP)
+    spectrum.add_argument("--diag-shift", type=float, default=_DEFAULTS.diag_shift)
+    spectrum.add_argument("--cap", type=int, default=_DEFAULTS.cap)
     return parser
 
 
 def _cmd_solve(args) -> int:
     problem = load_problem(args.matrix, seed=args.seed, rhs_mode=args.rhs)
-    s, b = problem.S, problem.b
-    n = problem.n
+    s, b, n = problem.S, problem.b, problem.n
     r = args.rank if args.rank is not None else int(math.floor(n * args.rank_frac))
     label = args.precond
 
-    if label == "none":
-        p = identity()
-    else:
+    p = identity() if label == "none" else harness.factor_stage(s, args.diag_shift)
+    if label in LABELS:
         eig = EigsParams(args.eig_tol, args.eig_budget, args.eig_budget, rng.derive(args.seed, "eigs"))
         sk = SketchParams(args.oversample, args.width_factor, rng.derive(args.seed, "sketch"))
-        started = time.perf_counter()
-        q = ic0(s, diag_shift=args.diag_shift)
-        factor_seconds = time.perf_counter() - started
         try:
             p = build(
-                label, s, q, r, alpha=args.alpha, eig=eig, sketch=sk,
+                label, s, p.Q, r, alpha=args.alpha, eig=eig, sketch=sk,
                 positive_method=args.positive_part, cap=args.cap,
             )
         except ValueError as exc:  # parameters the builder cannot honour on this matrix
             print(f"error: {label}: {exc}", file=sys.stderr)
             return 2
-        if label == "ichol":  # as in the large suite: the factor is the whole construction
-            p.build_info.seconds = factor_seconds
 
     x, report = pcg_solve(s, b, p, tol=args.tol, maxit=args.maxit)
 
     print(f"matrix            {problem.name} (n={n}, nnz={s.nnz}, origin={problem.origin})")
     print(f"rhs               {problem.rhs_mode} (seed={args.seed}, unit 2-norm)")
-    print(f"preconditioner    {label}" + (f" (r={r})" if label not in ("none", "ichol") else ""))
+    print(f"preconditioner    {label}" + (f" (r={r})" if label in LABELS else ""))
     if label == "breg_alpha":
         print(f"alpha             {args.alpha}")
     print(f"converged         {report.converged}" + ("" if report.converged else f" ({report.reason})"))
@@ -145,7 +135,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     problem = load_problem(args.matrix)
-    factor = ic0(problem.S, diag_shift=args.diag_shift)
+    factor = harness.factor_stage(problem.S, args.diag_shift).Q
     rows = harness.spectrum_rows(problem.S, factor, cap=args.cap)
     harness.write_csv(args.out, harness.SPECTRUM_HEADER, rows)
     print(f"wrote {len(rows)} eigenvalues to {args.out}")
@@ -170,6 +160,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, NotPositiveDefinite) as exc:  # an input the solver cannot take
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # parameters the input cannot take, such as --rhs atb on a square matrix
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -160,6 +160,8 @@ def lanczos_tr(
         raise ValueError(f"unknown ranking {which!r}")
     if bottom and which != "largest":
         raise ValueError("a bottom count needs the 'largest' ranking")
+    if params.max_restarts < 1 or params.slack < 0:
+        raise ValueError("max_restarts must be at least 1 and slack nonnegative")
     n = op.dimension
     if want < 0 or bottom < 0:
         raise ValueError("want and bottom must be nonnegative")

@@ -8,13 +8,16 @@ divergence directions, and whether the three selections coincided.  The
 large suite benchmarks the scalable constructions (sketched and Krylov) with
 timings and exact matrix-product counts.
 
+Every command factors through ``factor_stage``: ``solve`` and ``spectrum``
+once, and each suite once per matrix, in the preamble both suites share.
+
 Failure policy, the same in both suites: a matrix that cannot be loaded is
 logged and skipped.  Every later stage of a matrix (the unpreconditioned
-solve, ``ic0``, the ``ichol`` solve, the dense spectrum, and each build plus
-its solve) is captured on its own, so a failure is logged and becomes an
-``err`` cell (small suite) or an ``err:<ExceptionType>`` row (large suite);
-the stages and matrices after it still run.  Stages that need the failed
-one's result give ``err`` as well.
+solve, the factor stage, the ``ichol`` solve, the dense spectrum, and each
+build plus its solve) is captured on its own, so a failure is logged and
+becomes an ``err`` cell (small suite) or an ``err:<ExceptionType>`` row
+(large suite); the stages and matrices after it still run.  Stages that
+need the failed one's result give ``err`` as well.
 
 Row content is bitwise reproducible for a fixed seed; only the timing
 columns vary between runs.  Per-task seeds are derived from the config seed
@@ -36,7 +39,7 @@ from .eigsolve import EigsParams
 from .ichol import ic0
 from .matio import load_problem
 from .pcg import pcg_solve
-from .precond import LABELS, assemble, build, identity
+from .precond import EXACT_RULES, LABELS, BuildInfo, Preconditioner, assemble, build, identity
 from .sketch import SketchParams
 
 log = logging.getLogger("bregpcg")
@@ -51,8 +54,13 @@ LARGE_HEADER = (
     "construction_s,solve_s,matvecs_S,note"
 ).split(",")
 
-SMALL_PRECONDITIONERS = ("none", "ichol", "rbreg", "svd", "breg")
+# Every label a command runs: no preconditioner, the factor alone, and the builders.
+COMMAND_LABELS = ("none", "ichol", *LABELS)
+SMALL_PRECONDITIONERS = ("none", "ichol", *EXACT_RULES)
 LARGE_PRECONDITIONERS = ("none", "ichol", "nys", "nys_indef", "svd_ks", "breg_alpha")
+# The commands' positive part of breg_alpha, as in the paper's table;
+# ``appendix_mode`` switches the large suite to Krylov.
+POSITIVE_PART = "nystrom"
 
 SMALL_EPSILONS = (0.01, 0.05, 0.1)
 LARGE_EPSILONS = (0.0025, 0.0075)
@@ -91,7 +99,7 @@ class ExperimentConfig:
     def resolved_preconditioners(self):
         """The labels the suite runs: the config's, or all of the suite's
         when none are given.  A label the suite cannot run is a ValueError."""
-        known = SMALL_PRECONDITIONERS if self.suite == "small" else ("none", *LABELS)
+        known = SMALL_PRECONDITIONERS if self.suite == "small" else COMMAND_LABELS
         unknown = [label for label in self.preconditioners if label not in known]
         if unknown:
             raise ValueError(f"unknown preconditioner {', '.join(unknown)}; expected one of {', '.join(known)}")
@@ -178,16 +186,33 @@ def _capture(where: str, stage, *args, **kwargs):
         return exc
 
 
-def _load(cfg: ExperimentConfig, path):
-    """The problem at ``path`` with its right-hand side seeded from the path,
-    or None, logged, when it cannot be loaded."""
-    seed = rng.derive(cfg.seed, f"rhs|{path}")
-    problem = _capture(f"skipping {path}", load_problem, path, seed=seed, rhs_mode=cfg.rhs_mode)
-    return None if isinstance(problem, Exception) else problem
+def factor_stage(s, diag_shift: float = 0.0) -> Preconditioner:
+    """The ``ichol`` preconditioner: the factor ``ic0`` of s, timed alone as its construction."""
+    started = time.perf_counter()
+    q = ic0(s, diag_shift=diag_shift)
+    return Preconditioner(q, label="ichol", build_info=BuildInfo(seconds=time.perf_counter() - started))
 
 
 def _solve(cfg: ExperimentConfig, problem, p):
     return pcg_solve(problem.S, problem.b, p, tol=cfg.tol, maxit=cfg.resolved_maxit())[1]
+
+
+def _open(cfg: ExperimentConfig, path, wanted):
+    """The preamble of both suites: load a matrix (None when it cannot be),
+    then solve with ``none``, run the factor stage and solve with ``ichol``.
+    A failed stage gives its exception, which a failed factor gives for its
+    solve too; a solve not in ``wanted`` gives None."""
+    seed = rng.derive(cfg.seed, f"rhs|{path}")
+    problem = _capture(f"skipping {path}", load_problem, path, seed=seed, rhs_mode=cfg.rhs_mode)
+    if isinstance(problem, Exception):
+        return None
+    none = _capture(f"{problem.name} none", _solve, cfg, problem, identity()) if "none" in wanted else None
+    ichol = report = _capture(f"{problem.name} ic0", factor_stage, problem.S, cfg.diag_shift)
+    if "ichol" not in wanted:
+        report = None
+    elif not isinstance(ichol, Exception):
+        report = _capture(f"{problem.name} ichol", _solve, cfg, problem, ichol)
+    return problem, none, ichol, report
 
 
 def _closed_form(values, idx, r: int, rule: str):
@@ -206,7 +231,7 @@ def _closed_form(values, idx, r: int, rule: str):
 def _truncation_cells(cfg, problem, factor, decomp, r, row) -> None:
     """Fill the iter_, cond_, div_ and coincidence cells of one rank."""
     selections = {}
-    for rule, tag in (("rbld", "rbreg"), ("tsvd", "svd"), ("bld", "breg")):
+    for tag, rule in EXACT_RULES.items():
         where = f"{problem.name} r={r} {tag}"
         idx = _capture(where, select_indices, decomp.values, r, rule)
         if isinstance(idx, Exception):
@@ -233,21 +258,20 @@ def run_small_suite(cfg: ExperimentConfig):
     cfg.resolved_preconditioners()
     rows = []
     for path in cfg.matrices:
-        problem = _load(cfg, path)
-        if problem is None:
+        opened = _open(cfg, path, SMALL_PRECONDITIONERS)
+        if opened is None:
             continue
+        problem, none, ichol, ichol_report = opened
         name, n = problem.name, problem.n
-        none = _capture(f"{name} none", _solve, cfg, problem, identity())
-        factor = ichol = decomp = _capture(f"{name} ic0", ic0, problem.S, diag_shift=cfg.diag_shift)
-        if not isinstance(factor, Exception):
-            ichol = _capture(f"{name} ichol", _solve, cfg, problem, assemble(factor, label="ichol"))
-            decomp = _capture(f"{name} spectrum", lambda: sym_eig(scaled_error(problem.S, factor, cap=cfg.cap)))
+        decomp = ichol if isinstance(ichol, Exception) else _capture(
+            f"{name} spectrum", lambda: sym_eig(scaled_error(problem.S, ichol.Q, cap=cfg.cap))
+        )
         for eps in cfg.resolved_epsilons():
             r = int(math.floor(n * eps))
             row = dict.fromkeys(SMALL_HEADER, "err")
-            row.update(matrix=name, n=n, r=r, iter_none=_iter_cell(none), iter_ichol=_iter_cell(ichol))
+            row.update(matrix=name, n=n, r=r, iter_none=_iter_cell(none), iter_ichol=_iter_cell(ichol_report))
             if not isinstance(decomp, Exception) and r < n:
-                _truncation_cells(cfg, problem, factor, decomp, r, row)
+                _truncation_cells(cfg, problem, ichol.Q, decomp, r, row)
             rows.append([row[k] for k in SMALL_HEADER])
     if cfg.out:
         write_csv(cfg.out, SMALL_HEADER, rows)
@@ -260,20 +284,19 @@ def _large_row(name, n, label, r, alpha, built, report):
     head = [name, n, label, "-" if r is None else r, "-" if alpha is None else _fmt(alpha)]
     if isinstance(report, Exception):
         return head + ["false", "nan", 0, "0", "0", 0, f"err:{type(report).__name__}"]
-    note_parts = list(built.build_info.notes) if built is not None else []
+    info = built.build_info
+    note_parts = list(info.notes)
     if report.residual_discrepancy:
         note_parts.append("residual-discrepancy")
     if not report.converged:
         note_parts.append(report.reason)
-    build_matvecs = built.build_info.matvecs_s if built is not None else 0
-    build_seconds = built.build_info.seconds if built is not None else 0.0
     return head + [
         str(report.converged).lower(),
         _fmt(report.final_rel_residual),
         report.iterations,
-        _fmt(build_seconds),
+        _fmt(info.seconds),
         _fmt(report.time_solve_s),
-        build_matvecs + report.matvecs_S,
+        info.matvecs_s + report.matvecs_S,
         ";".join(note_parts),
     ]
 
@@ -281,45 +304,34 @@ def _large_row(name, n, label, r, alpha, built, report):
 def run_large_suite(cfg: ExperimentConfig):
     """Scalable-construction benchmark suite.  Returns the CSV rows.
 
-    Each rank gets the same rows whether or not ``ic0`` succeeds: ``none``,
-    ``ichol``, then the builders in ``LABELS`` order with one ``breg_alpha``
-    row per alpha.  When ``ic0`` fails, every row after ``none`` carries its
-    exception.
+    Each rank gets the same rows whether or not the factor stage succeeds:
+    ``none``, ``ichol``, then the builders in ``LABELS`` order with one
+    ``breg_alpha`` row per alpha.  When the factor fails, every row after
+    ``none`` carries its exception.
     """
     epsilons = cfg.resolved_epsilons()
     wanted = cfg.resolved_preconditioners()
-    builders = [label for label in LABELS if label in wanted and label != "ichol"]
-    positive_method = "krylov_schur" if cfg.appendix_mode else "nystrom"
+    builders = [label for label in LABELS if label in wanted]
+    positive_method = "krylov_schur" if cfg.appendix_mode else POSITIVE_PART
     rows = []
     for path in cfg.matrices:
-        problem = _load(cfg, path)
-        if problem is None:
+        opened = _open(cfg, path, wanted)
+        if opened is None:
             continue
+        problem, none, ichol, ichol_report = opened
         name, n = problem.name, problem.n
-        none = _capture(f"{name} none", _solve, cfg, problem, identity()) if "none" in wanted else None
-        started = time.perf_counter()
-        factor = _capture(f"{name} ic0", ic0, problem.S, diag_shift=cfg.diag_shift)
-        factor_seconds = time.perf_counter() - started
-        failed = isinstance(factor, Exception)
-        ichol = None
-        if "ichol" in wanted and failed:
-            ichol = (None, factor)
-        elif "ichol" in wanted:
-            p_ichol = assemble(factor, label="ichol")
-            p_ichol.build_info.seconds = factor_seconds
-            ichol = (p_ichol, _capture(f"{name} ichol", _solve, cfg, problem, p_ichol))
         for eps in epsilons:
             r = int(math.floor(n * eps))
             if none is not None:
-                rows.append(_large_row(name, n, "none", None, None, None, none))
-            if ichol is not None:
-                rows.append(_large_row(name, n, "ichol", None, None, *ichol))
+                rows.append(_large_row(name, n, "none", None, None, identity(), none))
+            if ichol_report is not None:
+                rows.append(_large_row(name, n, "ichol", None, None, ichol, ichol_report))
             for label in builders:
                 for alpha in cfg.alphas if label == "breg_alpha" else (None,):
                     where = f"{name} r={r} {label}"
                     seed = rng.derive(cfg.seed, f"{name}|{label}|{r}|{alpha}")
-                    built = factor if failed else _capture(
-                        where, build, label, problem.S, factor, r, alpha=alpha,
+                    built = ichol if isinstance(ichol, Exception) else _capture(
+                        where, build, label, problem.S, ichol.Q, r, alpha=alpha,
                         eig=_eig_budget(eps, epsilons, cfg.eig_tol, seed),
                         sketch=SketchParams(cfg.oversample, cfg.width_factor, seed),
                         positive_method=positive_method, cap=cfg.cap,

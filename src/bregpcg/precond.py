@@ -32,7 +32,7 @@ Builders differ only in how they estimate each end of E:
 - exact: the dense eigendecomposition of E, truncated (no S-products).
 
 ``build`` maps a label from ``LABELS`` to its builder for the CLI and the
-large suite.
+large suite; the factor alone (``ichol``) comes from ``harness.factor_stage``.
 """
 
 import math
@@ -332,9 +332,10 @@ def build_svd_krylov(
     return _low_rank_build(s, q, label or "svd_ks", estimate)
 
 
-# Every label the CLI and the large suite build, in the large suite's row order.
-LABELS = ("ichol", "nys", "nys_indef", "svd_ks", "breg_alpha", "breg", "rbreg", "svd")
-_EXACT_RULES = {"breg": "bld", "rbreg": "rbld", "svd": "tsvd"}
+# Every label ``build`` maps to a builder, in the large suite's row order.
+LABELS = ("nys", "nys_indef", "svd_ks", "breg_alpha", "breg", "rbreg", "svd")
+# The exact truncations and their selection rules, in the small suite's column order.
+EXACT_RULES = {"rbreg": "rbld", "svd": "tsvd", "breg": "bld"}
 _SKETCH_VARIANTS = {"nys": "nystrom", "nys_indef": "nystrom_indefinite"}
 
 
@@ -352,18 +353,17 @@ def build(
 ) -> Preconditioner:
     """Build the preconditioner a label from ``LABELS`` names, on the factor q.
 
-    ``ichol`` is the factor alone; ``breg``, ``rbreg`` and ``svd`` are exact
-    truncations under ``cap``; ``nys`` and ``nys_indef`` sketch with
-    ``sketch``; ``svd_ks`` and ``breg_alpha`` run Lanczos with ``eig``
-    (``breg_alpha`` splits r by ``alpha`` and takes its positive part by
-    ``positive_method``, Krylov by default as in ``build_alpha``).  Krylov
-    builds keep partial estimates as notes.
+    ``breg``, ``rbreg`` and ``svd`` are exact truncations under ``cap``;
+    ``nys`` and ``nys_indef`` sketch with ``sketch``; ``svd_ks`` and
+    ``breg_alpha`` run Lanczos with ``eig`` (``breg_alpha`` splits r by
+    ``alpha`` and takes its positive part by ``positive_method``, Krylov by
+    default as in ``build_alpha``; the commands pass
+    ``harness.POSITIVE_PART``).  Krylov builds keep partial estimates as
+    notes.
     """
     eig = eig or EigsParams()
-    if label == "ichol":
-        return assemble(q, label=label)
-    if label in _EXACT_RULES:
-        return build_exact(s, q, r, _EXACT_RULES[label], cap=cap, label=label)
+    if label in EXACT_RULES:
+        return build_exact(s, q, r, EXACT_RULES[label], cap=cap, label=label)
     if label in _SKETCH_VARIANTS:
         return build_randomized(s, q, r, _SKETCH_VARIANTS[label], sketch, label=label)
     if label == "svd_ks":

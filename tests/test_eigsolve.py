@@ -155,6 +155,14 @@ def test_bottom_zero_is_the_largest_ranking_bitwise():
     assert np.array_equal(plain.residual_norms, ends.residual_norms)
 
 
+def test_budget_below_one_restart_rejected():
+    op = operator_from_dense(np.diag(np.arange(10.0)))
+    with pytest.raises(ValueError, match="max_restarts must be at least 1"):
+        lanczos_tr(op, 2, EigsParams(max_restarts=0, slack=2))
+    with pytest.raises(ValueError, match="slack nonnegative"):
+        lanczos_tr(op, 2, EigsParams(slack=-1))
+
+
 def test_bottom_count_needs_the_largest_ranking_and_room():
     op = operator_from_dense(np.diag(np.arange(10.0)))
     with pytest.raises(ValueError, match="bottom"):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ from bregpcg import (
     spectrum_rows,
     write_matrix_market,
 )
-from bregpcg import sparse_core
+from bregpcg import ichol, sparse_core
 from bregpcg.bregman import gamma, nu
 from bregpcg.precond import LABELS
 from conftest import bumped_band, laplacian_2d
@@ -459,7 +460,7 @@ def run_cli(*args):
     )
 
 
-@pytest.mark.parametrize("label", ["none", *LABELS])
+@pytest.mark.parametrize("label", ["none", "ichol", *LABELS])
 def test_cli_solve_smoke(tmp_path, label):
     path = write_instance(tmp_path / "cli_a.mtx", bumped_band(50, seed=14))
     # a Lanczos basis of r + 60 vectors would not fit n = 50
@@ -485,12 +486,92 @@ def test_cli_solve_builder_error_exits_two(tmp_path):
     assert "error: svd_ks: subspace dimension 64 exceeds operator dimension 50" in proc.stderr
 
 
+def test_cli_solve_rhs_atb_on_a_square_matrix_exits_two(tmp_path):
+    path = write_instance(tmp_path / "cli_h.mtx", bumped_band(20, seed=14))
+    proc = run_cli("solve", path, "--precond", "ichol", "--rhs", "atb")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error: rhs mode 'atb' applies only to normal equations" in proc.stderr
+
+
+def test_cli_solve_eig_budget_below_one_restart_exits_two(tmp_path):
+    path = write_instance(tmp_path / "cli_i.mtx", bumped_band(20, seed=14))
+    proc = run_cli("solve", path, "--precond", "svd_ks", "--rank", "2", "--eig-budget", "0")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error: svd_ks: max_restarts must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command", [("solve", "--precond", "ichol"), ("spectrum", "--out", "spec.csv")], ids=["solve", "spectrum"]
+)
+def test_cli_nonpositive_diagonal_exits_two(tmp_path, monkeypatch, capsys, command):
+    from bregpcg import cli
+
+    monkeypatch.chdir(tmp_path)
+    write_instance("bad.mtx", indefinite_tridiagonal(30))
+    assert cli.main([command[0], "bad.mtx", *command[1:]]) == 2
+    assert "error: matrix diagonal must be strictly positive" in capsys.readouterr().err
+
+
+def count_ic0(monkeypatch):
+    """Count factorizations by replacing every bregpcg module's binding of ic0."""
+    original = ichol.ic0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bregpcg" or name.startswith("bregpcg."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["none", "ichol", *LABELS])
+def test_cli_solve_factors_at_most_once(tmp_path, monkeypatch, label):
+    from bregpcg import cli
+
+    path = write_instance(tmp_path / "once.mtx", bumped_band(50, seed=14))
+    calls = count_ic0(monkeypatch)
+    assert cli.main(["solve", path, "--precond", label, "--rank", "4", "--eig-budget", "20"]) == 0
+    assert len(calls) == (0 if label == "none" else 1)
+
+
+def test_cli_spectrum_and_suites_factor_once_per_matrix(tmp_path, monkeypatch):
+    from bregpcg import cli
+
+    paths = [write_instance(tmp_path / f"m{i}.mtx", bumped_band(120, seed=i)) for i in range(2)]
+    calls = count_ic0(monkeypatch)
+    assert cli.main(["spectrum", paths[0], "--out", str(tmp_path / "spec.csv")]) == 0
+    assert len(calls) == 1
+    configs = [
+        ExperimentConfig(suite="small"),
+        ExperimentConfig(suite="small", preconditioners=("none",)),
+        ExperimentConfig(suite="large", epsilons=(0.05, 0.1), alphas=(0.0, 1.0), oversample=20),
+        ExperimentConfig(suite="large", preconditioners=("none",)),
+        ExperimentConfig(suite="large", epsilons=(0.05,), preconditioners=("ichol", "svd_ks", "breg")),
+    ]
+    for cfg in configs:
+        del calls[:]
+        run = run_small_suite if cfg.suite == "small" else run_large_suite
+        rows = run(dataclasses.replace(cfg, matrices=tuple(paths)))
+        assert rows and len(calls) == len(paths), cfg
+
+
 def test_cli_solve_ichol_reports_factor_time(tmp_path):
     path = write_instance(tmp_path / "cli_e.mtx", laplacian_2d(30))
     proc = run_cli("solve", path, "--precond", "ichol")
     assert proc.returncode == 0, proc.stderr
     line = next(row for row in proc.stdout.splitlines() if row.startswith("construction (s)"))
     assert float(line.split()[-1]) > 0.0
+    # the large suite's ichol rows report the factor time as well
+    rows = run_large_suite(ExperimentConfig(suite="large", matrices=(path,), preconditioners=("ichol",)))
+    assert {row[LARGE_HEADER.index("preconditioner")] for row in rows} == {"ichol"}
+    assert all(float(row[LARGE_HEADER.index("construction_s")]) > 0.0 for row in rows)
 
 
 def test_cli_calls_in_one_process_share_one_parser(tmp_path, capsys):

@@ -35,6 +35,7 @@ from bregpcg import (
 )
 from bregpcg import eigsolve, precond, rng, sparse_core
 from bregpcg.dense_kernels import sym_eig
+from bregpcg.harness import factor_stage
 from bregpcg.precond import LABELS, build
 from conftest import bumped_band, laplacian_2d
 
@@ -593,7 +594,7 @@ def count_spmv(monkeypatch):
 
 _CONVERGED = EigsParams(tol=1e-8, slack=20, seed=4)
 _PARTIAL = EigsParams(tol=1e-14, max_restarts=1, slack=5, seed=4)
-_COUNT_CASES = [(label, {}) for label in LABELS] + [
+_COUNT_CASES = [(label, {}) for label in ("ichol", *LABELS)] + [
     ("breg_alpha", {"alpha": 0.0, "positive_method": "nystrom"}),  # eta probe
     ("breg_alpha", {"alpha": 0.5, "positive_method": "krylov_schur"}),
     ("breg_alpha", {"alpha": 1.0, "positive_method": "krylov_schur"}),
@@ -612,7 +613,7 @@ def test_build_reports_the_spmv_calls_it_makes(monkeypatch, label, options):
     fac = ic0(s)
     kwargs = {"alpha": 0.5, "eig": _CONVERGED, "sketch": SketchParams(oversample=20, seed=4), **options}
     calls = count_spmv(monkeypatch)
-    p = build(label, s, fac, 6, **kwargs)
+    p = factor_stage(s) if label == "ichol" else build(label, s, fac, 6, **kwargs)
     assert p.label == label
     assert len(calls) == p.build_info.matvecs_s
     if label in ("ichol", "breg", "rbreg", "svd"):
@@ -632,6 +633,16 @@ def test_build_rejects_unknown_label():
     s = band(20)
     with pytest.raises(ValueError, match="breg_alfa"):
         build("breg_alfa", s, ic0(s), 2)
+
+
+def test_ichol_is_the_factor_stage_not_a_build_label():
+    s = band(20)
+    assert "ichol" not in LABELS
+    with pytest.raises(ValueError, match="'ichol'"):
+        build("ichol", s, ic0(s), 2)
+    p = factor_stage(s, 0.1)
+    assert (p.label, p.kind, p.build_info.matvecs_s) == ("ichol", "factor_only", 0)
+    np.testing.assert_array_equal(p.Q.L.values, ic0(s, diag_shift=0.1).L.values)
 
 
 # Counts, notes and iterations are exact; Ritz values hold to rel 1e-10 only,
