@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import logging
 import math
+import os
 import sys
 
 from . import harness, rng
@@ -28,6 +29,14 @@ _DOWNLOAD_HINT = (
     "matrix files are Matrix Market (.mtx); the benchmark collections can be "
     "downloaded from the SuiteSparse collection at https://sparse.tamu.edu"
 )
+
+
+def _check_out(out) -> None:
+    """Reject an output path that cannot be written before any matrix is
+    loaded, so a bad path costs no run and gets no download hint."""
+    folder = os.path.dirname(out) or os.curdir
+    if os.path.isdir(out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValueError(f"cannot write {out}: not a file in a writable directory")
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
@@ -49,7 +58,7 @@ def _build_parser():
     solve.add_argument("--rhs", choices=("random", "atb"), default=_DEFAULTS.rhs_mode)
     solve.add_argument("--diag-shift", type=float, default=_DEFAULTS.diag_shift)
     solve.add_argument("--eig-tol", type=float, default=_DEFAULTS.eig_tol)
-    solve.add_argument("--eig-budget", type=int, default=60, help="restarts and slack")
+    solve.add_argument("--eig-budget", type=int, default=EigsParams.max_restarts, help="restarts and slack")
     solve.add_argument("--oversample", type=int, default=_DEFAULTS.oversample)
     solve.add_argument("--width-factor", type=float, default=_DEFAULTS.width_factor)
     solve.add_argument("--cap", type=int, default=_DEFAULTS.cap, help="densification cap")
@@ -127,6 +136,7 @@ def _cmd_bench(args) -> int:
         print("no matrices given (positional arguments or 'matrices = ...' in the config)", file=sys.stderr)
         print(_DOWNLOAD_HINT, file=sys.stderr)
         return 2
+    _check_out(cfg.out)
     runner = harness.run_small_suite if cfg.suite == "small" else harness.run_large_suite
     rows = runner(cfg)
     print(f"wrote {len(rows)} rows to {cfg.out}")
@@ -134,6 +144,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    _check_out(args.out)
     problem = load_problem(args.matrix)
     factor = harness.factor_stage(problem.S, args.diag_shift).Q
     rows = harness.spectrum_rows(problem.S, factor, cap=args.cap)
@@ -161,7 +172,7 @@ def main(argv=None) -> int:
     except (ParseError, NotPositiveDefinite) as exc:  # an input the solver cannot take
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # parameters the input cannot take, such as --rhs atb on a square matrix
+    except ValueError as exc:  # parameters or an --out the run cannot take, such as --rhs atb on a square matrix
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

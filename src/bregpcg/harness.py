@@ -9,24 +9,35 @@ large suite benchmarks the scalable constructions (sketched and Krylov) with
 timings and exact matrix-product counts.
 
 Every command factors through ``factor_stage``: ``solve`` and ``spectrum``
-once, and each suite once per matrix, in the preamble both suites share.
+once, except ``solve --precond none``, and each suite at most once per
+matrix, in the preamble both suites share.  The preamble factors only when
+a wanted label other than ``none`` reads the factor, so the small suite
+always factors and a large table of ``none`` rows alone never does.
 
 Failure policy, the same in both suites: a matrix that cannot be loaded is
 logged and skipped.  Every later stage of a matrix (the unpreconditioned
 solve, the factor stage, the ``ichol`` solve, the dense spectrum, and each
 build plus its solve) is captured on its own, so a failure is logged and
 becomes an ``err`` cell (small suite) or an ``err:<ExceptionType>`` row
-(large suite); the stages and matrices after it still run.  Stages that
-need the failed one's result give ``err`` as well.
+(large suite); the stages and matrices after it still run.  One rule
+carries a failure forward: a stage run after a failed one it depends on
+does not run and gives that failure, so it is logged once.
 
 Row content is bitwise reproducible for a fixed seed; only the timing
 columns vary between runs.  Per-task seeds are derived from the config seed
-and the row's identity, so runs do not depend on execution order.
+and the row's identity, so runs do not depend on execution order.  Two
+more inputs enter a row.  The right-hand side's seed hashes the matrix path
+after ``os.path.normpath``, so ``m.mtx`` and ``./m.mtx`` give the same rows
+but an absolute and a relative spelling of one file do not; hashing the
+matrix name instead would move the benchmark's pinned reference tables.
+And a large-suite Krylov row's eigensolver budget depends on the epsilon
+grid (see ``_eig_budget``).
 """
 
 import csv
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, fields
 
@@ -79,9 +90,9 @@ class ExperimentConfig:
     preconditioners: tuple = ()  # empty means all for the suite
     appendix_mode: bool = False  # Krylov positive part instead of Nystrom
     rhs_mode: str = "random"
-    eig_tol: float = 1e-2
-    oversample: int = 60
-    width_factor: float = 1.5
+    eig_tol: float = EigsParams.tol
+    oversample: int = SketchParams.oversample
+    width_factor: float = SketchParams.width_factor
     diag_shift: float = 0.0
     cap: int = DENSIFY_CAP
     out: str = ""
@@ -172,13 +183,21 @@ def _iter_cell(report) -> str:
 
 
 def _eig_budget(eps: float, all_eps, base_tol: float, seed: int) -> EigsParams:
+    """Lanczos parameters of a large-suite row: 60 restarts and 60 slack
+    vectors at the grid's smallest eps, 100 of each otherwise.  A row's
+    cost thus depends on the rest of the grid: ``svd_ks`` at r = 11 on the
+    15x15-grid Poisson matrix plus 0.01 I takes 85 S-products with
+    ``epsilons = 0.05`` and 125 with ``epsilons = 0.01, 0.05``."""
     budget = 60 if eps == min(all_eps) else 100
     return EigsParams(tol=base_tol, max_restarts=budget, slack=budget, seed=seed)
 
 
-def _capture(where: str, stage, *args, **kwargs):
+def _capture(where: str, stage, *args, after=None, **kwargs):
     """Run one stage of a table.  A failure is logged and returned in place
-    of the result, so it becomes an ``err`` cell or row and the table goes on."""
+    of the result, so it becomes an ``err`` cell or row and the table goes on;
+    a stage called ``after=`` a failed stage's exception returns it unrun."""
+    if isinstance(after, Exception):
+        return after
     try:
         return stage(*args, **kwargs)
     except Exception as exc:
@@ -197,54 +216,54 @@ def _solve(cfg: ExperimentConfig, problem, p):
     return pcg_solve(problem.S, problem.b, p, tol=cfg.tol, maxit=cfg.resolved_maxit())[1]
 
 
-def _open(cfg: ExperimentConfig, path, wanted):
-    """The preamble of both suites: load a matrix (None when it cannot be),
-    then solve with ``none``, run the factor stage and solve with ``ichol``.
-    A failed stage gives its exception, which a failed factor gives for its
-    solve too; a solve not in ``wanted`` gives None."""
-    seed = rng.derive(cfg.seed, f"rhs|{path}")
-    problem = _capture(f"skipping {path}", load_problem, path, seed=seed, rhs_mode=cfg.rhs_mode)
-    if isinstance(problem, Exception):
-        return None
-    none = _capture(f"{problem.name} none", _solve, cfg, problem, identity()) if "none" in wanted else None
-    ichol = report = _capture(f"{problem.name} ic0", factor_stage, problem.S, cfg.diag_shift)
-    if "ichol" not in wanted:
-        report = None
-    elif not isinstance(ichol, Exception):
-        report = _capture(f"{problem.name} ichol", _solve, cfg, problem, ichol)
-    return problem, none, ichol, report
+def _opened(cfg: ExperimentConfig, wanted):
+    """The preamble of both suites, for each matrix that loads (the others
+    are logged and skipped): solve with ``none``, run the factor stage and
+    solve with ``ichol``.  A solve whose label is not in ``wanted`` gives
+    None, and so does the factor stage when ``none`` is the only wanted
+    label; a failed stage gives its exception.  The right-hand side's seed
+    hashes the normalised path."""
+    reads_factor = any(label != "none" for label in wanted)
+    for path in cfg.matrices:
+        seed = rng.derive(cfg.seed, f"rhs|{os.path.normpath(path)}")
+        problem = _capture(f"skipping {path}", load_problem, path, seed=seed, rhs_mode=cfg.rhs_mode)
+        if isinstance(problem, Exception):
+            continue
+        name = problem.name
+        none = _capture(f"{name} none", _solve, cfg, problem, identity()) if "none" in wanted else None
+        ichol = _capture(f"{name} ic0", factor_stage, problem.S, cfg.diag_shift) if reads_factor else None
+        report = _capture(f"{name} ichol", _solve, cfg, problem, ichol, after=ichol) if "ichol" in wanted else None
+        yield problem, none, ichol, report
 
 
-def _closed_form(values, idx, r: int, rule: str):
+def _closed_form(decomp, idx, r: int, rule: str):
     """The cond_ and div_ cells of a truncation.
 
     W copies r eigenpairs of E, so P^-1 S has the eigenvalue 1 r times and
     1 + theta for every theta left out; the curve rejects theta <= -1
     (mu <= 0) before any cell is formed.
     """
-    rest = np.delete(values, idx)
+    rest = np.delete(decomp.values, idx)
     div = (nu if rule == "rbld" else gamma)(rest).sum()
     mu = np.concatenate([np.ones(r), 1.0 + rest])
     return _fmt(mu.max() / mu.min()), _fmt(div)
 
 
-def _truncation_cells(cfg, problem, factor, decomp, r, row) -> None:
-    """Fill the iter_, cond_, div_ and coincidence cells of one rank."""
+def _truncation_cells(cfg, problem, ichol, decomp, r, row) -> None:
+    """Fill the iter_, cond_, div_ and coincidence cells of one rank; a
+    failed spectrum leaves them ``err``."""
     selections = {}
     for tag, rule in EXACT_RULES.items():
         where = f"{problem.name} r={r} {tag}"
-        idx = _capture(where, select_indices, decomp.values, r, rule)
-        if isinstance(idx, Exception):
-            continue
-        selections[tag] = idx
-        report = _capture(where, lambda: _solve(cfg, problem, assemble(factor, truncate(decomp, idx), label=tag)))
+        idx = selections[tag] = _capture(where, lambda: select_indices(decomp.values, r, rule), after=decomp)
+        report = _capture(
+            where, lambda: _solve(cfg, problem, assemble(ichol.Q, truncate(decomp, idx), label=tag)), after=idx
+        )
         row[f"iter_{tag}"] = _iter_cell(report)
-        if isinstance(report, Exception):
-            continue
-        cells = _capture(where, _closed_form, decomp.values, idx, r, rule)
+        cells = _capture(where, _closed_form, decomp, idx, r, rule, after=report)
         if not isinstance(cells, Exception):
             row[f"cond_{tag}"], row[f"div_{tag}"] = cells
-    if len(selections) == 3:
+    if not any(isinstance(idx, Exception) for idx in selections.values()):
         row["truncations_coincide"] = str(selections["rbreg"] == selections["svd"] == selections["breg"]).lower()
 
 
@@ -257,21 +276,17 @@ def run_small_suite(cfg: ExperimentConfig):
     """
     cfg.resolved_preconditioners()
     rows = []
-    for path in cfg.matrices:
-        opened = _open(cfg, path, SMALL_PRECONDITIONERS)
-        if opened is None:
-            continue
-        problem, none, ichol, ichol_report = opened
+    for problem, none, ichol, ichol_report in _opened(cfg, SMALL_PRECONDITIONERS):
         name, n = problem.name, problem.n
-        decomp = ichol if isinstance(ichol, Exception) else _capture(
-            f"{name} spectrum", lambda: sym_eig(scaled_error(problem.S, ichol.Q, cap=cfg.cap))
+        decomp = _capture(
+            f"{name} spectrum", lambda: sym_eig(scaled_error(problem.S, ichol.Q, cap=cfg.cap)), after=ichol
         )
         for eps in cfg.resolved_epsilons():
             r = int(math.floor(n * eps))
             row = dict.fromkeys(SMALL_HEADER, "err")
             row.update(matrix=name, n=n, r=r, iter_none=_iter_cell(none), iter_ichol=_iter_cell(ichol_report))
-            if not isinstance(decomp, Exception) and r < n:
-                _truncation_cells(cfg, problem, ichol.Q, decomp, r, row)
+            if r < n:
+                _truncation_cells(cfg, problem, ichol, decomp, r, row)
             rows.append([row[k] for k in SMALL_HEADER])
     if cfg.out:
         write_csv(cfg.out, SMALL_HEADER, rows)
@@ -314,11 +329,7 @@ def run_large_suite(cfg: ExperimentConfig):
     builders = [label for label in LABELS if label in wanted]
     positive_method = "krylov_schur" if cfg.appendix_mode else POSITIVE_PART
     rows = []
-    for path in cfg.matrices:
-        opened = _open(cfg, path, wanted)
-        if opened is None:
-            continue
-        problem, none, ichol, ichol_report = opened
+    for problem, none, ichol, ichol_report in _opened(cfg, wanted):
         name, n = problem.name, problem.n
         for eps in epsilons:
             r = int(math.floor(n * eps))
@@ -330,13 +341,13 @@ def run_large_suite(cfg: ExperimentConfig):
                 for alpha in cfg.alphas if label == "breg_alpha" else (None,):
                     where = f"{name} r={r} {label}"
                     seed = rng.derive(cfg.seed, f"{name}|{label}|{r}|{alpha}")
-                    built = ichol if isinstance(ichol, Exception) else _capture(
-                        where, build, label, problem.S, ichol.Q, r, alpha=alpha,
+                    built = _capture(where, lambda: build(
+                        label, problem.S, ichol.Q, r, alpha=alpha,
                         eig=_eig_budget(eps, epsilons, cfg.eig_tol, seed),
                         sketch=SketchParams(cfg.oversample, cfg.width_factor, seed),
                         positive_method=positive_method, cap=cfg.cap,
-                    )
-                    report = built if isinstance(built, Exception) else _capture(where, _solve, cfg, problem, built)
+                    ), after=ichol)
+                    report = _capture(where, _solve, cfg, problem, built, after=built)
                     rows.append(_large_row(name, n, label, r, alpha, built, report))
     if cfg.out:
         write_csv(cfg.out, LARGE_HEADER, rows)

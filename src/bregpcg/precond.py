@@ -263,6 +263,7 @@ def build_alpha(
     top Ritz value of a short one-pair probe run inflated by its residual
     norm and a one percent margin (it scales the convergence test; see
     ``smallest_part``).
+    Without ``sketch_params`` the Nystrom part uses ``SketchParams(seed=eig_params.seed)``.
     ``allow_partial`` downgrades eigensolver NoConvergence to a note
     and continues with the partial estimates.
     """
@@ -306,11 +307,10 @@ def build_randomized(
     as InfeasibleLowRank; nothing is repaired here."""
     if variant not in ("nystrom", "nystrom_indefinite"):
         raise ValueError(f"unknown sketch variant {variant!r}")
-    params = sketch_params or sketch_mod.SketchParams()
 
     def estimate(scaled, notes):
         sketch = sketch_mod.nystrom if variant == "nystrom" else sketch_mod.nystrom_indefinite
-        return [sketch(_minus_identity(scaled), r, params)]
+        return [sketch(_minus_identity(scaled), r, sketch_params)]
 
     return _low_rank_build(s, q, label or variant, estimate)
 

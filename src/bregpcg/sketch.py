@@ -33,7 +33,12 @@ class SketchParams:
 
 
 def _nystrom_core(op: LinearOperator, r: int, width: int, seed: int) -> LowRank:
+    """Both sketches at rank r and the given width; rank 0 needs no sketch."""
+    if r < 0:
+        raise ValueError("rank must be nonnegative")
     n = op.dimension
+    if r == 0:
+        return LowRank.empty(n)
     omega = rng.normal_matrix(seed, n, width)  # the Gaussian test matrix
     sample = op.apply(omega)  # one block: exactly `width` applications
     core = omega.T @ sample
@@ -77,10 +82,6 @@ def nystrom(op: LinearOperator, r: int, params: SketchParams | None = None) -> L
     the achievable rank and a RankCollapse warning is issued.
     """
     params = params or SketchParams()
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
-    if r == 0:
-        return LowRank.empty(op.dimension)
     return _nystrom_core(op, r, r + params.oversample, params.seed)
 
 
@@ -92,9 +93,4 @@ def nystrom_indefinite(op: LinearOperator, r: int, params: SketchParams | None =
     kept direction.
     """
     params = params or SketchParams()
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
-    if r == 0:
-        return LowRank.empty(op.dimension)
-    width = math.ceil(params.width_factor * r)
-    return _nystrom_core(op, r, width, params.seed)
+    return _nystrom_core(op, r, math.ceil(params.width_factor * r), params.seed)

@@ -548,18 +548,62 @@ def test_cli_spectrum_and_suites_factor_once_per_matrix(tmp_path, monkeypatch):
     calls = count_ic0(monkeypatch)
     assert cli.main(["spectrum", paths[0], "--out", str(tmp_path / "spec.csv")]) == 0
     assert len(calls) == 1
+    # the small suite fills every column, so it always factors; a large
+    # table of none rows alone reads no factor
     configs = [
-        ExperimentConfig(suite="small"),
-        ExperimentConfig(suite="small", preconditioners=("none",)),
-        ExperimentConfig(suite="large", epsilons=(0.05, 0.1), alphas=(0.0, 1.0), oversample=20),
-        ExperimentConfig(suite="large", preconditioners=("none",)),
-        ExperimentConfig(suite="large", epsilons=(0.05,), preconditioners=("ichol", "svd_ks", "breg")),
+        (ExperimentConfig(suite="small"), 1),
+        (ExperimentConfig(suite="small", preconditioners=("none",)), 1),
+        (ExperimentConfig(suite="large", epsilons=(0.05, 0.1), alphas=(0.0, 1.0), oversample=20), 1),
+        (ExperimentConfig(suite="large", preconditioners=("none",)), 0),
+        (ExperimentConfig(suite="large", epsilons=(0.05,), preconditioners=("ichol", "svd_ks", "breg")), 1),
     ]
-    for cfg in configs:
+    for cfg, per_matrix in configs:
         del calls[:]
         run = run_small_suite if cfg.suite == "small" else run_large_suite
         rows = run(dataclasses.replace(cfg, matrices=tuple(paths)))
-        assert rows and len(calls) == len(paths), cfg
+        assert rows and len(calls) == per_matrix * len(paths), cfg
+
+
+def test_large_table_of_none_rows_reads_no_factor(tmp_path, monkeypatch, caplog):
+    # ic0 breaks down on the squared 21x21-grid Laplacian (row 439 of 441),
+    # which a table that asks for no factor must not run into
+    monkeypatch.chdir(tmp_path)
+    dense = laplacian_2d(21)
+    write_instance("p21sq.mtx", dense @ dense)
+    calls = count_ic0(monkeypatch)
+    with caplog.at_level("INFO", logger="bregpcg"):
+        rows = run_large_suite(ExperimentConfig(suite="large", matrices=("p21sq.mtx",), preconditioners=("none",)))
+    assert [row[LARGE_HEADER.index("preconditioner")] for row in rows] == ["none", "none"]
+    assert not any(row[LARGE_HEADER.index("note")].startswith("err") for row in rows)
+    assert calls == [] and not [msg for msg in caplog.messages if "ic0" in msg]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("bench", "--suite", "small", "--out"), ("spectrum", "--out")],
+    ids=["bench", "spectrum"],
+)
+def test_cli_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, command):
+    from bregpcg import cli
+
+    path = write_instance(tmp_path / "out_m.mtx", bumped_band(60, seed=5))
+    out = str(tmp_path / "missing_dir" / "x.csv")
+    calls = count_ic0(monkeypatch)
+    assert cli.main([command[0], path, *command[1:], out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}" in err
+    assert "sparse.tamu.edu" not in err
+    assert calls == [] and not (tmp_path / "missing_dir").exists()
+
+
+def test_rhs_seed_reads_the_normalised_path(tmp_path, monkeypatch):
+    # on this matrix the spelling ./p15.mtx used to give other iteration counts
+    monkeypatch.chdir(tmp_path)
+    write_instance("p15.mtx", laplacian_2d(15) + 0.01 * np.eye(225))
+    plain = run_small_suite(ExperimentConfig(suite="small", matrices=("p15.mtx",)))
+    dotted = run_small_suite(ExperimentConfig(suite="small", matrices=("./p15.mtx",)))
+    assert plain == dotted
+    assert [row[SMALL_HEADER.index("iter_none")] for row in plain] == ["54"] * 3
 
 
 def test_cli_solve_ichol_reports_factor_time(tmp_path):

@@ -67,6 +67,15 @@ def test_nystrom_rank_zero_request():
     assert w.rank == 0 and w.n == 6
 
 
+@pytest.mark.parametrize("sketch", [nystrom, nystrom_indefinite])
+def test_both_sketches_check_the_rank_alike(sketch):
+    op = CountingOperator(operator_from_dense(np.eye(6)))
+    with pytest.raises(ValueError, match="rank must be nonnegative"):
+        sketch(op, -1)
+    w = sketch(op, 0)
+    assert (w.rank, w.n, op.count) == (0, 6, 0)
+
+
 def test_nystrom_matvec_count_is_sketch_width():
     x = exact_rank_psd(80, 4, seed=6)
     op = CountingOperator(operator_from_dense(x))
