@@ -18,7 +18,7 @@ from . import harness, rng
 from .eigsolve import EigsParams
 from .errors import Breakdown, NotPositiveDefinite, ParseError
 from .harness import COMMAND_LABELS, POSITIVE_PART, ExperimentConfig, parse_config
-from .matio import load_problem
+from .matio import RHS_MODES, load_problem
 from .pcg import pcg_solve
 from .precond import LABELS, POSITIVE_PART_METHODS, build, identity
 from .sketch import SketchParams
@@ -55,7 +55,7 @@ def _build_parser():
     solve.add_argument("--tol", type=float, default=_DEFAULTS.tol)
     solve.add_argument("--maxit", type=int, default=100)
     solve.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    solve.add_argument("--rhs", choices=("random", "atb"), default=_DEFAULTS.rhs_mode)
+    solve.add_argument("--rhs", choices=RHS_MODES, default=_DEFAULTS.rhs_mode)
     solve.add_argument("--diag-shift", type=float, default=_DEFAULTS.diag_shift)
     solve.add_argument("--eig-tol", type=float, default=_DEFAULTS.eig_tol)
     solve.add_argument("--eig-budget", type=int, default=EigsParams.max_restarts, help="restarts and slack")

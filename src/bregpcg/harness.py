@@ -48,7 +48,7 @@ from .bregman import DENSIFY_CAP, gamma, nu, scaled_error, select_indices, trunc
 from .dense_kernels import sym_eig
 from .eigsolve import EigsParams
 from .ichol import ic0
-from .matio import load_problem
+from .matio import RHS_MODES, load_problem
 from .pcg import pcg_solve
 from .precond import EXACT_RULES, LABELS, BuildInfo, Preconditioner, assemble, build, identity
 from .sketch import SketchParams
@@ -120,6 +120,7 @@ class ExperimentConfig:
 
 
 _ITEM_TYPES = {"matrices": str, "epsilons": float, "alphas": float, "preconditioners": str}
+_CHOICES = {"suite": ("small", "large"), "rhs_mode": RHS_MODES}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
@@ -135,7 +136,9 @@ def parse_config(path) -> ExperimentConfig:
     ``#`` starts a comment, blank lines are skipped, list values are comma
     separated, booleans accept true/false/yes/no/on/off/1/0.  Keys match the
     ExperimentConfig field names, and each value is cast by the type of the
-    field's default.
+    field's default.  ``suite`` must be small or large, ``rhs_mode`` random
+    or atb, and ``maxit`` at least 0 (0 is the suite default); any other
+    value is a ValueError naming its line, before any run.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -160,8 +163,10 @@ def parse_config(path) -> ExperimentConfig:
                 values[key] = (_to_bool if isinstance(default, bool) else type(default))(value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
-        if key == "suite" and value not in ("small", "large"):
-            raise ValueError(f"config line {lineno}: unknown suite {value!r}; expected small or large")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ValueError(f"config line {lineno}: unknown {key} {value!r}; expected {' or '.join(_CHOICES[key])}")
+        if key == "maxit" and values[key] < 0:
+            raise ValueError(f"config line {lineno}: maxit must be >= 0 (0 means the suite default)")
     return ExperimentConfig(**values)
 
 

@@ -1,9 +1,24 @@
 """Matrix Market input and output, plus right-hand-side generation.
 
 Reads coordinate and array files with real or integer fields and general or
-symmetric storage.  Duplicate coordinate entries are summed.  Symmetric
-files store the lower triangle; the upper one is mirrored on read.  Stored
-zeros are kept, because they are part of the sparsity pattern.
+symmetric storage; the header's words after ``%%MatrixMarket`` may be in any
+case.  Other fields and symmetries raise UnsupportedFormat.  After the size
+line, the data block is parsed in one ``np.loadtxt`` call: one entry a line
+(``row col value``, or one value in column-major order for an array), with
+lines that hold only a ``%`` comment, and blank lines, skipped anywhere.
+Indices and integer values must be integers that fit in int64.  Duplicate
+coordinate entries are summed.  Symmetric files store the lower triangle;
+the upper one is mirrored on read.  Stored zeros are kept, because they are
+part of the sparsity pattern.
+
+Everything else is a ParseError: a size line without the right count of
+nonnegative integers, a symmetric file that is not square, an entry with the
+wrong number of tokens (a ``% text`` after an entry included) or a token that
+does not parse, an index out of range, an entry above the diagonal of a
+symmetric file, and more or fewer entries than the size line declares.  The
+error names the size line by its line number and an entry by its 1-based
+position in the data block; for an entry that does not parse it passes on
+numpy's message.
 
 Right-hand sides default to a random unit-norm vector drawn from the pinned
 generator in :mod:`bregpcg.rng`, so a (matrix, seed) pair always yields the
@@ -11,7 +26,10 @@ same problem.  For normal-equations problems an A^T * (random) mode is
 available as well; the choice is recorded on the instance.
 """
 
+import io
 import os
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +41,8 @@ from .sparse_core import CsrMatrix, sparse_ata
 _FIELDS = ("real", "integer")
 _SYMMETRIES = ("general", "symmetric")
 _WRITE_BLOCK = 65536  # entries formatted per write
+# a whole comment line of the data block; "%" after an entry is not a comment
+_COMMENT_LINE = re.compile(rb"^[^\S\n]*%.*$", re.MULTILINE)
 
 
 def _parse_header(line: str):
@@ -50,29 +70,32 @@ def read_matrix_market(source) -> CsrMatrix:
     return _read_stream(source)
 
 
-def _data_lines(handle):
-    for lineno, raw in enumerate(handle, start=2):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        yield lineno, line
-
-
 def _read_stream(handle) -> CsrMatrix:
     header = handle.readline()
     if not header:
         raise ParseError("empty input")
     layout, field, symmetry = _parse_header(header)
-    lines = _data_lines(handle)
-
-    try:
-        lineno, size_line = next(lines)
-    except StopIteration:
-        raise ParseError("missing size line") from None
-
+    for lineno, raw in enumerate(handle, start=2):
+        size_line = raw.strip()
+        if size_line and not size_line.startswith("%"):
+            break
+    else:
+        raise ParseError("missing size line")
+    n_rows, n_cols, *nnz = _split_size(size_line, lineno, 3 if layout == "coordinate" else 2)
+    if symmetry == "symmetric" and n_rows != n_cols:
+        raise ParseError(f"line {lineno}: symmetric matrices must be square")
     if layout == "coordinate":
-        return _read_coordinate(lines, size_line, lineno, field, symmetry)
-    return _read_array(lines, size_line, lineno, field, symmetry)
+        return _coordinate(_read_entries(handle, field, nnz[0], ("i", "j")), n_rows, n_cols, symmetry)
+
+    count = n_rows * (n_rows + 1) // 2 if symmetry == "symmetric" else n_rows * n_cols
+    values = _read_entries(handle, field, count)["v"].astype(np.float64)
+    if symmetry == "general":
+        return CsrMatrix.from_dense(values.reshape((n_cols, n_rows)).T)  # column-major file order
+    dense = np.zeros((n_rows, n_cols))
+    # the packed lower triangle, column by column, is the upper one row by row
+    upper = np.triu_indices(n_rows)
+    dense[upper] = dense.T[upper] = values
+    return CsrMatrix.from_dense(dense)
 
 
 def _split_size(size_line, lineno, expect):
@@ -88,80 +111,44 @@ def _split_size(size_line, lineno, expect):
     return nums
 
 
-def _parse_value(token, field, lineno):
-    try:
-        if field == "integer":
-            return float(int(token))
-        return float(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad {field} value {token!r}") from None
-
-
-def _read_coordinate(lines, size_line, size_lineno, field, symmetry) -> CsrMatrix:
-    n_rows, n_cols, nnz = _split_size(size_line, size_lineno, 3)
-    if symmetry == "symmetric" and n_rows != n_cols:
-        raise ParseError("symmetric matrices must be square")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    count = 0
-    for lineno, line in lines:
-        if count >= nnz:
-            raise ParseError(f"line {lineno}: more entries than the size line declared")
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: coordinate entries need 'row col value'")
+def _read_entries(handle, field, count, indices=()):
+    """The rest of the stream, one entry a line: int64 columns named by
+    ``indices``, then the value ``v``, in one structured array."""
+    dtype = [(name, np.int64) for name in indices] + [("v", np.int64 if field == "integer" else np.float64)]
+    # as bytes, the text takes a quarter of the memory io.StringIO gives it
+    data = handle.read().encode()
+    if b"%" in data:  # a scan at C speed spares the regex a comment-free file
+        data = _COMMENT_LINE.sub(b"", data)
+    with warnings.catch_warnings():
+        # no entries is for the count below to judge; numpy < 2 reads "1.0"
+        # into an integer column with only a DeprecationWarning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
         try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad indices") from None
-        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-            raise ParseError(f"line {lineno}: index ({i}, {j}) out of range")
-        if symmetry == "symmetric" and j > i:
-            raise ParseError(f"line {lineno}: symmetric files must store the lower triangle")
-        rows[count], cols[count] = i - 1, j - 1
-        vals[count] = _parse_value(parts[2], field, lineno)
-        count += 1
-    if count != nnz:
-        raise ParseError(f"expected {nnz} entries, found {count}")
+            entries = np.loadtxt(io.BytesIO(data), dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ParseError(f"bad {field} entry: {str(exc).split('; use')[0]}") from None
+    if len(entries) > count:
+        raise ParseError(f"entry {count + 1}: more entries than the size line declared")
+    if len(entries) < count:
+        raise ParseError(f"expected {count} entries, found {len(entries)}")
+    return entries
+
+
+def _coordinate(entries, n_rows, n_cols, symmetry) -> CsrMatrix:
+    i, j = entries["i"], entries["j"]
+    out = (i < 1) | (i > n_rows) | (j < 1) | (j > n_cols)
+    if out.any():
+        k = out.argmax()
+        raise ParseError(f"entry {k + 1}: index ({i[k]}, {j[k]}) out of range")
+    if symmetry == "symmetric" and (j > i).any():
+        raise ParseError(f"entry {(j > i).argmax() + 1}: symmetric files must store the lower triangle")
+    rows, cols, vals = i - 1, j - 1, entries["v"].astype(np.float64)
     if symmetry == "symmetric":
         off = rows != cols
-        mirrored_rows = np.concatenate([rows, cols[off]])
-        mirrored_cols = np.concatenate([cols, rows[off]])
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
         vals = np.concatenate([vals, vals[off]])
-        rows, cols = mirrored_rows, mirrored_cols
     return CsrMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
-
-
-def _read_array(lines, size_line, size_lineno, field, symmetry) -> CsrMatrix:
-    n_rows, n_cols = _split_size(size_line, size_lineno, 2)
-    if symmetry == "symmetric":
-        if n_rows != n_cols:
-            raise ParseError("symmetric matrices must be square")
-        expected = n_rows * (n_rows + 1) // 2
-    else:
-        expected = n_rows * n_cols
-    data = np.empty(expected, dtype=np.float64)
-    count = 0
-    for lineno, line in lines:
-        for token in line.split():
-            if count >= expected:
-                raise ParseError(f"line {lineno}: more values than the size line declared")
-            data[count] = _parse_value(token, field, lineno)
-            count += 1
-    if count != expected:
-        raise ParseError(f"expected {expected} values, found {count}")
-    dense = np.zeros((n_rows, n_cols))
-    if symmetry == "general":
-        dense = data.reshape((n_cols, n_rows)).T.copy()  # column-major file order
-    else:
-        pos = 0
-        for j in range(n_cols):
-            block = n_rows - j
-            dense[j:, j] = data[pos : pos + block]
-            dense[j, j:] = data[pos : pos + block]
-            pos += block
-    return CsrMatrix.from_dense(dense)
 
 
 def write_matrix_market(path, a: CsrMatrix) -> None:
@@ -189,6 +176,9 @@ def make_rhs(n: int, seed: int) -> np.ndarray:
     return rng.unit_vector(seed, n)
 
 
+RHS_MODES = ("random", "atb")
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A loaded benchmark problem: the SPD matrix, its RHS, and provenance."""
@@ -213,7 +203,7 @@ def load_problem(path, seed: int = 0, rhs_mode: str = "random") -> ProblemInstan
     columns).  ``rhs_mode`` is ``"random"`` for a unit-norm random vector or
     ``"atb"`` for A^T times a random unit vector (normal equations only).
     """
-    if rhs_mode not in ("random", "atb"):
+    if rhs_mode not in RHS_MODES:
         raise ValueError(f"unknown rhs mode {rhs_mode!r}")
     a = read_matrix_market(path)
     name = os.path.splitext(os.path.basename(os.fspath(path)))[0]

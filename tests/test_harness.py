@@ -708,6 +708,26 @@ def test_cli_bench_rejects_a_bad_config(tmp_path, text, message):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rhs_mode = bogus", "config line 2: unknown rhs_mode 'bogus'; expected random or atb"),
+        ("maxit = -3", "config line 2: maxit must be >= 0"),
+    ],
+)
+def test_cli_bench_rejects_config_values_no_run_can_use(tmp_path, line, message):
+    # each value was read as given: every matrix was then skipped (a bad
+    # rhs_mode) or solved with 0 iterations (a negative maxit), and exit 0
+    path = write_instance(tmp_path / "cli_v.mtx", bumped_band(40, seed=3))
+    config = tmp_path / "v.cfg"
+    config.write_text(f"suite = large\n{line}\npreconditioners = none\n")
+    proc = run_cli("bench", path, "--config", str(config), "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {config}: {message}" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_bench_unknown_label_in_config_exits_two(tmp_path):
     path = write_instance(tmp_path / "cli_h.mtx", bumped_band(40, seed=3))
     config = tmp_path / "typo.cfg"

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregpcg import matio
 from bregpcg import (
@@ -230,3 +232,120 @@ def test_load_problem_atb_rhs(tmp_path):
     write_matrix_market(sq, CsrMatrix.from_dense(np.eye(3)))
     with pytest.raises(ValueError):
         load_problem(str(sq), seed=0, rhs_mode="atb")
+
+
+_GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        pytest.param(_GENERAL + "2 2\n1 1 1\n", ParseError, id="size_line_count"),
+        pytest.param(_GENERAL + "2 2.0 1\n1 1 1\n", ParseError, id="size_line_not_integer"),
+        pytest.param(_GENERAL + "2 -2 1\n1 1 1\n", ParseError, id="size_line_negative"),
+        pytest.param(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1\n", ParseError, id="symmetric_coordinate_not_square"
+        ),
+        pytest.param(
+            "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n4\n5\n", ParseError, id="symmetric_array_not_square"
+        ),
+        pytest.param("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n5\n", ParseError, id="array_too_many"),
+        pytest.param("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n", ParseError, id="array_too_few"),
+        pytest.param(
+            "%%MatrixMarket matrix array integer general\n2 2\n1\n-2\n3\n4\n", [[1.0, 3.0], [-2.0, 4.0]], id="array_integer"
+        ),
+        pytest.param(
+            "%%MatrixMarket matrix array real symmetric\n% before the size line\n\n2 2\n1\n% between values\n\n-2\n  % indented\n3\n",
+            [[1.0, -2.0], [-2.0, 3.0]],
+            id="array_comment_and_blank_lines",
+        ),
+        pytest.param(
+            "%%MatrixMarket matrix coordinate real symmetric\n%\n2 2 3\n1 1 2\n% a comment\n\n2 1 -1\n   \n  %indented\n2 2 5\n",
+            [[2.0, -1.0], [-1.0, 5.0]],
+            id="coordinate_comment_and_blank_lines",
+        ),
+        pytest.param("%%MatrixMarket MATRIX Coordinate Real General\n1 2 1\n1 2 7\n", [[0.0, 7.0]], id="upper_case_header"),
+        pytest.param(_GENERAL + "2 2 1\n1 1\n", ParseError, id="entry_two_tokens"),
+        pytest.param(_GENERAL + "2 2 1\n1 1 1 0\n", ParseError, id="entry_four_tokens"),
+        pytest.param(_GENERAL + "2 2 1\n1 1 1 % text\n", ParseError, id="entry_trailing_comment"),
+        pytest.param(_GENERAL + "2 2 1\n1.0 1 1\n", ParseError, id="index_not_integer"),
+        pytest.param("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 2.5\n", ParseError, id="integer_field_fraction"),
+        pytest.param(_GENERAL + "2 2 1\n1 1 1\n2 2 1\n", ParseError, id="more_entries_than_declared"),
+    ],
+)
+def test_reader_branches_are_pinned(text, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            read_matrix_market(io.StringIO(text))
+    else:
+        a = read_matrix_market(io.StringIO(text))
+        assert a.to_dense().tobytes() == np.asarray(expected).tobytes()
+
+
+# the values a text round trip most easily gets wrong, and stored zeros
+_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def square_patterns(draw):
+    """A square matrix: a stored-entry mask and a value for every cell."""
+    n = draw(st.integers(1, 7))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=bool).reshape(n, n)
+    values = np.array(draw(st.lists(_VALUES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return mask, values
+
+
+def _csr_bytes(a):
+    return a.row_ptr.tobytes(), a.col_idx.tobytes(), a.values.tobytes()
+
+
+def _expected_csr(mask, values):
+    """CSR of the stored cells, row by row, built without the reader."""
+    rows, cols = np.nonzero(mask)
+    row_ptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    return CsrMatrix(*mask.shape, row_ptr, cols, values[rows, cols])
+
+
+def _symmetric_coordinate_text(mask, values):
+    n = len(mask)
+    rows, cols = np.nonzero(np.tril(mask))
+    lines = [f"{i + 1} {j + 1} {float(values[i, j])!r}\n" for i, j in zip(rows, cols)]
+    return f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(lines)}\n" + "".join(lines)
+
+
+def _array_text(values, symmetry):
+    n = len(values)
+    if symmetry == "general":
+        column_major = values.T.ravel()
+    else:  # the lower triangle, column by column
+        column_major = np.concatenate([values[j:, j] for j in range(n)])
+    body = "".join(f"{float(v)!r}\n" for v in column_major)
+    return f"%%MatrixMarket matrix array real {symmetry}\n{n} {n}\n" + body
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_patterns(), st.integers(1, 3))
+def test_text_round_trip_is_bitwise(tmp_path_factory, pattern, n_extra_cols):
+    mask, values = pattern
+    # a rectangular general matrix, stored zeros and signed zeros included
+    wide_mask = np.hstack([mask, mask[:, :n_extra_cols]])
+    wide_values = np.hstack([values, values[:, :n_extra_cols]])
+    a = _expected_csr(wide_mask, wide_values)
+    path = tmp_path_factory.mktemp("roundtrip") / "a.mtx"
+    write_matrix_market(path, a)
+    assert _csr_bytes(read_matrix_market(path)) == _csr_bytes(a)
+
+    # the symmetric matrix with the lower triangle's pattern and values
+    low = np.tril(mask)
+    full_mask = low | low.T
+    full_values = np.where(np.tri(len(mask), dtype=bool), values, values.T)
+    back = read_matrix_market(io.StringIO(_symmetric_coordinate_text(mask, values)))
+    assert _csr_bytes(back) == _csr_bytes(_expected_csr(full_mask, full_values))
+
+    # array files hold every cell; exact zeros (of either sign) are not stored
+    for symmetry, dense in (("general", values), ("symmetric", full_values)):
+        back = read_matrix_market(io.StringIO(_array_text(dense, symmetry)))
+        assert _csr_bytes(back) == _csr_bytes(_expected_csr(dense != 0, dense))
