@@ -67,7 +67,7 @@ from .precond import (
     smallest_part,
 )
 from .sketch import SketchParams, nystrom, nystrom_indefinite
-from .sparse_core import CholFactor, CsrMatrix, chol_solve, sparse_ata, spmv, tri_solve
+from .sparse_core import CholFactor, CsrMatrix, chol_solve, scaled_apply, sparse_ata, spmv, tri_solve
 
 __version__ = "0.1.0"
 
@@ -123,6 +123,7 @@ __all__ = [
     "read_matrix_market",
     "run_large_suite",
     "run_small_suite",
+    "scaled_apply",
     "scaled_error",
     "scaled_operator",
     "select_indices",

@@ -30,7 +30,7 @@ import scipy.linalg
 from .dense_kernels import EigenDecomposition, dense_cholesky
 from .eigsolve import LinearOperator
 from .errors import CapExceeded, EigenvalueOutOfDomain, NotPositiveDefinite
-from .sparse_core import CholFactor, CsrMatrix, spmv, tri_solve
+from .sparse_core import CholFactor, CsrMatrix, scaled_apply, tri_solve
 
 DENSIFY_CAP = 4096
 
@@ -110,25 +110,17 @@ def scaled_error(s: CsrMatrix, q: CholFactor, cap: int = DENSIFY_CAP) -> np.ndar
 
 
 def scaled_operator(s: CsrMatrix, q: CholFactor) -> LinearOperator:
-    """v -> Q^{-1} S Q^{-T} v.  One S product and two triangular solves.
+    """v -> Q^{-1} S Q^{-T} v, one ``sparse_core.scaled_apply`` per application.
 
-    An (n, k) block takes one upper block solve, one S product per column
-    and one lower block solve, and equals its column-by-column applications
+    The kernel fuses the upper solve, the S-product and the lower solve
+    around the factor's sweeps, makes one ``spmv`` call per vector or block
+    column, and returns a fresh C-ordered array that the caller may update
+    in place.  An (n, k) block equals its column-by-column applications
     bitwise.
     """
     if s.n_rows != q.n:
         raise ValueError("matrix and factor orders differ")
-
-    def apply(v):
-        half = tri_solve(q, v, transposed=True)
-        if half.ndim == 1:
-            return tri_solve(q, spmv(s, half))
-        prod = np.empty_like(half)
-        for i in range(half.shape[1]):
-            prod[:, i] = spmv(s, half[:, i])
-        return tri_solve(q, prod)
-
-    return LinearOperator(s.n_rows, apply)
+    return LinearOperator(s.n_rows, lambda v: scaled_apply(s, q, v))
 
 
 def select_indices(values, r: int, rule: str):

@@ -81,6 +81,8 @@ def _build_parser():
 
 
 def _cmd_solve(args) -> int:
+    if args.maxit < 0:
+        raise ValueError(f"--maxit must be >= 0, not {args.maxit}")
     problem = load_problem(args.matrix, seed=args.seed, rhs_mode=args.rhs)
     s, b, n = problem.S, problem.b, problem.n
     r = args.rank if args.rank is not None else int(math.floor(n * args.rank_frac))

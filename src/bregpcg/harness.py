@@ -121,6 +121,12 @@ class ExperimentConfig:
 
 _ITEM_TYPES = {"matrices": str, "epsilons": float, "alphas": float, "preconditioners": str}
 _CHOICES = {"suite": ("small", "large"), "rhs_mode": RHS_MODES}
+# what a value must be for some row to use it: (test on one value, wording)
+_RANGES = {
+    "maxit": (lambda x: x >= 0, ">= 0 (0 means the suite default)"),
+    "epsilons": (lambda x: x >= 0.0, ">= 0"),
+    "alphas": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
@@ -137,8 +143,9 @@ def parse_config(path) -> ExperimentConfig:
     separated, booleans accept true/false/yes/no/on/off/1/0.  Keys match the
     ExperimentConfig field names, and each value is cast by the type of the
     field's default.  ``suite`` must be small or large, ``rhs_mode`` random
-    or atb, and ``maxit`` at least 0 (0 is the suite default); any other
-    value is a ValueError naming its line, before any run.
+    or atb, ``maxit`` at least 0 (0 is the suite default), every epsilon at
+    least 0 and every alpha in [0, 1]; any other value is a ValueError
+    naming its line, before any run.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -165,8 +172,11 @@ def parse_config(path) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: {exc}") from None
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ValueError(f"config line {lineno}: unknown {key} {value!r}; expected {' or '.join(_CHOICES[key])}")
-        if key == "maxit" and values[key] < 0:
-            raise ValueError(f"config line {lineno}: maxit must be >= 0 (0 means the suite default)")
+        if key in _RANGES:
+            usable, wording = _RANGES[key]
+            bad = [x for x in (values[key] if isinstance(default, tuple) else (values[key],)) if not usable(x)]
+            if bad:
+                raise ValueError(f"config line {lineno}: {key} must be {wording}, not {bad[0]!r}")
     return ExperimentConfig(**values)
 
 

@@ -174,8 +174,25 @@ def _recompress(parts: list[LowRank], n: int) -> LowRank:
 
 
 def _minus_identity(op: LinearOperator) -> LinearOperator:
-    """v -> op(v) - v; on the scaled operator, the scaled error."""
-    return LinearOperator(op.dimension, lambda v: op.apply(v) - v)
+    """v -> op(v) - v; on the scaled operator, the scaled error.  op's
+    result must be fresh: it is updated in place."""
+
+    def apply(v):
+        y = op.apply(v)
+        y -= v
+        return y
+
+    return LinearOperator(op.dimension, apply)
+
+
+def _shifted(op: LinearOperator, eta: float) -> LinearOperator:
+    """v -> eta * v - op(v); op's result must be fresh: it is overwritten."""
+
+    def apply(v):
+        y = op.apply(v)
+        return np.subtract(eta * v, y, out=y)
+
+    return LinearOperator(op.dimension, apply)
 
 
 def _low_rank_build(s: CsrMatrix, q: CholFactor, label: str, estimate) -> Preconditioner:
@@ -208,8 +225,7 @@ def _bottom(scaled, r, eta, params, notes, allow_partial) -> LowRank:
     """Bottom of the scaled error: the top of eta*I - Q^{-1} S Q^{-T}, mapped
     back by theta = (eta - 1) - lambda.  Any eta gives the bottom (see
     ``smallest_part``); it sets only the scale of the per-pair test."""
-    shifted = LinearOperator(scaled.dimension, lambda v: eta * v - scaled.apply(v))
-    est = _lanczos(shifted, r, params, notes, allow_partial)
+    est = _lanczos(_shifted(scaled, eta), r, params, notes, allow_partial)
     return LowRank(est.vectors, (eta - 1.0) - est.values)
 
 

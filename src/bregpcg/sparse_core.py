@@ -24,7 +24,13 @@ sweeps once per form (see ``_SweepPlan``):
   scalings are the same divisions and products;
 - chol, (L L^T) x = b (``chol_solve``): the lower sweep, x / d^2, then the
   sweep with M^T.  It agrees with two ``tri_solve`` calls, and with the
-  fused SuperLU solve earlier versions made, up to roundoff.
+  fused SuperLU solve earlier versions made, up to roundoff;
+- scaled, Q^-1 S Q^-T v (``scaled_apply``, the operator the low-rank
+  builders apply): the upper and lower forms run in place around one
+  ``spmv`` call per vector or block column, bitwise ``tri_solve(q, spmv(s,
+  tri_solve(q, v, True)))`` without its copies and layout changes.  Each
+  S-product stays a separate ``spmv`` call through this module's binding,
+  because that is where S-products are counted.
 
 ``tests/test_sparse_core.py`` checks ``spmv`` bitwise against scipy's
 product and pins the in-place reading of ``csr_matvec``, which guards the
@@ -376,6 +382,47 @@ def chol_solve(factor: CholFactor, b) -> np.ndarray:
     if b.shape[0] != factor.n:
         raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
     return factor._chol_plan.solve(b)
+
+
+def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
+    """Q^-1 S Q^-T v for Q = ``factor``: the upper solve, S, the lower solve, fused.
+
+    Bitwise ``tri_solve(factor, spmv(s, tri_solve(factor, v, True)))``, with
+    the plans' own scalings: the reversed ``v`` divided by the upper pivots
+    into one fresh C-ordered buffer, the upper sweep in place, a scaling by
+    1 / d into the S-product's input, the lower sweep in place on the
+    product, and a scaling by 1 / d in place.  ``v`` may be a vector or a
+    dense (n, k) block, whose columns come out as k vector applications
+    would.  A block is swept C-ordered, since ``csr_matvecs`` reads the k
+    values of a row as one run.  Its S-product input is Fortran-ordered:
+    each product overwrites its own contiguous input column, and one layout
+    change then moves all of them into the swept buffer, which costs less
+    than writing each product into a strided column of it.
+
+    Each S-product is one ``spmv`` call, one per column of a block, looked
+    up through this module's binding when it runs: tracers and tests count
+    the S-products by wrapping that binding, so a single ``csr_matvecs``
+    product with S would hide them.  The result is fresh and C-ordered, so
+    callers may update it in place; ``v`` is never written.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    n = factor.L.n_rows
+    if s.n_rows != n or s.n_cols != n or v.shape[0] != n:
+        raise ValueError(f"matrix {s.shape} and operand {v.shape} do not match factor order {n}")
+    upper, lower = factor._upper_plan, factor._lower_plan
+    col = (slice(None), None) if v.ndim == 2 else slice(None)
+    x = np.divide(v[::-1], upper.pivots[col], order="C")
+    upper.sweeps[0].run(x)
+    half = np.multiply(x[::-1], upper.invdiag[col], order="F")
+    if v.ndim == 1:
+        x = spmv(s, half)
+    else:
+        for i in range(v.shape[1]):
+            half[:, i] = spmv(s, half[:, i])
+        x[...] = half
+    lower.sweeps[0].run(x)
+    x *= lower.invdiag[col]
+    return x
 
 
 def sparse_ata(a: CsrMatrix) -> CsrMatrix:

@@ -494,6 +494,16 @@ def test_cli_solve_rhs_atb_on_a_square_matrix_exits_two(tmp_path):
     assert "error: rhs mode 'atb' applies only to normal equations" in proc.stderr
 
 
+def test_cli_solve_negative_maxit_exits_two(tmp_path):
+    # it ran 0 iterations and exited 1, as an unconverged solve does
+    path = write_instance(tmp_path / "cli_m.mtx", bumped_band(20, seed=14))
+    proc = run_cli("solve", path, "--precond", "none", "--maxit", "-3")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error: --maxit must be >= 0, not -3" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_solve_eig_budget_below_one_restart_exits_two(tmp_path):
     path = write_instance(tmp_path / "cli_i.mtx", bumped_band(20, seed=14))
     proc = run_cli("solve", path, "--precond", "svd_ks", "--rank", "2", "--eig-budget", "0")
@@ -713,11 +723,14 @@ def test_cli_bench_rejects_a_bad_config(tmp_path, text, message):
     [
         ("rhs_mode = bogus", "config line 2: unknown rhs_mode 'bogus'; expected random or atb"),
         ("maxit = -3", "config line 2: maxit must be >= 0"),
+        ("epsilons = 0.05, -0.5", "config line 2: epsilons must be >= 0, not -0.5"),
+        ("alphas = 0.5, 1.5", "config line 2: alphas must be in [0, 1], not 1.5"),
     ],
 )
 def test_cli_bench_rejects_config_values_no_run_can_use(tmp_path, line, message):
     # each value was read as given: every matrix was then skipped (a bad
-    # rhs_mode) or solved with 0 iterations (a negative maxit), and exit 0
+    # rhs_mode), solved with 0 iterations (a negative maxit), or given rows
+    # that fail (r = floor(eps * n) < 0, alpha outside [0, 1]), and exit 0
     path = write_instance(tmp_path / "cli_v.mtx", bumped_band(40, seed=3))
     config = tmp_path / "v.cfg"
     config.write_text(f"suite = large\n{line}\npreconditioners = none\n")

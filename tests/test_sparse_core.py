@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import _sparsetools
 
-from bregpcg import CholFactor, CsrMatrix, chol_solve, ic0, sparse_ata, spmv, tri_solve
+from bregpcg import (
+    CholFactor, CsrMatrix, chol_solve, ic0, scaled_apply, scaled_operator, sparse_ata, spmv, tri_solve,
+)
+from bregpcg import sparse_core
+from bregpcg.precond import _minus_identity, _shifted
 from bregpcg.sparse_core import _SweepPlan
 from conftest import bumped_band, laplacian_2d
 
@@ -464,6 +468,119 @@ def test_property_sweeps_are_bitwise_their_references(fac, wide, k, fortran, see
     twice = scipy.sparse.linalg.spsolve_triangular(low.T.tocsr(), half, lower=False)
     np.testing.assert_allclose(got, twice, rtol=1e-10, atol=1e-12 * max(1.0, np.abs(twice).max(initial=0.0)))
     np.testing.assert_array_equal(b, kept)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes(order="C") == b.tobytes(order="C")
+
+
+def random_square(gen, n) -> CsrMatrix:
+    """A sparse n x n matrix with some stored zeros."""
+    mask = gen.random((n, n)) < 0.3
+    rows, cols = np.nonzero(mask)
+    vals = np.where(gen.random(len(rows)) < 0.1, 0.0, gen.standard_normal(len(rows)))
+    return CsrMatrix.from_coo(n, n, rows, cols, vals)
+
+
+def with_int64_indices(fac: CholFactor, s: CsrMatrix):
+    """A copy of ``fac`` whose cached sweep plans, and a stand-in for ``s``
+    whose arrays, have int64 indices, which CsrMatrix keeps only from 2**31."""
+    wide = CholFactor(fac.L)
+    for form in ("upper", "lower"):
+        plan = _SweepPlan(widened(fac.L), form)
+        assert plan.sweeps[0].indptr.dtype == plan.sweeps[0].indices.dtype == np.int64
+        wide.__dict__[f"_{form}_plan"] = plan
+    return wide, SimpleNamespace(shape=s.shape, **vars(widened(s)), n_cols=s.n_cols)
+
+
+def check_scaled_apply(fac, s, v, wide=False, eta=1.5):
+    """``scaled_apply`` and the operators built on it against their
+    definitions, bitwise, column by column for a block."""
+    n, k = fac.n, None if v.ndim == 1 else v.shape[1]
+
+    def reference(x):
+        return tri_solve(fac, spmv(s, tri_solve(fac, x, True)))
+
+    want = reference(v) if k is None else np.empty((n, k))
+    for i in range(k or 0):
+        want[:, i] = reference(v[:, i])
+    kept = v.copy()
+    original, calls = sparse_core.spmv, []
+
+    def counted(a, x):
+        calls.append(1)
+        return original(a, x)
+
+    fac_used, s_used = with_int64_indices(fac, s) if wide else (fac, s)
+    sparse_core.spmv = counted  # the binding the kernel looks up when it runs
+    try:
+        got = scaled_apply(s_used, fac_used, v)
+    finally:
+        sparse_core.spmv = original
+    assert same_bits(got, want)
+    assert len(calls) == (1 if k is None else k)
+    assert same_bits(v, kept)
+    assert got.flags.owndata and got.flags.writeable and not np.shares_memory(got, v)
+
+    op = scaled_operator(s, fac)
+    assert same_bits(_minus_identity(op).apply(v), op.apply(v) - v)
+    assert same_bits(_shifted(op, eta).apply(v), eta * v - op.apply(v))
+    assert same_bits(v, kept)
+
+
+def diagonal_factor(n):
+    return CholFactor(CsrMatrix.from_dense(np.diag(0.5 + np.arange(n, dtype=float))))
+
+
+def dense_first_column_factor():
+    dense = np.diag(1.0 + np.arange(12.0))
+    dense[1:, 0] = np.linspace(-2.0, 3.0, 11)
+    return CholFactor(CsrMatrix.from_dense(dense))
+
+
+SCALED_FACTORS = {
+    "1x1": lambda: diagonal_factor(1),
+    "diagonal": lambda: diagonal_factor(9),
+    "dense_first_column": dense_first_column_factor,
+    "stored_zero": factor_with_stored_zero,
+    "ic0_poisson20": PLAN_FACTORS["ic0_poisson20"],
+}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
+@pytest.mark.parametrize("k", [None, 0, 1, 4, 40])
+@pytest.mark.parametrize("name", sorted(SCALED_FACTORS))
+def test_scaled_apply_is_bitwise_its_definition(name, k, wide):
+    fac = SCALED_FACTORS[name]()
+    gen = np.random.default_rng(21)
+    s = random_square(gen, fac.n)
+    v = gen.standard_normal(fac.n) if k is None else gen.standard_normal((fac.n, k))
+    check_scaled_apply(fac, s, v, wide)
+    if k is not None:
+        check_scaled_apply(fac, s, np.asfortranarray(v), wide)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fac=lower_factors(),
+    wide=st.booleans(),
+    k=st.sampled_from([None, 0, 1, 4, 40]),
+    fortran=st.booleans(),
+    eta=st.floats(0.5, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_scaled_apply_is_bitwise_its_definition(fac, wide, k, fortran, eta, seed):
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal(fac.n) if k is None else gen.standard_normal((fac.n, k))
+    check_scaled_apply(fac, random_square(gen, fac.n), np.asfortranarray(v) if fortran else v, wide, eta)
+
+
+def test_scaled_apply_checks_orders():
+    fac = diagonal_factor(4)
+    with pytest.raises(ValueError, match="factor order 4"):
+        scaled_apply(CsrMatrix.from_dense(np.eye(5)), fac, np.ones(5))
+    with pytest.raises(ValueError, match="factor order 4"):
+        scaled_apply(CsrMatrix.from_dense(np.eye(4)), fac, np.ones((3, 2)))
 
 
 def test_chol_factor_rejects_bad_diagonals():
