@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dense_kernels import EigenDecomposition, dense_cholesky
+from .dense_kernels import EigenDecomposition, dense_cholesky, sym_eig, thin_qr
 from .eigsolve import LinearOperator
 from .errors import CapExceeded, EigenvalueOutOfDomain, NotPositiveDefinite
 from .sparse_core import CholFactor, CsrMatrix, scaled_apply, tri_solve
@@ -191,6 +191,14 @@ class LowRank:
 
     def as_dense(self) -> np.ndarray:
         return (self.Z * self.lam) @ self.Z.T
+
+
+def compress(z: np.ndarray, lam: np.ndarray) -> LowRank:
+    """Z diag(lam) Z^T, for any Z, in eigen form: a thin QR Z = Q R, the
+    eigendecomposition V diag(mu) V^T of R diag(lam) R^T, then (Q V, mu)."""
+    q, r = thin_qr(z)
+    small = sym_eig((r * lam) @ r.T)
+    return LowRank(q @ small.vectors, small.values)
 
 
 def truncate(decomp: EigenDecomposition, indices) -> LowRank:

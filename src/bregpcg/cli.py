@@ -81,8 +81,9 @@ def _build_parser():
 
 
 def _cmd_solve(args) -> int:
-    if args.maxit < 0:
-        raise ValueError(f"--maxit must be >= 0, not {args.maxit}")
+    for flag, value in (("--maxit", args.maxit), ("--tol", args.tol), ("--eig-tol", args.eig_tol)):
+        if not value >= 0:
+            raise ValueError(f"{flag} must be >= 0, not {value}")
     problem = load_problem(args.matrix, seed=args.seed, rhs_mode=args.rhs)
     s, b, n = problem.S, problem.b, problem.n
     r = args.rank if args.rank is not None else int(math.floor(n * args.rank_frac))

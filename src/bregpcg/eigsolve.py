@@ -125,7 +125,8 @@ def lanczos_tr(
         Number of eigenpairs to estimate (from the top, with ``bottom``).
     params : EigsParams
         Subspace dimension is want + bottom + slack; an eigenpair counts as
-        converged when its Ritz residual is at most tol * max(|theta|, eps * n).
+        converged when its Ritz residual is at most tol * max(|theta|, eps * n),
+        and ``tol`` must be at least 0.
     which : str
         "largest" ranks Ritz values algebraically, "magnitude" by |theta|.
         Returned values are descending either way.
@@ -162,6 +163,8 @@ def lanczos_tr(
         raise ValueError("a bottom count needs the 'largest' ranking")
     if params.max_restarts < 1 or params.slack < 0:
         raise ValueError("max_restarts must be at least 1 and slack nonnegative")
+    if not params.tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, not {params.tol}")
     n = op.dimension
     if want < 0 or bottom < 0:
         raise ValueError("want and bottom must be nonnegative")

@@ -124,6 +124,8 @@ _CHOICES = {"suite": ("small", "large"), "rhs_mode": RHS_MODES}
 # what a value must be for some row to use it: (test on one value, wording)
 _RANGES = {
     "maxit": (lambda x: x >= 0, ">= 0 (0 means the suite default)"),
+    "tol": (lambda x: x >= 0.0, ">= 0"),
+    "eig_tol": (lambda x: x >= 0.0, ">= 0"),
     "epsilons": (lambda x: x >= 0.0, ">= 0"),
     "alphas": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
 }
@@ -143,9 +145,9 @@ def parse_config(path) -> ExperimentConfig:
     separated, booleans accept true/false/yes/no/on/off/1/0.  Keys match the
     ExperimentConfig field names, and each value is cast by the type of the
     field's default.  ``suite`` must be small or large, ``rhs_mode`` random
-    or atb, ``maxit`` at least 0 (0 is the suite default), every epsilon at
-    least 0 and every alpha in [0, 1]; any other value is a ValueError
-    naming its line, before any run.
+    or atb, ``maxit`` at least 0 (0 is the suite default), ``tol``,
+    ``eig_tol`` and every epsilon at least 0, and every alpha in [0, 1]; any
+    other value is a ValueError naming its line, before any run.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()

@@ -17,8 +17,8 @@ wrong number of tokens (a ``% text`` after an entry included) or a token that
 does not parse, an index out of range, an entry above the diagonal of a
 symmetric file, and more or fewer entries than the size line declares.  The
 error names the size line by its line number and an entry by its 1-based
-position in the data block; for an entry that does not parse it passes on
-numpy's message.
+position in the data block, blank and comment lines not counted; an entry
+that does not parse is found again line by line, on the error path only.
 
 Right-hand sides default to a random unit-norm vector drawn from the pinned
 generator in :mod:`bregpcg.rng`, so a (matrix, seed) pair always yields the
@@ -43,6 +43,7 @@ _SYMMETRIES = ("general", "symmetric")
 _WRITE_BLOCK = 65536  # entries formatted per write
 # a whole comment line of the data block; "%" after an entry is not a comment
 _COMMENT_LINE = re.compile(rb"^[^\S\n]*%.*$", re.MULTILINE)
+_INTEGER = re.compile(rb"[+-]?[0-9]+")
 
 
 def _parse_header(line: str):
@@ -126,13 +127,42 @@ def _read_entries(handle, field, count, indices=()):
         warnings.simplefilter("error", DeprecationWarning)
         try:
             entries = np.loadtxt(io.BytesIO(data), dtype=dtype, comments=None, ndmin=1)
-        except (ValueError, DeprecationWarning) as exc:
-            raise ParseError(f"bad {field} entry: {str(exc).split('; use')[0]}") from None
+        except (ValueError, DeprecationWarning):
+            raise ParseError(_first_bad_entry(data, field, len(indices))) from None
     if len(entries) > count:
         raise ParseError(f"entry {count + 1}: more entries than the size line declared")
     if len(entries) < count:
         raise ParseError(f"expected {count} entries, found {len(entries)}")
     return entries
+
+
+def _token_parses(token: bytes, integer: bool) -> bool:
+    """Whether ``np.loadtxt`` reads ``token`` into an int64 or float64 column."""
+    if integer:
+        return _INTEGER.fullmatch(token) is not None and -(2**63) <= int(token) < 2**63
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return b"_" not in token  # Python's float takes digit separators, numpy's parser does not
+
+
+def _first_bad_entry(data: bytes, field: str, n_indices: int) -> str:
+    """What is wrong with the first entry of ``data`` that ``np.loadtxt``
+    rejects, numbered as the other reader errors are: the k-th nonblank line
+    of the data block is entry k."""
+    width = n_indices + 1
+    lines = (line for line in data.split(b"\n") if line.strip())
+    for k, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if len(tokens) != width:
+            return f"entry {k}: expected {width} token{'s' * (width > 1)}, found {len(tokens)}"
+        for pos, token in enumerate(tokens):
+            integer = pos < n_indices or field == "integer"
+            if not _token_parses(token, integer):
+                kind = "an integer" if integer else "a real number"
+                return f"entry {k}: {token.decode(errors='replace')!r} is not {kind}"
+    return f"bad {field} entry"
 
 
 def _coordinate(entries, n_rows, n_cols, symmetry) -> CsrMatrix:

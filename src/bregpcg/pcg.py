@@ -61,6 +61,9 @@ def pcg_solve(
     is flagged on the report.  Stagnation is declared when the true residual
     has not decreased by at least 10 machine epsilons over 50 iterations.
 
+    ``tol`` must be at least 0; at 0 the run stops only at an exactly zero
+    residual, at ``maxit``, or on stagnation.
+
     Raises NotPositiveDefinite (``which="s"``) when a search direction has
     nonpositive curvature ``<d, S d>``, which an SPD ``S`` rules out, and
     IndefinitePreconditionerDetected when ``<z, r> <= 0``.
@@ -68,6 +71,8 @@ def pcg_solve(
     Returns (x, SolveReport).
     """
     b = np.asarray(b, dtype=np.float64)
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, not {tol}")
     if s.n_rows != s.n_cols:
         raise ValueError("matrix must be square")
     if b.shape != (s.n_rows,):

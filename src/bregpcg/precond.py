@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sketch as sketch_mod
-from .bregman import DENSIFY_CAP, LowRank, scaled_error, scaled_operator, select_indices, truncate
-from .dense_kernels import sym_eig, thin_qr
+from .bregman import DENSIFY_CAP, LowRank, compress, scaled_error, scaled_operator, select_indices, truncate
+from .dense_kernels import sym_eig
 from .eigsolve import CountingOperator, EigsParams, LinearOperator, lanczos_tr
 from .errors import InfeasibleLowRank, NoConvergence
 from .sparse_core import CholFactor, CsrMatrix, chol_solve, tri_solve
@@ -165,12 +165,7 @@ def _recompress(parts: list[LowRank], n: int) -> LowRank:
         return LowRank.empty(n)
     if len(parts) == 1:
         return parts[0]
-    z_all = np.hstack([p.Z for p in parts])
-    lam_all = np.concatenate([p.lam for p in parts])
-    q_merge, r_merge = thin_qr(z_all)
-    small = (r_merge * lam_all) @ r_merge.T
-    merged = sym_eig(small)
-    return LowRank(q_merge @ merged.vectors, merged.values)
+    return compress(np.hstack([p.Z for p in parts]), np.concatenate([p.lam for p in parts]))
 
 
 def _minus_identity(op: LinearOperator) -> LinearOperator:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .bregman import LowRank
-from .dense_kernels import sym_eig, thin_qr
+from .bregman import LowRank, compress
+from .dense_kernels import sym_eig
 from .eigsolve import LinearOperator
 from .errors import RankCollapse
 
@@ -65,13 +65,10 @@ def _nystrom_core(op: LinearOperator, r: int, width: int, seed: int) -> LowRank:
     if vals.size == 0:
         return LowRank.empty(n)
 
-    # sample * vecs * diag(|vals|^{-1/2}) has the same outer product as the
-    # Nystrom reconstruction; compress it to eigen form through a thin QR
+    # with half = sample * vecs * diag(|vals|^{-1/2}), the Nystrom
+    # reconstruction is half * diag(sign(vals)) * half^T; compress it to eigen form
     half = sample @ (vecs / np.sqrt(np.abs(vals)))
-    q_half, r_half = thin_qr(half)
-    small = (r_half * np.sign(vals)) @ r_half.T
-    small_eig = sym_eig(small)
-    return LowRank(q_half @ small_eig.vectors, small_eig.values)
+    return compress(half, np.sign(vals))
 
 
 def nystrom(op: LinearOperator, r: int, params: SketchParams | None = None) -> LowRank:

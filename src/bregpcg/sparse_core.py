@@ -14,23 +14,26 @@ order, so with x and y the same array, row i reads the entries of x that
 the rows before it have already written.  With the strict lower triangle of
 a unit factor M stored negated, that is forward substitution with M; run on
 the reversed vector with M^T's rows stored in reversed order, it is
-backward substitution.  Each factor L = M D, D = diag(d), prepares its
-sweeps once per form (see ``_SweepPlan``):
+backward substitution.  A factor L = M D, D = diag(d), splits L once into
+its strict entries, d and 1 / d, and builds from them, on first use, each
+of three sweeps (see ``CholFactor``), which every solve shares:
 
-- lower, L y = b, and upper, L^T y = b (``tri_solve``), each agreeing
-  bitwise with ``spsolve_triangular``: a + (-(m x)) is exactly a - m x in
-  IEEE arithmetic, signed zeros included, so each row subtracts the same
-  products in the same order that SuperLU's sweeps do, and the diagonal
-  scalings are the same divisions and products;
-- chol, (L L^T) x = b (``chol_solve``): the lower sweep, x / d^2, then the
-  sweep with M^T.  It agrees with two ``tri_solve`` calls, and with the
-  fused SuperLU solve earlier versions made, up to roundoff;
-- scaled, Q^-1 S Q^-T v (``scaled_apply``, the operator the low-rank
-  builders apply): the upper and lower forms run in place around one
-  ``spmv`` call per vector or block column, bitwise ``tri_solve(q, spmv(s,
-  tri_solve(q, v, True)))`` without its copies and layout changes.  Each
-  S-product stays a separate ``spmv`` call through this module's binding,
-  because that is where S-products are counted.
+- ``tri_solve``: L y = b is the forward sweep with -M, then 1 / d; L^T y =
+  b is a reversed sweep with -(D^-1 L)^T after a division by its diagonal,
+  then 1 / d.  Both agree bitwise with ``spsolve_triangular``: a + (-(m
+  x)) is exactly a - m x in IEEE arithmetic, signed zeros included, so each
+  row subtracts the same products in the same order that SuperLU's sweeps
+  do, and the diagonal scalings are the same divisions and products;
+- ``chol_solve``, (L L^T) x = b: the forward sweep, then a reversed sweep
+  with -M^T after a division by d^2.  It agrees with two ``tri_solve``
+  calls, and with the fused SuperLU solve earlier versions made, up to
+  roundoff;
+- ``scaled_apply``, Q^-1 S Q^-T v, the operator the low-rank builders
+  apply: ``tri_solve``'s two sweeps in place around one ``spmv`` call per
+  vector or block column, bitwise ``tri_solve(q, spmv(s, tri_solve(q, v,
+  True)))`` without its copies and layout changes.  Each S-product stays a
+  separate ``spmv`` call through this module's binding, because that is
+  where S-products are counted.
 
 ``tests/test_sparse_core.py`` checks ``spmv`` bitwise against scipy's
 product and pins the in-place reading of ``csr_matvec``, which guards the
@@ -204,16 +207,31 @@ class CholFactor:
         return self.L.n_rows
 
     @cached_property
-    def _lower_plan(self) -> "_SweepPlan":
-        return _SweepPlan(self.L, "lower")
+    def _split(self) -> "_Split":
+        L = self.L
+        rows = np.repeat(np.arange(L.n_rows, dtype=L.row_ptr.dtype), np.diff(L.row_ptr))
+        strict = L.col_idx < rows
+        diag = L.values[L.row_ptr[1:] - 1]
+        return _Split(rows[strict], L.col_idx[strict], L.values[strict], diag, 1 / diag)
 
     @cached_property
-    def _upper_plan(self) -> "_SweepPlan":
-        return _SweepPlan(self.L, "upper")
+    def _forward(self) -> "_Sweep":
+        """-M, M_ij = L_ij (1 / d_j): L y = b is this sweep, then y = x / d."""
+        i, j, values, _, invdiag = self._split
+        return _sweep(len(invdiag), i, j, values * invdiag[j])
 
     @cached_property
-    def _chol_plan(self) -> "_SweepPlan":
-        return _SweepPlan(self.L, "chol")
+    def _upper(self) -> "_Sweep":
+        """scipy's L^T y = b: N^T x = b, N = D^-1 L, whose diagonal L_jj (1 / d_j)
+        need not be 1: divide by it, sweep with -N^T, then y = x / d."""
+        i, j, values, diag, invdiag = self._split
+        return _reversed_sweep(i, j, values * invdiag[i], diag * invdiag)
+
+    @cached_property
+    def _backward(self) -> "_Sweep":
+        """L L^T x = M D^2 M^T x = b after the forward sweep: x / d^2, -M^T."""
+        i, j, values, diag, invdiag = self._split
+        return _reversed_sweep(i, j, values * invdiag[j], diag * diag)
 
     def to_dense(self) -> np.ndarray:
         return self.L.to_dense()
@@ -223,17 +241,36 @@ class CholFactor:
 _BLOCK_COLUMNS = 32
 
 
+class _Split(NamedTuple):
+    """L's strictly lower entries (i, j, L_ij) in stored order, its diagonal
+    d and 1 / d: what every sweep of the factor is built from."""
+
+    i: np.ndarray
+    j: np.ndarray
+    values: np.ndarray
+    diag: np.ndarray
+    invdiag: np.ndarray
+
+
+def _by_row(a: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``a``, one value per row, shaped to broadcast against ``like``."""
+    return a if like.ndim == 1 else a[:, None]
+
+
 class _Sweep(NamedTuple):
     """CSR arrays of a strictly lower triangle that ``run`` sweeps in place.
 
     ``csr_matvec`` computes y[i] += sum_jj data[jj] * x[indices[jj]] row by
     row, in stored order.  With x and y the same array, row i reads entries
-    the rows before it have already written: unit forward substitution.
+    the rows before it have already written: unit forward substitution.  A
+    sweep of an upper triangle runs on reversed vectors and holds the
+    divisors its input is scaled by first, in reversed order.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    divisors: np.ndarray | None = None
 
     def run(self, x: np.ndarray) -> None:
         n = len(self.indptr) - 1
@@ -242,100 +279,68 @@ class _Sweep(NamedTuple):
         else:
             _sparsetools.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data, x, x)
 
+    def apply(self, b: np.ndarray) -> np.ndarray:
+        """A fresh C-ordered copy of ``b``, swept in place.  A sweep with
+        ``divisors`` reverses ``b`` and divides it by them into the copy,
+        whose result stays reversed."""
+        if self.divisors is None:
+            x = np.array(b, order="C")
+        else:
+            x = np.divide(b[::-1], _by_row(self.divisors, b), order="C")
+        self.run(x)
+        return x
 
-def _sweep(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> _Sweep:
-    """The sweep that holds ``-values`` at (rows, cols), in the order given.
 
-    The entries must come in ascending row order, and within a row they keep
-    the order given.  Entries that are exactly zero are dropped.
-    """
+def _sweep(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, divisors=None) -> _Sweep:
+    """The sweep holding ``-values`` at (rows, cols), which come in ascending
+    row order and keep the order given within a row; exact zeros are dropped."""
     keep = values != 0.0
     rows, cols = rows[keep], cols[keep]
     indptr = np.zeros(n + 1, dtype=cols.dtype)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return _Sweep(indptr, cols, -values[keep])
+    return _Sweep(indptr, cols, -values[keep], divisors)
 
 
-class _SweepPlan:
-    """One solve form of a factor, set up once as in-place unit sweeps.
-
-    With L = M D, M unit lower and D = diag(d), each form scales, sweeps
-    and scales again:
-
-    - lower (L y = b): sweep with -M, M_ij = L_ij (1 / d_j), then y = x / d
-      (as a product with 1 / d).
-    - upper (L^T y = b): scipy's form N^T x = b with N = D^-1 L, whose
-      stored diagonal N_jj = L_jj (1 / d_j) need not be 1: divide b by it,
-      then sweep with -N^T on the reversed vector, rows j holding -N_ij in
-      ascending i, then y = x / d.
-    - chol (L L^T x = b = M D^2 M^T x): the lower sweep with -M, x / d^2,
-      then a sweep with -M^T on the reversed vector.
-
-    ``sweeps`` holds the forward sweep, or the reversed one, or both in that
-    order; ``pivots`` holds the divisors between them in reversed order
-    (None for lower); ``invdiag`` is 1 / d.
-    """
-
-    def __init__(self, low: CsrMatrix, form: str):
-        n = low.n_rows
-        rows = np.repeat(np.arange(n, dtype=low.row_ptr.dtype), np.diff(low.row_ptr))
-        diag = low.values[low.row_ptr[1:] - 1]
-        self.form = form
-        self.invdiag = 1 / diag
-        strict = low.col_idx < rows
-        i, j, values = rows[strict], low.col_idx[strict], low.values[strict]
-        if form == "upper":
-            self.pivots = (diag * self.invdiag)[::-1].copy()
-            self.sweeps = (_reversed_sweep(n, i, j, values * self.invdiag[i]),)
-            return
-        unit = values * self.invdiag[j]
-        self.sweeps = (_sweep(n, i, j, unit),)
-        self.pivots = None
-        if form == "chol":
-            self.pivots = (diag * diag)[::-1].copy()
-            self.sweeps += (_reversed_sweep(n, i, j, unit),)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A fresh solution; a block comes back Fortran-ordered.
-
-        ``csr_matvecs`` reads the k values of a row as one contiguous run, so
-        a block is swept in C-ordered scratch, ``_BLOCK_COLUMNS`` columns at a
-        time: the scratch stays small however wide the block is, and each
-        chunk's layout changes happen in cache.
-        """
-        if b.ndim == 1:
-            return self._solve_into(b, np.empty(len(b)))
-        out = np.empty(b.shape, order="F")
-        for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
-            self._solve_into(b[:, lo : lo + _BLOCK_COLUMNS], out[:, lo : lo + _BLOCK_COLUMNS])
-        return out
-
-    def _solve_into(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Solve for ``b``, a vector or some columns of a block, into ``out``."""
-        col = (slice(None), None) if b.ndim == 2 else slice(None)
-        if self.form == "upper":
-            x = np.divide(b[::-1], self.pivots[col], order="C")
-            self.sweeps[0].run(x)
-            return np.multiply(x[::-1], self.invdiag[col], out=out, order="F")
-        x = np.array(b, order="C")
-        self.sweeps[0].run(x)
-        if self.form == "lower":
-            return np.multiply(x, self.invdiag[col], out=out, order="F")
-        x = np.divide(x[::-1], self.pivots[col], order="C")
-        self.sweeps[1].run(x)
-        np.copyto(out, x[::-1])
-        return out
-
-
-def _reversed_sweep(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> _Sweep:
-    """The sweep of the upper triangle with ``values`` at (j, i), on reversed vectors.
-
-    Row j becomes row n - 1 - j and column i becomes n - 1 - i; each row keeps
-    its entries in ascending i, the order of ``i`` given.
-    """
+def _reversed_sweep(i: np.ndarray, j: np.ndarray, values: np.ndarray, divisors: np.ndarray) -> _Sweep:
+    """The sweep of the upper triangle with ``values`` at (j, i), on reversed
+    vectors divided by ``divisors`` first: row j becomes row n - 1 - j, column
+    i becomes n - 1 - i, and each row keeps its entries in the ascending i given."""
+    n = len(divisors)
     rows = (n - 1) - j
     order = np.argsort(rows, kind="stable")
-    return _sweep(n, rows[order], ((n - 1) - i)[order], values[order])
+    return _sweep(n, rows[order], ((n - 1) - i)[order], values[order], divisors[::-1].copy())
+
+
+def _lower_into(factor: CholFactor, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.multiply(factor._forward.apply(b), _by_row(factor._split.invdiag, b), out=out, order="F")
+
+
+def _upper_into(factor: CholFactor, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.multiply(factor._upper.apply(b)[::-1], _by_row(factor._split.invdiag, b), out=out, order="F")
+
+
+def _chol_into(factor: CholFactor, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.copyto(out, factor._backward.apply(factor._forward.apply(b))[::-1])
+    return out
+
+
+def _solve(factor: CholFactor, b, solve_into) -> np.ndarray:
+    """A fresh ``solve_into(factor, b, out)``; a block comes back Fortran-ordered.
+
+    ``csr_matvecs`` reads the k values of a row as one contiguous run, so a
+    block is swept in C-ordered scratch, ``_BLOCK_COLUMNS`` columns at a
+    time: the scratch stays small however wide the block is, and each
+    chunk's layout changes happen in cache.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape[0] != factor.n:
+        raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
+    if b.ndim == 1:
+        return solve_into(factor, b, np.empty(len(b)))
+    out = np.empty(b.shape, order="F")
+    for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
+        solve_into(factor, b[:, lo : lo + _BLOCK_COLUMNS], out[:, lo : lo + _BLOCK_COLUMNS])
+    return out
 
 
 def spmv(a: CsrMatrix, x) -> np.ndarray:
@@ -359,11 +364,7 @@ def tri_solve(factor: CholFactor, b, transposed: bool = False) -> np.ndarray:
     result is bitwise ``spsolve_triangular``'s, is a fresh array, and is
     Fortran-ordered for a block.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != factor.n:
-        raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
-    plan = factor._upper_plan if transposed else factor._lower_plan
-    return plan.solve(b)
+    return _solve(factor, b, _upper_into if transposed else _lower_into)
 
 
 def chol_solve(factor: CholFactor, b) -> np.ndarray:
@@ -378,26 +379,21 @@ def chol_solve(factor: CholFactor, b) -> np.ndarray:
     of stacked right-hand sides; the result is always a fresh array, and
     Fortran-ordered for a block.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != factor.n:
-        raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
-    return factor._chol_plan.solve(b)
+    return _solve(factor, b, _chol_into)
 
 
 def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
     """Q^-1 S Q^-T v for Q = ``factor``: the upper solve, S, the lower solve, fused.
 
-    Bitwise ``tri_solve(factor, spmv(s, tri_solve(factor, v, True)))``, with
-    the plans' own scalings: the reversed ``v`` divided by the upper pivots
-    into one fresh C-ordered buffer, the upper sweep in place, a scaling by
-    1 / d into the S-product's input, the lower sweep in place on the
-    product, and a scaling by 1 / d in place.  ``v`` may be a vector or a
-    dense (n, k) block, whose columns come out as k vector applications
-    would.  A block is swept C-ordered, since ``csr_matvecs`` reads the k
-    values of a row as one run.  Its S-product input is Fortran-ordered:
-    each product overwrites its own contiguous input column, and one layout
-    change then moves all of them into the swept buffer, which costs less
-    than writing each product into a strided column of it.
+    Bitwise ``tri_solve(factor, spmv(s, tri_solve(factor, v, True)))``, on
+    the same sweeps: the upper sweep on one fresh C-ordered buffer, a
+    scaling by 1 / d into the S-product's input, the forward sweep in place
+    on the product, and a scaling by 1 / d in place.  ``v`` may be a vector
+    or a dense (n, k) block, whose columns come out as k vector applications
+    would.  A block's S-product input is Fortran-ordered: each product
+    overwrites its own contiguous input column, and one layout change then
+    moves all of them into the swept buffer, which costs less than writing
+    each product into a strided column of it.
 
     Each S-product is one ``spmv`` call, one per column of a block, looked
     up through this module's binding when it runs: tracers and tests count
@@ -406,22 +402,20 @@ def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
     callers may update it in place; ``v`` is never written.
     """
     v = np.asarray(v, dtype=np.float64)
-    n = factor.L.n_rows
+    n = factor.n
     if s.n_rows != n or s.n_cols != n or v.shape[0] != n:
         raise ValueError(f"matrix {s.shape} and operand {v.shape} do not match factor order {n}")
-    upper, lower = factor._upper_plan, factor._lower_plan
-    col = (slice(None), None) if v.ndim == 2 else slice(None)
-    x = np.divide(v[::-1], upper.pivots[col], order="C")
-    upper.sweeps[0].run(x)
-    half = np.multiply(x[::-1], upper.invdiag[col], order="F")
+    invdiag = _by_row(factor._split.invdiag, v)
+    x = factor._upper.apply(v)
+    half = np.multiply(x[::-1], invdiag, order="F")
     if v.ndim == 1:
         x = spmv(s, half)
     else:
         for i in range(v.shape[1]):
             half[:, i] = spmv(s, half[:, i])
         x[...] = half
-    lower.sweeps[0].run(x)
-    x *= lower.invdiag[col]
+    factor._forward.run(x)
+    x *= invdiag
     return x
 
 

@@ -163,6 +163,12 @@ def test_budget_below_one_restart_rejected():
         lanczos_tr(op, 2, EigsParams(slack=-1))
 
 
+def test_negative_tol_rejected():
+    op = operator_from_dense(np.diag(np.arange(10.0)))
+    with pytest.raises(ValueError, match="tol must be >= 0, not -0.01"):
+        lanczos_tr(op, 2, EigsParams(tol=-1e-2, slack=2))
+
+
 def test_bottom_count_needs_the_largest_ranking_and_room():
     op = operator_from_dense(np.diag(np.arange(10.0)))
     with pytest.raises(ValueError, match="bottom"):

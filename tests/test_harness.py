@@ -504,6 +504,18 @@ def test_cli_solve_negative_maxit_exits_two(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--eig-tol"])
+def test_cli_solve_negative_tolerance_exits_two(tmp_path, flag):
+    # --tol -1 ran ichol-PCG to an exactly zero residual and ended in an
+    # IndefinitePreconditionerDetected traceback
+    path = write_instance(tmp_path / "cli_t.mtx", bumped_band(20, seed=14))
+    proc = run_cli("solve", path, "--precond", "ichol", flag, "-1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {flag} must be >= 0, not -1.0" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_solve_eig_budget_below_one_restart_exits_two(tmp_path):
     path = write_instance(tmp_path / "cli_i.mtx", bumped_band(20, seed=14))
     proc = run_cli("solve", path, "--precond", "svd_ks", "--rank", "2", "--eig-budget", "0")
@@ -725,12 +737,15 @@ def test_cli_bench_rejects_a_bad_config(tmp_path, text, message):
         ("maxit = -3", "config line 2: maxit must be >= 0"),
         ("epsilons = 0.05, -0.5", "config line 2: epsilons must be >= 0, not -0.5"),
         ("alphas = 0.5, 1.5", "config line 2: alphas must be in [0, 1], not 1.5"),
+        ("tol = -1", "config line 2: tol must be >= 0, not -1.0"),
+        ("eig_tol = -1e-3", "config line 2: eig_tol must be >= 0, not -0.001"),
     ],
 )
 def test_cli_bench_rejects_config_values_no_run_can_use(tmp_path, line, message):
     # each value was read as given: every matrix was then skipped (a bad
-    # rhs_mode), solved with 0 iterations (a negative maxit), or given rows
-    # that fail (r = floor(eps * n) < 0, alpha outside [0, 1]), and exit 0
+    # rhs_mode), solved with 0 iterations (a negative maxit) or to an exactly
+    # zero residual (a negative tol), or given rows that fail (r = floor(eps
+    # * n) < 0, alpha outside [0, 1]), and exit 0
     path = write_instance(tmp_path / "cli_v.mtx", bumped_band(40, seed=3))
     config = tmp_path / "v.cfg"
     config.write_text(f"suite = large\n{line}\npreconditioners = none\n")

@@ -282,6 +282,31 @@ def test_reader_branches_are_pinned(text, expected):
         assert a.to_dense().tobytes() == np.asarray(expected).tobytes()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # numpy's own position read "at row 0" for a bad token and "at row 1"
+        # for a wrong token count, both on the first entry
+        pytest.param(_GENERAL + "2 2 1\nx 1 1.0\n", "entry 1: 'x' is not an integer", id="bad_token"),
+        pytest.param(_GENERAL + "2 2 1\n1 1 1 % text\n", "entry 1: expected 3 tokens, found 5", id="token_count"),
+        pytest.param(
+            _GENERAL + "2 2 2\n1 1 1\n\n   \n% a comment\n2 2 zz\n", "entry 2: 'zz' is not a real number", id="after_blank_lines"
+        ),
+        pytest.param(
+            "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 2.5\n", "entry 1: '2.5' is not an integer",
+            id="integer_field",
+        ),
+        pytest.param(
+            "%%MatrixMarket matrix array real general\n2 2\n1\n2 3\n3\n4\n", "entry 2: expected 1 token, found 2", id="array"
+        ),
+    ],
+)
+def test_bad_entries_are_numbered_like_every_reader_error(text, message):
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(io.StringIO(text))
+    assert str(info.value) == message
+
+
 # the values a text round trip most easily gets wrong, and stored zeros
 _VALUES = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0]),

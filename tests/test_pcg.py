@@ -259,6 +259,16 @@ def test_input_validation():
         pcg_solve(rect, np.zeros(2), identity())
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
+def test_negative_tol_is_rejected(tol):
+    # a tol below 0 is never met: the run went on to an exactly zero
+    # residual, where the <z, r> check blamed the preconditioner
+    s = band(40, seed=3)
+    b = np.random.default_rng(5).standard_normal(40)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        pcg_solve(s, b, assemble(ic0(s), None), tol=tol, maxit=200)
+
+
 def test_energy_norm_error_is_monotone():
     # iterates are deterministic, so truncated reruns reproduce the
     # intermediate iterates exactly

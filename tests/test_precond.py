@@ -173,7 +173,7 @@ def test_apply_inverse_low_rank_matches_two_triangular_solves():
 def test_apply_inverse_returns_a_fresh_array():
     # pcg_solve updates its first direction (the first z) in place, and the
     # low-rank kind subtracts its projection in place: neither may touch the
-    # input, the basis Y or an array a cached solve plan holds
+    # input, the basis Y or an array the factor's cached sweeps hold
     s, fac = completed_system(40, 5, seed=2)
     kinds = {
         "identity": identity(),
@@ -189,8 +189,8 @@ def test_apply_inverse_returns_a_fresh_array():
         if p.Y is not None:
             held.append(p.Y)
         if kind != "identity":
-            plan = fac._chol_plan
-            held += [arr for sweep in plan.sweeps for arr in sweep] + [plan.pivots, plan.invdiag]
+            sweeps = (fac._forward, fac._backward)
+            held += [arr for sweep in sweeps for arr in sweep if arr is not None] + list(fac._split)
         assert not np.shares_memory(first, second)
         for arr in held:
             assert not np.shares_memory(first, arr), kind

@@ -12,7 +12,6 @@ from bregpcg import (
 )
 from bregpcg import sparse_core
 from bregpcg.precond import _minus_identity, _shifted
-from bregpcg.sparse_core import _SweepPlan
 from conftest import bumped_band, laplacian_2d
 
 
@@ -271,7 +270,7 @@ def test_chol_solve_leaves_right_hand_side_alone_and_checks_its_size():
 
 
 def product_sweeps(low, form):
-    """Each sweep of a plan as a matrix built with sparse products by diagonal
+    """Each sweep of a solve as a matrix built with sparse products by diagonal
     matrices and by the reversal permutation, ascending columns in each row."""
     n = low.shape[0]
     invdiag = scipy.sparse.diags_array(1 / low.diagonal())
@@ -321,18 +320,18 @@ PLAN_FACTORS = {
 @pytest.mark.parametrize("form", ["lower", "upper", "both"])
 @pytest.mark.parametrize("name", sorted(PLAN_FACTORS))
 def test_solve_plan_arrays_equal_the_diagonal_product_form(name, form):
-    # the plans scale and permute L's arrays entry by entry; each entry is the
-    # one product a sparse product with a diagonal matrix forms, so every
+    # the sweeps scale and permute L's arrays entry by entry; each entry is
+    # the one product a sparse product with a diagonal matrix forms, so every
     # array is equal.  A reversed sweep keeps ascending original rows, which
     # are descending columns after the reversal
     fac = PLAN_FACTORS[name]()
     low = fac.L.to_scipy()
     if name == "stored_zero":
         assert np.count_nonzero(low.data == 0.0) == 3
-    plan = _SweepPlan(fac.L, "chol" if form == "both" else form)
+    sweeps = {"lower": [fac._forward], "upper": [fac._upper], "both": [fac._forward, fac._backward]}[form]
     want = product_sweeps(low, form)
-    assert len(plan.sweeps) == len(want)
-    for k, (got, mat) in enumerate(zip(plan.sweeps, want)):
+    assert len(sweeps) == len(want)
+    for k, (got, mat) in enumerate(zip(sweeps, want)):
         reversed_ = form == "upper" or k == 1
         indices, data = mat.indices, mat.data
         if reversed_:
@@ -343,15 +342,54 @@ def test_solve_plan_arrays_equal_the_diagonal_product_form(name, form):
         assert data.dtype == got.data.dtype == np.float64
         assert got.data.tobytes() == data.tobytes()
     diag = low.diagonal()
-    np.testing.assert_array_equal(plan.invdiag, 1 / diag, strict=True)
-    pivots = {"lower": None, "upper": diag * (1 / diag), "both": diag * diag}[form]
-    if pivots is None:
-        assert plan.pivots is None
-    else:
-        assert plan.pivots.tobytes() == pivots[::-1].tobytes()
+    np.testing.assert_array_equal(fac._split.invdiag, 1 / diag, strict=True)
+    # a reversed sweep divides by its own divisors first, in reversed order
+    divisors = {"lower": None, "upper": diag * (1 / diag), "both": diag * diag}[form]
+    if form != "upper":
+        assert sweeps[0].divisors is None
+    if divisors is not None:
+        assert sweeps[-1].divisors.tobytes() == divisors[::-1].tobytes()
     # the factor's own arrays are not written
     for arr in (fac.L.row_ptr, fac.L.col_idx, fac.L.values):
         assert not arr.flags.writeable
+
+
+def counted_sweeps(monkeypatch):
+    """The list each ``sparse_core._sweep`` call appends to."""
+    original, calls = sparse_core._sweep, []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(sparse_core, "_sweep", counted)
+    return calls
+
+
+def test_every_solve_of_a_factor_shares_its_three_sweeps(monkeypatch):
+    # the lower solve, chol_solve's first half and scaled_apply's second half
+    # run one forward sweep; the upper solve and scaled_apply's first half
+    # one reversed sweep; chol_solve's second half the other
+    calls = counted_sweeps(monkeypatch)
+    fac = PLAN_FACTORS["ic0_poisson20"]()
+    s = CsrMatrix.from_dense(laplacian_2d(20))
+    v = np.random.default_rng(3).standard_normal((fac.n, 3))
+    for b in (v[:, 0], v):
+        tri_solve(fac, b)
+        tri_solve(fac, b, transposed=True)
+        chol_solve(fac, b)
+        scaled_apply(s, fac, b)
+    assert len(calls) == 3
+
+
+def test_chol_solve_alone_never_builds_the_upper_sweep(monkeypatch):
+    calls = counted_sweeps(monkeypatch)
+    fac = PLAN_FACTORS["ic0_poisson20"]()
+    b = np.random.default_rng(3).standard_normal((fac.n, 3))
+    chol_solve(fac, b)
+    chol_solve(fac, b[:, 0])
+    assert len(calls) == 2
+    assert "_upper" not in vars(fac)
 
 
 def test_sweep_reads_what_it_has_written():
@@ -375,6 +413,17 @@ def widened(low: CsrMatrix):
         n_rows=low.n_rows, row_ptr=low.row_ptr.astype(np.int64),
         col_idx=low.col_idx.astype(np.int64), values=low.values,
     )
+
+
+def widened_factor(fac: CholFactor) -> CholFactor:
+    """A copy of ``fac`` whose split, and so every sweep built from it, has
+    int64 indices, which CsrMatrix keeps only from 2**31."""
+    wide = CholFactor(fac.L)
+    split = fac._split
+    wide.__dict__["_split"] = split._replace(i=split.i.astype(np.int64), j=split.j.astype(np.int64))
+    for sweep in (wide._forward, wide._upper, wide._backward):
+        assert sweep.indptr.dtype == sweep.indices.dtype == np.int64
+    return wide
 
 
 def ref_chol_solve(low: CsrMatrix, b):
@@ -442,19 +491,12 @@ def test_property_sweeps_are_bitwise_their_references(fac, wide, k, fortran, see
     if fortran:
         b = np.asfortranarray(b)
     low = fac.L.to_scipy()
-    if wide:
-        plans = {form: _SweepPlan(widened(fac.L), form) for form in ("lower", "upper", "chol")}
-        for plan in plans.values():
-            for sweep in plan.sweeps:
-                assert sweep.indptr.dtype == sweep.indices.dtype == np.int64
+    solver = widened_factor(fac) if wide else fac
 
-        def solve(form, rhs):
-            return plans[form].solve(rhs)
-    else:
-        def solve(form, rhs):
-            if form == "chol":
-                return chol_solve(fac, rhs)
-            return tri_solve(fac, rhs, form == "upper")
+    def solve(form, rhs):
+        if form == "chol":
+            return chol_solve(solver, rhs)
+        return tri_solve(solver, rhs, form == "upper")
     kept = b.copy()
     for form, tri, lower in (("lower", low, True), ("upper", low.T.tocsr(), False)):
         got = solve(form, b)
@@ -483,14 +525,9 @@ def random_square(gen, n) -> CsrMatrix:
 
 
 def with_int64_indices(fac: CholFactor, s: CsrMatrix):
-    """A copy of ``fac`` whose cached sweep plans, and a stand-in for ``s``
-    whose arrays, have int64 indices, which CsrMatrix keeps only from 2**31."""
-    wide = CholFactor(fac.L)
-    for form in ("upper", "lower"):
-        plan = _SweepPlan(widened(fac.L), form)
-        assert plan.sweeps[0].indptr.dtype == plan.sweeps[0].indices.dtype == np.int64
-        wide.__dict__[f"_{form}_plan"] = plan
-    return wide, SimpleNamespace(shape=s.shape, **vars(widened(s)), n_cols=s.n_cols)
+    """A copy of ``fac`` whose sweeps, and a stand-in for ``s`` whose arrays,
+    have int64 indices, which CsrMatrix keeps only from 2**31."""
+    return widened_factor(fac), SimpleNamespace(shape=s.shape, **vars(widened(s)), n_cols=s.n_cols)
 
 
 def check_scaled_apply(fac, s, v, wide=False, eta=1.5):
