@@ -80,10 +80,14 @@ def _build_parser():
     return parser
 
 
+def _check_fields(args, **renamed) -> None:
+    """Check the flags that are ExperimentConfig fields, and those ``renamed``
+    to one, by the config's rules, so a value no run can use costs no read."""
+    ExperimentConfig(**{name: value for name, value in vars(args).items() if name in vars(_DEFAULTS)}, **renamed)
+
+
 def _cmd_solve(args) -> int:
-    for flag, value in (("--maxit", args.maxit), ("--tol", args.tol), ("--eig-tol", args.eig_tol)):
-        if not value >= 0:
-            raise ValueError(f"{flag} must be >= 0, not {value}")
+    _check_fields(args, alphas=(args.alpha,), epsilons=(args.rank_frac,), rhs_mode=args.rhs)
     problem = load_problem(args.matrix, seed=args.seed, rhs_mode=args.rhs)
     s, b, n = problem.S, problem.b, problem.n
     r = args.rank if args.rank is not None else int(math.floor(n * args.rank_frac))
@@ -147,6 +151,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    _check_fields(args)
     _check_out(args.out)
     problem = load_problem(args.matrix)
     factor = harness.factor_stage(problem.S, args.diag_shift).Q
@@ -169,8 +174,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(_DOWNLOAD_HINT, file=sys.stderr)
         return 2
-    except Breakdown as exc:
-        print(f"error: incomplete Cholesky broke down in row {exc.row}; retry with --diag-shift", file=sys.stderr)
+    except Breakdown as exc:  # solve and spectrum: the suites capture a breakdown as a row
+        print(f"error: incomplete Cholesky broke down in row {exc.row} at --diag-shift {args.diag_shift}; "
+              "retry with a larger one", file=sys.stderr)
         return 2
     except (ParseError, NotPositiveDefinite) as exc:  # an input the solver cannot take
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -78,8 +78,29 @@ LARGE_EPSILONS = (0.0025, 0.0075)
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+# What a field's value must be for some run to use it: (test on one value,
+# wording).  A list field's test applies to each item.
+_RULES = {
+    "suite": (("small", "large").__contains__, "small or large"),
+    "rhs_mode": (RHS_MODES.__contains__, " or ".join(RHS_MODES)),
+    "maxit": (lambda x: x >= 0, ">= 0"),
+    "tol": (lambda x: x >= 0.0, ">= 0"),
+    "eig_tol": (lambda x: x >= 0.0, ">= 0"),
+    "epsilons": (lambda x: 0.0 <= x < 1.0, "in [0, 1)"),  # r = floor(n * eps) < n
+    "alphas": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+    "oversample": (lambda x: x >= 0, ">= 0"),
+    "width_factor": (lambda x: x >= 1.0, ">= 1"),  # the indefinite sketch is at least r wide
+    "diag_shift": (lambda x: x > -1.0, "> -1"),  # the shifted diagonal stays positive
+    "cap": (lambda x: x >= 1, ">= 1"),
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """The parameters of a run.  Each value is checked against ``_RULES`` on
+    construction, ``dataclasses.replace`` included: one that no run can use
+    is a ValueError ``<field> must be <wording>, not <value>``."""
+
     suite: str = "small"
     matrices: tuple = ()
     epsilons: tuple = ()  # empty means the suite default
@@ -96,6 +117,13 @@ class ExperimentConfig:
     diag_shift: float = 0.0
     cap: int = DENSIFY_CAP
     out: str = ""
+
+    def __post_init__(self):
+        for name, (usable, wording) in _RULES.items():
+            value = getattr(self, name)
+            bad = [x for x in (value if name in _ITEM_TYPES else (value,)) if not usable(x)]
+            if bad:
+                raise ValueError(f"{name} must be {wording}, not {bad[0]!r}")
 
     def resolved_epsilons(self):
         if self.epsilons:
@@ -120,15 +148,6 @@ class ExperimentConfig:
 
 
 _ITEM_TYPES = {"matrices": str, "epsilons": float, "alphas": float, "preconditioners": str}
-_CHOICES = {"suite": ("small", "large"), "rhs_mode": RHS_MODES}
-# what a value must be for some row to use it: (test on one value, wording)
-_RANGES = {
-    "maxit": (lambda x: x >= 0, ">= 0 (0 means the suite default)"),
-    "tol": (lambda x: x >= 0.0, ">= 0"),
-    "eig_tol": (lambda x: x >= 0.0, ">= 0"),
-    "epsilons": (lambda x: x >= 0.0, ">= 0"),
-    "alphas": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
@@ -144,10 +163,9 @@ def parse_config(path) -> ExperimentConfig:
     ``#`` starts a comment, blank lines are skipped, list values are comma
     separated, booleans accept true/false/yes/no/on/off/1/0.  Keys match the
     ExperimentConfig field names, and each value is cast by the type of the
-    field's default.  ``suite`` must be small or large, ``rhs_mode`` random
-    or atb, ``maxit`` at least 0 (0 is the suite default), ``tol``,
-    ``eig_tol`` and every epsilon at least 0, and every alpha in [0, 1]; any
-    other value is a ValueError naming its line, before any run.
+    field's default.  Each value must pass its rule in ``_RULES``, the
+    table ``ExperimentConfig`` checks; one that does not is a ValueError
+    naming its line, before any run.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -170,15 +188,9 @@ def parse_config(path) -> ExperimentConfig:
                 values[key] = tuple(_ITEM_TYPES[key](tok.strip()) for tok in value.split(",") if tok.strip())
             else:
                 values[key] = (_to_bool if isinstance(default, bool) else type(default))(value)
+            ExperimentConfig(**{key: values[key]})  # the value's rule, with its line
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise ValueError(f"config line {lineno}: unknown {key} {value!r}; expected {' or '.join(_CHOICES[key])}")
-        if key in _RANGES:
-            usable, wording = _RANGES[key]
-            bad = [x for x in (values[key] if isinstance(default, tuple) else (values[key],)) if not usable(x)]
-            if bad:
-                raise ValueError(f"config line {lineno}: {key} must be {wording}, not {bad[0]!r}")
     return ExperimentConfig(**values)
 
 

@@ -133,6 +133,14 @@ def test_config_defaults_resolve_per_suite():
     assert "breg_alpha" in large.resolved_preconditioners()
 
 
+def test_config_rules_hold_for_python_callers():
+    # run_large_suite with epsilons = (-0.5,) wrote an svd_ks row at r = -100
+    with pytest.raises(ValueError, match=r"alphas must be in \[0, 1\], not 1.5"):
+        ExperimentConfig(alphas=(1.5,))
+    with pytest.raises(ValueError, match="maxit must be >= 0, not -1"):
+        dataclasses.replace(ExperimentConfig(), maxit=-1)
+
+
 def test_small_suite_rows_and_csv(tmp_path):
     m1 = write_instance(tmp_path / "band_a.mtx", bumped_band(60, seed=1))
     m2 = write_instance(tmp_path / "band_b.mtx", bumped_band(80, seed=2))
@@ -500,7 +508,7 @@ def test_cli_solve_negative_maxit_exits_two(tmp_path):
     proc = run_cli("solve", path, "--precond", "none", "--maxit", "-3")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "error: --maxit must be >= 0, not -3" in proc.stderr
+    assert "error: maxit must be >= 0, not -3" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -512,8 +520,45 @@ def test_cli_solve_negative_tolerance_exits_two(tmp_path, flag):
     proc = run_cli("solve", path, "--precond", "ichol", flag, "-1")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert f"error: {flag} must be >= 0, not -1.0" in proc.stderr
+    assert f"error: {flag[2:].replace('-', '_')} must be >= 0, not -1.0" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (("solve", "--precond", "breg_alpha", "--alpha", "2"), "alphas must be in [0, 1], not 2.0"),
+        (("solve", "--rank-frac", "1.5"), "epsilons must be in [0, 1), not 1.5"),
+        (("solve", "--precond", "nys", "--oversample", "-1"), "oversample must be >= 0, not -1"),
+        (("solve", "--precond", "nys_indef", "--width-factor", "0.5"), "width_factor must be >= 1, not 0.5"),
+        (("solve", "--diag-shift", "-2"), "diag_shift must be > -1, not -2.0"),
+        (("spectrum", "--diag-shift", "-2"), "diag_shift must be > -1, not -2.0"),
+    ],
+)
+def test_cli_rejects_flag_values_no_run_can_use(tmp_path, capsys, command, message):
+    # each was checked only after the matrix was read and factored, or not
+    # at all: on a missing matrix these reported the missing file
+    from bregpcg import cli
+
+    assert cli.main([command[0], str(tmp_path / "absent.mtx"), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert f"error: {message}" in err
+    assert "sparse.tamu.edu" not in err and out == ""
+
+
+@pytest.mark.parametrize("command", [("solve", "--precond", "ichol"), ("spectrum",)], ids=["solve", "spectrum"])
+@pytest.mark.parametrize("shift", ["0.0", "0.0001"])
+def test_cli_breakdown_hint_names_the_given_shift(tmp_path, monkeypatch, capsys, command, shift):
+    # ic0 breaks down on the squared 21x21-grid Laplacian in row 439, also
+    # with a shift of 1e-4, where the hint asked for a shift already given
+    from bregpcg import cli
+
+    monkeypatch.chdir(tmp_path)
+    dense = laplacian_2d(21)
+    write_instance("p21sq.mtx", dense @ dense)
+    assert cli.main([command[0], "p21sq.mtx", *command[1:], "--diag-shift", shift]) == 2
+    err = capsys.readouterr().err
+    assert f"error: incomplete Cholesky broke down in row 439 at --diag-shift {shift}; retry with a larger one\n" in err
 
 
 def test_cli_solve_eig_budget_below_one_restart_exits_two(tmp_path):
@@ -716,7 +761,7 @@ def test_cli_bench_flags_override_the_config(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("suite = medium\n", "config line 1: unknown suite 'medium'"),
+        ("suite = medium\n", "config line 1: suite must be small or large, not 'medium'"),
         ("suite = large\nseed = seven\n", "config line 2: invalid literal for int()"),
     ],
 )
@@ -733,19 +778,26 @@ def test_cli_bench_rejects_a_bad_config(tmp_path, text, message):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("rhs_mode = bogus", "config line 2: unknown rhs_mode 'bogus'; expected random or atb"),
+        ("rhs_mode = bogus", "config line 2: rhs_mode must be random or atb, not 'bogus'"),
         ("maxit = -3", "config line 2: maxit must be >= 0"),
-        ("epsilons = 0.05, -0.5", "config line 2: epsilons must be >= 0, not -0.5"),
+        ("epsilons = 0.05, -0.5", "config line 2: epsilons must be in [0, 1), not -0.5"),
         ("alphas = 0.5, 1.5", "config line 2: alphas must be in [0, 1], not 1.5"),
         ("tol = -1", "config line 2: tol must be >= 0, not -1.0"),
         ("eig_tol = -1e-3", "config line 2: eig_tol must be >= 0, not -0.001"),
+        ("oversample = -100", "config line 2: oversample must be >= 0, not -100"),
+        ("width_factor = 0", "config line 2: width_factor must be >= 1, not 0.0"),
+        ("diag_shift = -2", "config line 2: diag_shift must be > -1, not -2.0"),
+        ("epsilons = 1.5", "config line 2: epsilons must be in [0, 1), not 1.5"),
+        ("cap = -1", "config line 2: cap must be >= 1, not -1"),
     ],
 )
 def test_cli_bench_rejects_config_values_no_run_can_use(tmp_path, line, message):
     # each value was read as given: every matrix was then skipped (a bad
     # rhs_mode), solved with 0 iterations (a negative maxit) or to an exactly
     # zero residual (a negative tol), or given rows that fail (r = floor(eps
-    # * n) < 0, alpha outside [0, 1]), and exit 0
+    # * n) outside [0, n), alpha outside [0, 1], a negative oversample, an
+    # indefinite sketch narrower than r, a shifted diagonal that is not
+    # positive, a cap below 1), and exit 0
     path = write_instance(tmp_path / "cli_v.mtx", bumped_band(40, seed=3))
     config = tmp_path / "v.cfg"
     config.write_text(f"suite = large\n{line}\npreconditioners = none\n")
