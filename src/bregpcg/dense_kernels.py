@@ -8,6 +8,7 @@ and a QR sign convention that makes factors deterministic.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NotPositiveDefinite
 
@@ -62,6 +63,6 @@ def dense_cholesky(m) -> np.ndarray:
 def thin_qr(b):
     """Reduced QR factorization with the convention diag(R) >= 0."""
     b = np.asarray(b, dtype=np.float64)
-    q, r = np.linalg.qr(b)
+    q, r = scipy.linalg.qr(b, mode="economic", check_finite=False)
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return q * signs, r * signs[:, None]

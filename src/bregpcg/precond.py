@@ -370,8 +370,13 @@ def build(
     ``alpha`` and takes its positive part by ``positive_method``, Krylov by
     default as in ``build_alpha``; the commands pass
     ``harness.POSITIVE_PART``).  Krylov builds keep partial estimates as
-    notes.
+    notes.  A rank outside [0, n) raises ValueError before any S-product,
+    whatever the label.
     """
+    if label not in LABELS:
+        raise ValueError(f"unknown preconditioner {label!r}; expected one of {', '.join(LABELS)}")
+    if not 0 <= r < s.n_rows:
+        raise ValueError(f"rank {r} must satisfy 0 <= r < {s.n_rows}")
     eig = eig or EigsParams()
     if label in EXACT_RULES:
         return build_exact(s, q, r, EXACT_RULES[label], cap=cap, label=label)
@@ -379,9 +384,7 @@ def build(
         return build_randomized(s, q, r, _SKETCH_VARIANTS[label], sketch, label=label)
     if label == "svd_ks":
         return build_svd_krylov(s, q, r, eig, allow_partial=True, label=label)
-    if label == "breg_alpha":
-        return build_alpha(
-            s, q, r, alpha, eig, positive_method=positive_method, sketch_params=sketch,
-            allow_partial=True, label=label,
-        )
-    raise ValueError(f"unknown preconditioner {label!r}; expected one of {', '.join(LABELS)}")
+    return build_alpha(
+        s, q, r, alpha, eig, positive_method=positive_method, sketch_params=sketch,
+        allow_partial=True, label=label,
+    )

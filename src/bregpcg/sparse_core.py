@@ -3,12 +3,21 @@
 Dense vectors and matrices are plain float64 numpy arrays throughout the
 package; this module owns the sparse side.  Index arrays follow scipy's rule:
 int32 while the dimensions and nnz are below 2**31, int64 beyond, so the
-scipy view of a matrix shares its arrays.  Every kernel is scipy's
-``csr_matvec`` (``csr_matvecs`` for a block of vectors) from its private
-``_sparsetools``, the kernel that ``A @ x`` runs, called without the
-dispatch around it.
+scipy view of a matrix shares its arrays.  Every kernel comes from scipy's
+private ``_sparsetools`` and is called without the dispatch around it.
 
-``spmv`` is that product.  The triangular solves are the same kernel run in
+``spmv`` runs one of two.  A matrix whose occupied diagonals, each padded to
+``n_cols`` slots, take at most ``_DIA_FILL`` = 1.5 slots per stored entry
+(the 5-point Laplacian of a 200 x 200 grid takes 1.004) keeps a copy by
+diagonals, built on its first product, and runs ``dia_matvec``; every
+other matrix runs ``csr_matvec``, the kernel that ``A @ x`` runs.  For
+finite x the two give the same bits: both start each row from +0.0 and
+add its products in ascending column order, and a padding slot adds +-0,
+which leaves such a partial sum as it is.  A non-finite x_j turns the
+padding of column j into NaN, so the diagonal kernel gives NaN in more rows
+than the CSR one.
+
+The triangular solves run ``csr_matvec`` (``csr_matvecs`` for a block) in
 place: it computes y[i] += sum_jj A[i, j_jj] x[j_jj] row by row in stored
 order, so with x and y the same array, row i reads the entries of x that
 the rows before it have already written.  With the strict lower triangle of
@@ -35,10 +44,10 @@ of three sweeps (see ``CholFactor``), which every solve shares:
   separate ``spmv`` call through this module's binding, because that is
   where S-products are counted.
 
-``tests/test_sparse_core.py`` checks ``spmv`` bitwise against scipy's
-product and pins the in-place reading of ``csr_matvec``, which guards the
-private import on new scipy versions.  No kernel here uses threads, so
-repeated runs in one environment agree bitwise.
+``tests/test_sparse_core.py`` checks ``spmv`` bitwise against ``csr_matvec``
+on random banded matrices, and pins the in-place reading of ``csr_matvec``;
+both guard the private imports on new scipy versions.  No kernel here uses
+threads, so repeated runs in one environment agree bitwise.
 
 Explicit zeros are legal stored entries.  They matter: incomplete
 factorizations work with the sparsity pattern, and a stored zero is part of
@@ -59,6 +68,12 @@ def _exact_index(a) -> np.ndarray:
     a = np.asarray(a)
     return a if a.dtype == np.int32 else np.asarray(a, dtype=np.int64)
 
+
+# A matrix is stored by diagonals when that takes at most this many slots,
+# padding included, per stored entry.  At this fill dia_matvec took 0.96-1.03
+# times csr_matvec's time where every row holds as many entries, and less
+# than 0.7 times where row lengths vary, which makes csr_matvec branch.
+_DIA_FILL = 1.5
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
@@ -127,6 +142,43 @@ class CsrMatrix:
         )
         mat.has_sorted_indices = True
         return mat
+
+    @cached_property
+    def _diagonals(self) -> "tuple[np.ndarray, np.ndarray] | None":
+        """(offsets, data) of scipy's DIA format, or None when the occupied
+        diagonals, padded to ``n_cols`` slots each, would hold more than
+        ``_DIA_FILL`` slots per stored entry.
+
+        ``offsets`` are the occupied ``col - row`` in ascending order and
+        ``data[d, j]`` is the entry in column j of diagonal d, 0.0 where none
+        is stored.  Indices are int32 while ``n_rows + n_cols`` is below
+        2**31, so no offset plus a row index can wrap.
+        """
+        if self.nnz == 0:
+            return None
+        index = np.int32 if self.n_rows + self.n_cols < 2**31 else np.int64
+        col = self.col_idx.astype(index, copy=False)
+        # col - row + (n_rows - 1): each entry's diagonal, counted from 0
+        diag = np.repeat(np.arange(self.n_rows, dtype=index), np.diff(self.row_ptr))
+        np.subtract(col, diag, out=diag)
+        diag += self.n_rows - 1
+        occupied = np.flatnonzero(np.bincount(diag))
+        slots = len(occupied) * self.n_cols
+        if slots > _DIA_FILL * self.nnz:
+            return None
+        # an entry's place in the flattened data: its diagonal's first slot
+        # plus its column.  Fancy indexing keeps the places int32, where
+        # np.take would make an int64 copy of ``diag``.
+        first = np.zeros(occupied[-1] + 1, dtype=index if slots < 2**31 else np.int64)
+        first[occupied] = np.arange(0, slots, self.n_cols)
+        place = first[diag]
+        place += col
+        data = np.zeros(slots)
+        data[place] = self.values
+        data = data.reshape(len(occupied), self.n_cols)
+        offsets = (occupied - (self.n_rows - 1)).astype(index)
+        offsets.flags.writeable = data.flags.writeable = False
+        return offsets, data
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         return self._sp
@@ -344,16 +396,28 @@ def _solve(factor: CholFactor, b, solve_into) -> np.ndarray:
 
 
 def spmv(a: CsrMatrix, x) -> np.ndarray:
-    """Matrix-vector product with row-major, ascending-column accumulation.
+    """y = A x, each row summed from +0.0 in ascending column order.
 
-    Calls the kernel behind scipy's ``a.to_scipy() @ x`` directly, which
-    skips the dispatch around it; the result is the same to the bit.
+    A matrix whose entries lie on few diagonals (see ``CsrMatrix._diagonals``)
+    runs scipy's ``dia_matvec``; every other matrix runs ``csr_matvec``, the
+    kernel behind ``a.to_scipy() @ x``.  Both are called without scipy's
+    dispatch.  For finite x the two give the same bits: each row adds its
+    diagonals in ascending offset order, which is ascending column order, and
+    a padding slot adds 0.0 * x_j = +-0, which leaves a partial sum that
+    started from +0.0 unchanged (such a sum is never -0.0).  A non-finite x_j
+    makes 0.0 * x_j NaN, which the diagonal layout spreads to every row whose
+    diagonals cross column j.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.n_cols,):
         raise ValueError(f"operand has shape {x.shape}, expected ({a.n_cols},)")
     y = np.zeros(a.n_rows)
-    _sparsetools.csr_matvec(a.n_rows, a.n_cols, a.row_ptr, a.col_idx, a.values, x, y)
+    diagonals = a._diagonals
+    if diagonals is None:
+        _sparsetools.csr_matvec(a.n_rows, a.n_cols, a.row_ptr, a.col_idx, a.values, x, y)
+    else:
+        offsets, data = diagonals
+        _sparsetools.dia_matvec(a.n_rows, a.n_cols, len(offsets), a.n_cols, offsets, data, x, y)
     return y
 
 

@@ -494,6 +494,16 @@ def test_cli_solve_builder_error_exits_two(tmp_path):
     assert "error: svd_ks: subspace dimension 64 exceeds operator dimension 50" in proc.stderr
 
 
+@pytest.mark.parametrize("label", ["nys", "svd_ks"])
+def test_cli_solve_rank_of_at_least_n_exits_two(tmp_path, label):
+    path = write_instance(tmp_path / "cli_r.mtx", bumped_band(50, seed=14))
+    proc = run_cli("solve", path, "--precond", label, "--rank", "60")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "RankCollapse" not in proc.stderr
+    assert f"error: {label}: rank 60 must satisfy 0 <= r < 50" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_solve_rhs_atb_on_a_square_matrix_exits_two(tmp_path):
     path = write_instance(tmp_path / "cli_h.mtx", bumped_band(20, seed=14))
     proc = run_cli("solve", path, "--precond", "ichol", "--rhs", "atb")

@@ -635,6 +635,19 @@ def test_build_rejects_unknown_label():
         build("breg_alfa", s, ic0(s), 2)
 
 
+@pytest.mark.parametrize("r", [-1, 20, 500])
+@pytest.mark.parametrize("label", LABELS)
+def test_build_rejects_a_rank_outside_zero_to_n_before_any_s_product(monkeypatch, label, r):
+    # every label, the sketches included, which would otherwise sketch a
+    # block wider than n and only warn RankCollapse
+    s = band(20)
+    fac = ic0(s)
+    calls = count_spmv(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^rank {r} must satisfy 0 <= r < 20$"):
+        build(label, s, fac, r)
+    assert not calls
+
+
 def test_ichol_is_the_factor_stage_not_a_build_label():
     s = band(20)
     assert "ichol" not in LABELS

@@ -1,4 +1,6 @@
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +97,123 @@ def test_spmv_is_bitwise_the_scipy_product():
             got = spmv(a, x)
             assert got.shape == (n_rows,)
             np.testing.assert_array_equal(got, a.to_scipy() @ x)
+
+
+def csr_product(a: CsrMatrix, x) -> np.ndarray:
+    y = np.zeros(a.n_rows)
+    _sparsetools.csr_matvec(a.n_rows, a.n_cols, a.row_ptr, a.col_idx, a.values, x, y)
+    return y
+
+
+def wide_range(gen, n) -> np.ndarray:
+    """Signed magnitudes from 1e-300 to 1e300, with some +0.0 and -0.0."""
+    x = np.where(gen.random(n) < 0.5, -1.0, 1.0) * 10.0 ** gen.uniform(-300, 300, n)
+    x[gen.random(n) < 0.15] = 0.0
+    x[gen.random(n) < 0.15] = -0.0
+    return x
+
+
+def occupied_slots(a: CsrMatrix) -> int:
+    """Slots a diagonal layout of ``a`` takes: its occupied diagonals times n_cols."""
+    rows = np.repeat(np.arange(a.n_rows), np.diff(a.row_ptr))
+    return len(np.unique(a.col_idx - rows)) * a.n_cols
+
+
+@st.composite
+def banded_matrices(draw):
+    """A matrix, square or not, whose entries lie on a few diagonals: the
+    main diagonal alone or a random set of offsets, each diagonal full or
+    thinned, with stored +-0.0, maybe empty rows, and values of every
+    magnitude."""
+    n_rows, n_cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    offsets = draw(st.one_of(
+        st.just([0]),
+        st.lists(st.integers(-(n_rows - 1), n_cols - 1), min_size=1, max_size=6, unique=True),
+    ))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.sampled_from([1.0, 0.8, 0.4]))
+    empty = gen.random(n_rows) < draw(st.sampled_from([0.0, 0.2]))
+    rows, cols = [], []
+    for k in offsets:
+        i = np.arange(max(0, -k), min(n_rows, n_cols - k))
+        i = i[(gen.random(len(i)) < keep) & ~empty[i]]
+        rows.append(i)
+        cols.append(i + k)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return CsrMatrix.from_coo(n_rows, n_cols, rows, cols, wide_range(gen, len(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=banded_matrices(), wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_property_spmv_is_bitwise_the_csr_kernel(a, wide, seed):
+    x = wide_range(np.random.default_rng(seed), a.n_cols)
+    want = csr_product(a, x).tobytes()
+    assert (a._diagonals is not None) == (0 < occupied_slots(a) <= sparse_core._DIA_FILL * a.nnz)
+    assert spmv(a, x).tobytes() == want
+    # any banded matrix by diagonals, however much padding, and with int64
+    # offsets too
+    forced = CsrMatrix(a.n_rows, a.n_cols, a.row_ptr, a.col_idx, a.values)
+    with mock.patch.object(sparse_core, "_DIA_FILL", np.inf):
+        layout = forced._diagonals
+    if a.nnz == 0:
+        assert layout is None
+        return
+    offsets, data = layout
+    assert np.all(np.diff(offsets) > 0) and data.shape == (len(offsets), a.n_cols)
+    dia = scipy.sparse.dia_matrix((data, offsets), shape=a.shape)
+    assert dia.toarray().tobytes() == a.to_dense().tobytes()
+    if wide:
+        forced.__dict__["_diagonals"] = (offsets.astype(np.int64), data)
+    assert spmv(forced, x).tobytes() == want
+
+
+def test_stencil_matrices_are_stored_by_diagonals():
+    # the 5-point Laplacian of a 20 x 20 grid takes 2,000 slots for 1,920
+    # entries; bumped_band's rank-1 bumps scatter entries over many diagonals
+    a = CsrMatrix.from_dense(laplacian_2d(20))
+    offsets, data = a._diagonals
+    np.testing.assert_array_equal(offsets, [-20, -1, 0, 1, 20])
+    assert offsets.dtype == np.int32 and data.shape == (5, 400)
+    assert CsrMatrix.from_dense(bumped_band(256))._diagonals is None
+    x = np.random.default_rng(4).standard_normal(400)
+    assert spmv(a, x).tobytes() == csr_product(a, x).tobytes()
+
+
+@pytest.mark.parametrize("k,by_diagonals", [(4, True), (5, False)])
+def test_fill_limit_is_inclusive(k, by_diagonals):
+    # offsets {0, k} of a 6 x 6 matrix: 12 slots for 6 + (6 - k) entries,
+    # exactly 1.5 per entry at k = 4
+    a = CsrMatrix.from_dense(np.eye(6) + np.eye(6, k=k))
+    assert (a._diagonals is not None) == by_diagonals
+
+
+def test_matrix_just_past_the_fill_limit_stays_on_csr():
+    # a periodic tridiagonal: the two corner entries add two diagonals of one
+    # entry each, 5 n slots for 3 n entries
+    n = 300
+    dense = 4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    dense[0, -1] = dense[-1, 0] = -1.0
+    a = CsrMatrix.from_dense(dense)
+    assert a._diagonals is None
+    x = wide_range(np.random.default_rng(6), n)
+    assert spmv(a, x).tobytes() == csr_product(a, x).tobytes()
+
+
+def test_arrowhead_allocates_no_block_of_diagonals():
+    # a dense first row and column occupy all 2n - 1 diagonals: a layout
+    # would take (2n - 1) n slots, 64 MB, for 3n - 2 entries
+    n = 2000
+    rows = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=int), np.arange(1, n)])
+    cols = np.concatenate([np.arange(n), np.arange(1, n), np.zeros(n - 1, dtype=int)])
+    a = CsrMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
+    tracemalloc.start()
+    try:
+        layout = a._diagonals
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layout is None
+    assert peak < (2 * n - 1) * n * 8 / 100
 
 
 def test_csr_indices_are_int32_below_2_31():
@@ -526,8 +645,10 @@ def random_square(gen, n) -> CsrMatrix:
 
 def with_int64_indices(fac: CholFactor, s: CsrMatrix):
     """A copy of ``fac`` whose sweeps, and a stand-in for ``s`` whose arrays,
-    have int64 indices, which CsrMatrix keeps only from 2**31."""
-    return widened_factor(fac), SimpleNamespace(shape=s.shape, **vars(widened(s)), n_cols=s.n_cols)
+    have int64 indices, which CsrMatrix keeps only from 2**31; the stand-in
+    has no diagonal layout, so its products run the CSR kernel."""
+    stand_in = SimpleNamespace(shape=s.shape, **vars(widened(s)), n_cols=s.n_cols, _diagonals=None)
+    return widened_factor(fac), stand_in
 
 
 def check_scaled_apply(fac, s, v, wide=False, eta=1.5):
