@@ -17,7 +17,7 @@ import sys
 from . import harness, rng
 from .eigsolve import EigsParams
 from .errors import Breakdown, NotPositiveDefinite, ParseError
-from .harness import COMMAND_LABELS, POSITIVE_PART, ExperimentConfig, parse_config
+from .harness import COMMAND_LABELS, ExperimentConfig, parse_config
 from .matio import RHS_MODES, load_problem
 from .pcg import pcg_solve
 from .precond import LABELS, POSITIVE_PART_METHODS, build, identity
@@ -51,9 +51,9 @@ def _build_parser():
     group.add_argument("--rank", type=int, help="low-rank correction rank r")
     group.add_argument("--rank-frac", type=float, default=0.05, help="r = floor(n * frac)")
     solve.add_argument("--alpha", type=float, default=0.5, help="split for breg_alpha")
-    solve.add_argument("--positive-part", choices=POSITIVE_PART_METHODS, default=POSITIVE_PART)
+    solve.add_argument("--positive-part", choices=POSITIVE_PART_METHODS, default=_DEFAULTS.positive_part)
     solve.add_argument("--tol", type=float, default=_DEFAULTS.tol)
-    solve.add_argument("--maxit", type=int, default=100)
+    solve.add_argument("--maxit", type=int, default=_DEFAULTS.maxit, help="0 means the default")
     solve.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     solve.add_argument("--rhs", choices=RHS_MODES, default=_DEFAULTS.rhs_mode)
     solve.add_argument("--diag-shift", type=float, default=_DEFAULTS.diag_shift)
@@ -70,7 +70,7 @@ def _build_parser():
     bench.add_argument("--out", help="CSV path (default results.csv)")
     bench.add_argument("--config", help="key = value config file")
     bench.add_argument("--seed", type=int)
-    bench.add_argument("--appendix-mode", action="store_true", default=None)
+    bench.add_argument("--positive-part", choices=POSITIVE_PART_METHODS)
 
     spectrum = sub.add_parser("spectrum", help="dump the scaled-error spectrum to CSV")
     spectrum.add_argument("matrix", help="Matrix Market file")
@@ -80,14 +80,16 @@ def _build_parser():
     return parser
 
 
-def _check_fields(args, **renamed) -> None:
-    """Check the flags that are ExperimentConfig fields, and those ``renamed``
-    to one, by the config's rules, so a value no run can use costs no read."""
-    ExperimentConfig(**{name: value for name, value in vars(args).items() if name in vars(_DEFAULTS)}, **renamed)
+def _check_fields(args, **renamed) -> ExperimentConfig:
+    """The config of the flags that are ExperimentConfig fields, and of those
+    ``renamed`` to one, checked by its rules, so a value no run can use costs
+    no read."""
+    fields = {name: value for name, value in vars(args).items() if name in vars(_DEFAULTS)}
+    return ExperimentConfig(**fields, **renamed)
 
 
 def _cmd_solve(args) -> int:
-    _check_fields(args, alphas=(args.alpha,), epsilons=(args.rank_frac,), rhs_mode=args.rhs)
+    cfg = _check_fields(args, alphas=(args.alpha,), epsilons=(args.rank_frac,), rhs_mode=args.rhs)
     problem = load_problem(args.matrix, seed=args.seed, rhs_mode=args.rhs)
     s, b, n = problem.S, problem.b, problem.n
     r = args.rank if args.rank is not None else int(math.floor(n * args.rank_frac))
@@ -106,7 +108,7 @@ def _cmd_solve(args) -> int:
             print(f"error: {label}: {exc}", file=sys.stderr)
             return 2
 
-    x, report = pcg_solve(s, b, p, tol=args.tol, maxit=args.maxit)
+    x, report = pcg_solve(s, b, p, tol=args.tol, maxit=cfg.resolved_maxit())
 
     print(f"matrix            {problem.name} (n={n}, nnz={s.nnz}, origin={problem.origin})")
     print(f"rhs               {problem.rhs_mode} (seed={args.seed}, unit 2-norm)")
@@ -131,7 +133,7 @@ def _cmd_bench(args) -> int:
             "suite": args.suite,
             "matrices": tuple(args.matrices) or None,
             "seed": args.seed,
-            "appendix_mode": args.appendix_mode,
+            "positive_part": args.positive_part,
             "out": args.out or cfg.out or "results.csv",
         }
         cfg = dataclasses.replace(cfg, **{key: value for key, value in given.items() if value is not None})

@@ -50,7 +50,7 @@ from .eigsolve import EigsParams
 from .ichol import ic0
 from .matio import RHS_MODES, load_problem
 from .pcg import pcg_solve
-from .precond import EXACT_RULES, LABELS, BuildInfo, Preconditioner, assemble, build, identity
+from .precond import EXACT_RULES, LABELS, POSITIVE_PART_METHODS, BuildInfo, Preconditioner, assemble, build, identity
 from .sketch import SketchParams
 
 log = logging.getLogger("bregpcg")
@@ -69,9 +69,6 @@ LARGE_HEADER = (
 COMMAND_LABELS = ("none", "ichol", *LABELS)
 SMALL_PRECONDITIONERS = ("none", "ichol", *EXACT_RULES)
 LARGE_PRECONDITIONERS = ("none", "ichol", "nys", "nys_indef", "svd_ks", "breg_alpha")
-# The commands' positive part of breg_alpha, as in the paper's table;
-# ``appendix_mode`` switches the large suite to Krylov.
-POSITIVE_PART = "nystrom"
 
 SMALL_EPSILONS = (0.01, 0.05, 0.1)
 LARGE_EPSILONS = (0.0025, 0.0075)
@@ -83,6 +80,7 @@ DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _RULES = {
     "suite": (("small", "large").__contains__, "small or large"),
     "rhs_mode": (RHS_MODES.__contains__, " or ".join(RHS_MODES)),
+    "positive_part": (POSITIVE_PART_METHODS.__contains__, " or ".join(POSITIVE_PART_METHODS)),
     "maxit": (lambda x: x >= 0, ">= 0"),
     "tol": (lambda x: x >= 0.0, ">= 0"),
     "eig_tol": (lambda x: x >= 0.0, ">= 0"),
@@ -109,7 +107,7 @@ class ExperimentConfig:
     maxit: int = 0  # 0 means the suite default (100 small, 350 large)
     seed: int = 0
     preconditioners: tuple = ()  # empty means all for the suite
-    appendix_mode: bool = False  # Krylov positive part instead of Nystrom
+    positive_part: str = "nystrom"  # breg_alpha's positive part; nystrom is the paper's table
     rhs_mode: str = "random"
     eig_tol: float = EigsParams.tol
     oversample: int = SketchParams.oversample
@@ -148,24 +146,16 @@ class ExperimentConfig:
 
 
 _ITEM_TYPES = {"matrices": str, "epsilons": float, "alphas": float, "preconditioners": str}
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
-
-
-def _to_bool(text: str) -> bool:
-    if text.lower() not in _BOOLS:
-        raise ValueError(f"bad boolean {text!r}")
-    return _BOOLS[text.lower()]
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read a config file of ``key = value`` lines.
 
     ``#`` starts a comment, blank lines are skipped, list values are comma
-    separated, booleans accept true/false/yes/no/on/off/1/0.  Keys match the
-    ExperimentConfig field names, and each value is cast by the type of the
-    field's default.  Each value must pass its rule in ``_RULES``, the
-    table ``ExperimentConfig`` checks; one that does not is a ValueError
-    naming its line, before any run.
+    separated.  Keys match the ExperimentConfig field names, and each value
+    is cast by the type of the field's default.  Each value must pass its
+    rule in ``_RULES``, the table ``ExperimentConfig`` checks; one that does
+    not is a ValueError naming its line, before any run.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -187,7 +177,7 @@ def parse_config(path) -> ExperimentConfig:
             if isinstance(default, tuple):
                 values[key] = tuple(_ITEM_TYPES[key](tok.strip()) for tok in value.split(",") if tok.strip())
             else:
-                values[key] = (_to_bool if isinstance(default, bool) else type(default))(value)
+                values[key] = type(default)(value)
             ExperimentConfig(**{key: values[key]})  # the value's rule, with its line
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
@@ -356,7 +346,6 @@ def run_large_suite(cfg: ExperimentConfig):
     epsilons = cfg.resolved_epsilons()
     wanted = cfg.resolved_preconditioners()
     builders = [label for label in LABELS if label in wanted]
-    positive_method = "krylov_schur" if cfg.appendix_mode else POSITIVE_PART
     rows = []
     for problem, none, ichol, ichol_report in _opened(cfg, wanted):
         name, n = problem.name, problem.n
@@ -374,7 +363,7 @@ def run_large_suite(cfg: ExperimentConfig):
                         label, problem.S, ichol.Q, r, alpha=alpha,
                         eig=_eig_budget(eps, epsilons, cfg.eig_tol, seed),
                         sketch=SketchParams(cfg.oversample, cfg.width_factor, seed),
-                        positive_method=positive_method, cap=cfg.cap,
+                        positive_method=cfg.positive_part, cap=cfg.cap,
                     ), after=ichol)
                     report = _capture(where, _solve, cfg, problem, built, after=built)
                     rows.append(_large_row(name, n, label, r, alpha, built, report))

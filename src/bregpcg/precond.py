@@ -190,9 +190,13 @@ def _shifted(op: LinearOperator, eta: float) -> LinearOperator:
     return LinearOperator(op.dimension, apply)
 
 
-def _low_rank_build(s: CsrMatrix, q: CholFactor, label: str, estimate) -> Preconditioner:
+def _low_rank_build(s: CsrMatrix, q: CholFactor, r: int, label: str, estimate) -> Preconditioner:
     """The one build pipeline: ``estimate(scaled, notes)`` returns low-rank
-    parts in scaled-error units, which are merged and assembled on q."""
+    parts in scaled-error units, which are merged and assembled on q.  A
+    rank r outside [0, n) raises ValueError before any S-product or dense
+    work."""
+    if not 0 <= r < s.n_rows:
+        raise ValueError(f"rank {r} must satisfy 0 <= r < {s.n_rows}")
     started = time.perf_counter()
     scaled = CountingOperator(scaled_operator(s, q))  # one S-product per apply
     notes = []
@@ -249,7 +253,7 @@ def build_exact(
         decomp = sym_eig(scaled_error(s, q, cap=cap))
         return [truncate(decomp, select_indices(decomp.values, r, rule))]
 
-    return _low_rank_build(s, q, label or rule, estimate)
+    return _low_rank_build(s, q, r, label or rule, estimate)
 
 
 def build_alpha(
@@ -280,8 +284,6 @@ def build_alpha(
     """
     if positive_method not in POSITIVE_PART_METHODS:
         raise ValueError(f"unknown positive-part method {positive_method!r}")
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     r_plus = int(math.floor(alpha * r))
@@ -302,7 +304,7 @@ def build_alpha(
             parts.append(_bottom(scaled, r_minus, eta, eig_params, notes, allow_partial))
         return parts
 
-    return _low_rank_build(s, q, label or f"alpha={alpha}", estimate)
+    return _low_rank_build(s, q, r, label or f"alpha={alpha}", estimate)
 
 
 def build_randomized(
@@ -323,7 +325,7 @@ def build_randomized(
         sketch = sketch_mod.nystrom if variant == "nystrom" else sketch_mod.nystrom_indefinite
         return [sketch(_minus_identity(scaled), r, sketch_params)]
 
-    return _low_rank_build(s, q, label or variant, estimate)
+    return _low_rank_build(s, q, r, label or variant, estimate)
 
 
 def build_svd_krylov(
@@ -340,7 +342,7 @@ def build_svd_krylov(
         est = _lanczos(_minus_identity(scaled), r, eig_params, notes, allow_partial, which="magnitude")
         return [LowRank(est.vectors, est.values)]
 
-    return _low_rank_build(s, q, label or "svd_ks", estimate)
+    return _low_rank_build(s, q, r, label or "svd_ks", estimate)
 
 
 # Every label ``build`` maps to a builder, in the large suite's row order.
@@ -368,15 +370,13 @@ def build(
     ``nys`` and ``nys_indef`` sketch with ``sketch``; ``svd_ks`` and
     ``breg_alpha`` run Lanczos with ``eig`` (``breg_alpha`` splits r by
     ``alpha`` and takes its positive part by ``positive_method``, Krylov by
-    default as in ``build_alpha``; the commands pass
-    ``harness.POSITIVE_PART``).  Krylov builds keep partial estimates as
-    notes.  A rank outside [0, n) raises ValueError before any S-product,
-    whatever the label.
+    default as in ``build_alpha``; the commands pass the config's
+    ``positive_part``, Nystrom by default).  Krylov builds keep partial
+    estimates as notes.  Every builder rejects a rank outside [0, n) in
+    ``_low_rank_build``, before any S-product.
     """
     if label not in LABELS:
         raise ValueError(f"unknown preconditioner {label!r}; expected one of {', '.join(LABELS)}")
-    if not 0 <= r < s.n_rows:
-        raise ValueError(f"rank {r} must satisfy 0 <= r < {s.n_rows}")
     eig = eig or EigsParams()
     if label in EXACT_RULES:
         return build_exact(s, q, r, EXACT_RULES[label], cap=cap, label=label)

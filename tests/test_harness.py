@@ -84,7 +84,7 @@ alphas = 0.0, 1.0
 tol = 1e-8
 maxit = 250
 seed = 7
-appendix_mode = yes
+positive_part = krylov_schur
 preconditioners = none, breg_alpha
 rhs_mode = atb
 oversample = 30
@@ -100,7 +100,7 @@ width_factor = 2.0
     assert cfg.tol == 1e-8
     assert cfg.maxit == 250
     assert cfg.seed == 7
-    assert cfg.appendix_mode is True
+    assert cfg.positive_part == "krylov_schur"
     assert cfg.preconditioners == ("none", "breg_alpha")
     assert cfg.rhs_mode == "atb"
     assert cfg.oversample == 30
@@ -116,10 +116,16 @@ def test_parse_config_rejects_unknown_and_malformed(tmp_path):
     bad_line.write_text("just some words\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config(bad_line)
-    bad_bool = tmp_path / "b.cfg"
-    bad_bool.write_text("appendix_mode = maybe\n")
-    with pytest.raises(ValueError, match="bad boolean"):
-        parse_config(bad_bool)
+    bad_part = tmp_path / "p.cfg"
+    bad_part.write_text("suite = large\npositive_part = lanczos\n")
+    with pytest.raises(
+        ValueError, match="^config line 2: positive_part must be krylov_schur or nystrom, not 'lanczos'$"
+    ):
+        parse_config(bad_part)
+    old_key = tmp_path / "a.cfg"
+    old_key.write_text("appendix_mode = true\n")  # the boolean positive_part replaced
+    with pytest.raises(ValueError, match="^config line 1: unknown key 'appendix_mode'$"):
+        parse_config(old_key)
 
 
 def test_config_defaults_resolve_per_suite():
@@ -376,14 +382,14 @@ _PINNED_SHARED = [
     ("svd_ks", 3, "-", 6, 70, ""),
 ]
 PINNED_LARGE = {
-    False: _PINNED_SHARED + [  # Nystrom positive part
+    "nystrom": _PINNED_SHARED + [
         ("breg_alpha", 3, "0", 6, 131, "eta-probe"),
         ("breg_alpha", 3, "0.25", 6, 131, "eta-probe"),
         ("breg_alpha", 3, "0.5", 6, 151, "eta-probe"),
         ("breg_alpha", 3, "0.75", 6, 151, "eta-probe"),
         ("breg_alpha", 3, "1", 5, 29, ""),
     ],
-    True: _PINNED_SHARED + [  # Krylov positive part: both ends from one run at every alpha
+    "krylov_schur": _PINNED_SHARED + [  # both ends from one run at every alpha
         ("breg_alpha", 3, "0", 6, 70, ""),
         ("breg_alpha", 3, "0.25", 6, 70, ""),
         ("breg_alpha", 3, "0.5", 6, 70, ""),
@@ -393,15 +399,15 @@ PINNED_LARGE = {
 }
 
 
-@pytest.mark.parametrize("appendix_mode", [False, True])
-def test_large_suite_rows_are_pinned(tmp_path, monkeypatch, appendix_mode):
+@pytest.mark.parametrize("positive_part", ["nystrom", "krylov_schur"])
+def test_large_suite_rows_are_pinned(tmp_path, monkeypatch, positive_part):
     # the right-hand side is seeded from the matrix path, so run from a
     # fixed relative one
     monkeypatch.chdir(tmp_path)
     write_instance("band.mtx", bumped_band(70, seed=30))
     cfg = ExperimentConfig(
         suite="large", matrices=("band.mtx",), epsilons=(0.05,), seed=2, oversample=20,
-        appendix_mode=appendix_mode,
+        positive_part=positive_part,
     )
     rows = run_large_suite(cfg)
     col = {key: i for i, key in enumerate(LARGE_HEADER)}
@@ -409,7 +415,7 @@ def test_large_suite_rows_are_pinned(tmp_path, monkeypatch, appendix_mode):
         tuple(row[col[key]] for key in ("preconditioner", "r", "alpha", "iterations", "matvecs_S", "note"))
         for row in rows
     ]
-    assert got == PINNED_LARGE[appendix_mode]
+    assert got == PINNED_LARGE[positive_part]
     for row in rows:
         assert row[col["matrix"]] == "band" and row[col["n"]] == 70
         assert row[col["converged"]] == "true"
@@ -520,6 +526,15 @@ def test_cli_solve_negative_maxit_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "error: maxit must be >= 0, not -3" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_cli_solve_maxit_zero_is_the_default(tmp_path):
+    # 0 means the default, as in a config; it ran 0 iterations and exited 1
+    path = write_instance(tmp_path / "cli_m.mtx", bumped_band(20, seed=14))
+    zero, default = (run_cli("solve", path, "--precond", "none", *maxit) for maxit in (["--maxit", "0"], []))
+    assert zero.returncode == default.returncode == 0, zero.stderr
+    untimed = [[line for line in proc.stdout.splitlines() if "(s)" not in line] for proc in (zero, default)]
+    assert untimed[0] == untimed[1]
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--eig-tol"])
@@ -766,6 +781,25 @@ def test_cli_bench_flags_override_the_config(tmp_path):
         reader = list(csv.reader(handle))
     want = run_small_suite(ExperimentConfig(suite="small", matrices=(path,), seed=0))
     assert reader == [SMALL_HEADER] + [[str(cell) for cell in row] for row in want]
+
+
+@pytest.mark.parametrize("config_part, flag_part", [("krylov_schur", "nystrom"), ("nystrom", "krylov_schur")])
+def test_cli_bench_positive_part_flag_overrides_the_config(tmp_path, config_part, flag_part):
+    path = write_instance(tmp_path / "cli_p.mtx", bumped_band(100, seed=15))
+    config = tmp_path / "p.cfg"
+    config.write_text(
+        f"suite = large\nmatrices = {path}\nepsilons = 0.05\nalphas = 0.0\n"
+        f"preconditioners = breg_alpha\npositive_part = {config_part}\n"
+    )
+    out = tmp_path / "p.csv"
+    proc = run_cli("bench", "--config", str(config), "--out", str(out), "--positive-part", flag_part)
+    assert proc.returncode == 0, proc.stderr
+    with open(out) as handle:
+        got = list(csv.reader(handle))[1:]
+    want = run_large_suite(dataclasses.replace(parse_config(config), positive_part=flag_part))
+    assert strip_timing(got) == strip_timing([[str(cell) for cell in row] for row in want])
+    notes = [row[LARGE_HEADER.index("note")] for row in got]
+    assert notes == (["eta-probe"] if flag_part == "nystrom" else [""])
 
 
 @pytest.mark.parametrize(

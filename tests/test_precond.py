@@ -575,14 +575,13 @@ def test_preconditioner_to_dense_identity_needs_dimension():
         identity().n
 
 
-def count_spmv(monkeypatch):
-    """Count S-products by replacing every bregpcg module's binding of spmv."""
-    original = sparse_core.spmv
+def count_calls(monkeypatch, original):
+    """Count calls of ``original`` by replacing every bregpcg module's binding of it."""
     calls = []
 
-    def counted(a, x):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(a, x)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "bregpcg" or name.startswith("bregpcg."):
@@ -590,6 +589,11 @@ def count_spmv(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def count_spmv(monkeypatch):
+    """Count S-products."""
+    return count_calls(monkeypatch, sparse_core.spmv)
 
 
 _CONVERGED = EigsParams(tol=1e-8, slack=20, seed=4)
@@ -646,6 +650,36 @@ def test_build_rejects_a_rank_outside_zero_to_n_before_any_s_product(monkeypatch
     with pytest.raises(ValueError, match=rf"^rank {r} must satisfy 0 <= r < 20$"):
         build(label, s, fac, r)
     assert not calls
+
+
+_PUBLIC_BUILDERS = {
+    **{f"exact-{rule}": lambda s, q, r, rule=rule: build_exact(s, q, r, rule) for rule in ("bld", "rbld", "tsvd")},
+    **{
+        variant: lambda s, q, r, variant=variant: build_randomized(s, q, r, variant)
+        for variant in ("nystrom", "nystrom_indefinite")
+    },
+    "svd_krylov": lambda s, q, r: build_svd_krylov(s, q, r, EigsParams()),
+    **{
+        f"alpha-{method}": lambda s, q, r, method=method: build_alpha(
+            s, q, r, 0.5, EigsParams(), positive_method=method
+        )
+        for method in ("krylov_schur", "nystrom")
+    },
+}
+
+
+@pytest.mark.parametrize("r", [-1, 20, 25])
+@pytest.mark.parametrize("builder", list(_PUBLIC_BUILDERS))
+def test_every_builder_rejects_a_rank_outside_zero_to_n_before_any_work(monkeypatch, builder, r):
+    # the sketches built at a collapsed rank and warned, the exact builds
+    # ran the full eigendecomposition first, and the Lanczos builds failed
+    # on their subspace size or after hundreds of S-products
+    s = band(20)
+    fac = ic0(s)
+    products, eigs = count_spmv(monkeypatch), count_calls(monkeypatch, sym_eig)
+    with pytest.raises(ValueError, match=rf"^rank {r} must satisfy 0 <= r < 20$"):
+        _PUBLIC_BUILDERS[builder](s, fac, r)
+    assert products == [] and eigs == []
 
 
 def test_ichol_is_the_factor_stage_not_a_build_label():
