@@ -14,14 +14,11 @@ import math
 import os
 import sys
 
-from . import harness, rng
-from .eigsolve import EigsParams
+from . import harness
 from .errors import Breakdown, NotPositiveDefinite, ParseError
-from .harness import COMMAND_LABELS, ExperimentConfig, parse_config
+from .harness import COMMAND_LABELS, LARGE_HEADER, ExperimentConfig, parse_config
 from .matio import RHS_MODES, load_problem
-from .pcg import pcg_solve
-from .precond import LABELS, POSITIVE_PART_METHODS, build, identity
-from .sketch import SketchParams
+from .precond import LABELS, POSITIVE_PART_METHODS, identity
 
 _DEFAULTS = ExperimentConfig()
 
@@ -35,7 +32,7 @@ def _check_out(out) -> None:
     """Reject an output path that cannot be written before any matrix is
     loaded, so a bad path costs no run and gets no download hint."""
     folder = os.path.dirname(out) or os.curdir
-    if os.path.isdir(out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+    if not out or os.path.isdir(out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ValueError(f"cannot write {out}: not a file in a writable directory")
 
 
@@ -44,7 +41,7 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="bregpcg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve one system with a chosen preconditioner")
+    solve = sub.add_parser("solve", help="solve one system as its large-suite row")
     solve.add_argument("matrix", help="Matrix Market file")
     solve.add_argument("--precond", choices=COMMAND_LABELS, default="breg")
     group = solve.add_mutually_exclusive_group()
@@ -53,12 +50,11 @@ def _build_parser():
     solve.add_argument("--alpha", type=float, default=0.5, help="split for breg_alpha")
     solve.add_argument("--positive-part", choices=POSITIVE_PART_METHODS, default=_DEFAULTS.positive_part)
     solve.add_argument("--tol", type=float, default=_DEFAULTS.tol)
-    solve.add_argument("--maxit", type=int, default=_DEFAULTS.maxit, help="0 means the default")
+    solve.add_argument("--maxit", type=int, default=_DEFAULTS.maxit, help="0 means the large suite's 350")
     solve.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     solve.add_argument("--rhs", choices=RHS_MODES, default=_DEFAULTS.rhs_mode)
     solve.add_argument("--diag-shift", type=float, default=_DEFAULTS.diag_shift)
     solve.add_argument("--eig-tol", type=float, default=_DEFAULTS.eig_tol)
-    solve.add_argument("--eig-budget", type=int, default=EigsParams.max_restarts, help="restarts and slack")
     solve.add_argument("--oversample", type=int, default=_DEFAULTS.oversample)
     solve.add_argument("--width-factor", type=float, default=_DEFAULTS.width_factor)
     solve.add_argument("--cap", type=int, default=_DEFAULTS.cap, help="densification cap")
@@ -89,40 +85,27 @@ def _check_fields(args, **renamed) -> ExperimentConfig:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _check_fields(args, alphas=(args.alpha,), epsilons=(args.rank_frac,), rhs_mode=args.rhs)
-    problem = load_problem(args.matrix, seed=args.seed, rhs_mode=args.rhs)
-    s, b, n = problem.S, problem.b, problem.n
-    r = args.rank if args.rank is not None else int(math.floor(n * args.rank_frac))
+    cfg = _check_fields(args, suite="large", alphas=(args.alpha,), epsilons=(args.rank_frac,), rhs_mode=args.rhs)
+    problem = harness.open_problem(cfg, args.matrix)
     label = args.precond
+    r = args.rank if args.rank is not None else int(math.floor(problem.n * args.rank_frac))
+    alpha = args.alpha if label == "breg_alpha" else None
 
-    p = identity() if label == "none" else harness.factor_stage(s, args.diag_shift)
+    p = identity() if label == "none" else harness.factor_stage(problem.S, cfg.diag_shift)
     if label in LABELS:
-        eig = EigsParams(args.eig_tol, args.eig_budget, args.eig_budget, rng.derive(args.seed, "eigs"))
-        sk = SketchParams(args.oversample, args.width_factor, rng.derive(args.seed, "sketch"))
         try:
-            p = build(
-                label, s, p.Q, r, alpha=args.alpha, eig=eig, sketch=sk,
-                positive_method=args.positive_part, cap=args.cap,
-            )
+            p = harness.row_preconditioner(cfg, problem, p, label, r, alpha, args.rank_frac)
         except ValueError as exc:  # parameters the builder cannot honour on this matrix
             print(f"error: {label}: {exc}", file=sys.stderr)
             return 2
+    report = harness.solve_report(cfg, problem, p)
+    row = harness.large_row(problem.name, problem.n, label, r if label in LABELS else None, alpha, p, report)
 
-    x, report = pcg_solve(s, b, p, tol=args.tol, maxit=cfg.resolved_maxit())
-
-    print(f"matrix            {problem.name} (n={n}, nnz={s.nnz}, origin={problem.origin})")
-    print(f"rhs               {problem.rhs_mode} (seed={args.seed}, unit 2-norm)")
-    print(f"preconditioner    {label}" + (f" (r={r})" if label in LABELS else ""))
-    if label == "breg_alpha":
-        print(f"alpha             {args.alpha}")
-    print(f"converged         {report.converged}" + ("" if report.converged else f" ({report.reason})"))
-    print(f"iterations        {report.iterations}")
-    print(f"final residual    {report.final_rel_residual:.6e} (relative, true)")
-    print(f"matvecs           {report.matvecs_S + p.build_info.matvecs_s}")
-    print(f"construction (s)  {p.build_info.seconds:.4f}")
-    print(f"solve (s)         {report.time_solve_s:.4f}")
-    if p.build_info.notes:
-        print(f"notes             {';'.join(p.build_info.notes)}")
+    print(f"matrix            {problem.name} (n={problem.n}, nnz={problem.S.nnz}, origin={problem.origin})")
+    path = os.path.normpath(args.matrix)
+    print(f"rhs               {problem.rhs_mode} (seed={cfg.seed} hashed with {path}, unit 2-norm)")
+    for key, cell in zip(LARGE_HEADER[2:], row[2:]):
+        print(f"{key:<17} {cell}".rstrip())
     return 0 if report.converged else 1
 
 

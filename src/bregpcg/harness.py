@@ -30,8 +30,9 @@ more inputs enter a row.  The right-hand side's seed hashes the matrix path
 after ``os.path.normpath``, so ``m.mtx`` and ``./m.mtx`` give the same rows
 but an absolute and a relative spelling of one file do not; hashing the
 matrix name instead would move the benchmark's pinned reference tables.
-And a large-suite Krylov row's eigensolver budget depends on the epsilon
-grid (see ``_eig_budget``).
+And a large-suite Krylov row's Lanczos budget depends on the epsilon grid.
+``open_problem`` and ``row_preconditioner`` make these choices for the
+large suite and ``solve`` alike, so ``solve`` prints the row the suite writes.
 """
 
 import csv
@@ -201,16 +202,6 @@ def _iter_cell(report) -> str:
     return str(report.iterations) if report.converged else "-"
 
 
-def _eig_budget(eps: float, all_eps, base_tol: float, seed: int) -> EigsParams:
-    """Lanczos parameters of a large-suite row: 60 restarts and 60 slack
-    vectors at the grid's smallest eps, 100 of each otherwise.  A row's
-    cost thus depends on the rest of the grid: ``svd_ks`` at r = 11 on the
-    15x15-grid Poisson matrix plus 0.01 I takes 85 S-products with
-    ``epsilons = 0.05`` and 125 with ``epsilons = 0.01, 0.05``."""
-    budget = 60 if eps == min(all_eps) else 100
-    return EigsParams(tol=base_tol, max_restarts=budget, slack=budget, seed=seed)
-
-
 def _capture(where: str, stage, *args, after=None, **kwargs):
     """Run one stage of a table.  A failure is logged and returned in place
     of the result, so it becomes an ``err`` cell or row and the table goes on;
@@ -231,8 +222,32 @@ def factor_stage(s, diag_shift: float = 0.0) -> Preconditioner:
     return Preconditioner(q, label="ichol", build_info=BuildInfo(seconds=time.perf_counter() - started))
 
 
-def _solve(cfg: ExperimentConfig, problem, p):
+def open_problem(cfg: ExperimentConfig, path):
+    """Load the matrix at path with the suites' right-hand side, whose seed
+    hashes the normalised path."""
+    seed = rng.derive(cfg.seed, f"rhs|{os.path.normpath(path)}")
+    return load_problem(path, seed=seed, rhs_mode=cfg.rhs_mode)
+
+
+def solve_report(cfg: ExperimentConfig, problem, p):
     return pcg_solve(problem.S, problem.b, p, tol=cfg.tol, maxit=cfg.resolved_maxit())[1]
+
+
+def row_preconditioner(cfg: ExperimentConfig, problem, factor: Preconditioner, label, r, alpha, eps):
+    """The preconditioner of the large-suite row (label, r, alpha) at eps, on
+    the ``ichol`` preconditioner ``factor``, seeded by the row's identity.
+    A Krylov row gets 60 restarts and 60 slack vectors at the grid's smallest
+    eps, 100 of each otherwise, with the slack cut to n - r so every basis
+    fits: ``svd_ks`` at r = 11 on the 15x15-grid Poisson matrix plus 0.01 I
+    takes 85 S-products with ``epsilons = 0.05`` and 125 with ``0.01, 0.05``."""
+    seed = rng.derive(cfg.seed, f"{problem.name}|{label}|{r}|{alpha}")
+    budget = 60 if eps == min(cfg.resolved_epsilons()) else 100
+    return build(
+        label, problem.S, factor.Q, r, alpha=alpha,
+        eig=EigsParams(cfg.eig_tol, max_restarts=budget, slack=min(budget, problem.n - r), seed=seed),
+        sketch=SketchParams(cfg.oversample, cfg.width_factor, seed),
+        positive_method=cfg.positive_part, cap=cfg.cap,
+    )
 
 
 def _opened(cfg: ExperimentConfig, wanted):
@@ -241,17 +256,16 @@ def _opened(cfg: ExperimentConfig, wanted):
     solve with ``ichol``.  A solve whose label is not in ``wanted`` gives
     None, and so does the factor stage when ``none`` is the only wanted
     label; a failed stage gives its exception.  The right-hand side's seed
-    hashes the normalised path."""
+    comes from ``open_problem``."""
     reads_factor = any(label != "none" for label in wanted)
     for path in cfg.matrices:
-        seed = rng.derive(cfg.seed, f"rhs|{os.path.normpath(path)}")
-        problem = _capture(f"skipping {path}", load_problem, path, seed=seed, rhs_mode=cfg.rhs_mode)
+        problem = _capture(f"skipping {path}", open_problem, cfg, path)
         if isinstance(problem, Exception):
             continue
         name = problem.name
-        none = _capture(f"{name} none", _solve, cfg, problem, identity()) if "none" in wanted else None
+        none = _capture(f"{name} none", solve_report, cfg, problem, identity()) if "none" in wanted else None
         ichol = _capture(f"{name} ic0", factor_stage, problem.S, cfg.diag_shift) if reads_factor else None
-        report = _capture(f"{name} ichol", _solve, cfg, problem, ichol, after=ichol) if "ichol" in wanted else None
+        report = _capture(f"{name} ichol", solve_report, cfg, problem, ichol, after=ichol) if "ichol" in wanted else None
         yield problem, none, ichol, report
 
 
@@ -276,7 +290,7 @@ def _truncation_cells(cfg, problem, ichol, decomp, r, row) -> None:
         where = f"{problem.name} r={r} {tag}"
         idx = selections[tag] = _capture(where, lambda: select_indices(decomp.values, r, rule), after=decomp)
         report = _capture(
-            where, lambda: _solve(cfg, problem, assemble(ichol.Q, truncate(decomp, idx), label=tag)), after=idx
+            where, lambda: solve_report(cfg, problem, assemble(ichol.Q, truncate(decomp, idx), label=tag)), after=idx
         )
         row[f"iter_{tag}"] = _iter_cell(report)
         cells = _capture(where, _closed_form, decomp, idx, r, rule, after=report)
@@ -312,7 +326,7 @@ def run_small_suite(cfg: ExperimentConfig):
     return rows
 
 
-def _large_row(name, n, label, r, alpha, built, report):
+def large_row(name, n, label, r, alpha, built, report):
     """One large-suite row; an exception in place of ``report`` gives the
     error row, which names the exception's type."""
     head = [name, n, label, "-" if r is None else r, "-" if alpha is None else _fmt(alpha)]
@@ -343,30 +357,23 @@ def run_large_suite(cfg: ExperimentConfig):
     ``breg_alpha`` row per alpha.  When the factor fails, every row after
     ``none`` carries its exception.
     """
-    epsilons = cfg.resolved_epsilons()
     wanted = cfg.resolved_preconditioners()
     builders = [label for label in LABELS if label in wanted]
     rows = []
     for problem, none, ichol, ichol_report in _opened(cfg, wanted):
         name, n = problem.name, problem.n
-        for eps in epsilons:
+        for eps in cfg.resolved_epsilons():
             r = int(math.floor(n * eps))
             if none is not None:
-                rows.append(_large_row(name, n, "none", None, None, identity(), none))
+                rows.append(large_row(name, n, "none", None, None, identity(), none))
             if ichol_report is not None:
-                rows.append(_large_row(name, n, "ichol", None, None, ichol, ichol_report))
+                rows.append(large_row(name, n, "ichol", None, None, ichol, ichol_report))
             for label in builders:
                 for alpha in cfg.alphas if label == "breg_alpha" else (None,):
                     where = f"{name} r={r} {label}"
-                    seed = rng.derive(cfg.seed, f"{name}|{label}|{r}|{alpha}")
-                    built = _capture(where, lambda: build(
-                        label, problem.S, ichol.Q, r, alpha=alpha,
-                        eig=_eig_budget(eps, epsilons, cfg.eig_tol, seed),
-                        sketch=SketchParams(cfg.oversample, cfg.width_factor, seed),
-                        positive_method=cfg.positive_part, cap=cfg.cap,
-                    ), after=ichol)
-                    report = _capture(where, _solve, cfg, problem, built, after=built)
-                    rows.append(_large_row(name, n, label, r, alpha, built, report))
+                    built = _capture(where, row_preconditioner, cfg, problem, ichol, label, r, alpha, eps, after=ichol)
+                    report = _capture(where, solve_report, cfg, problem, built, after=built)
+                    rows.append(large_row(name, n, label, r, alpha, built, report))
     if cfg.out:
         write_csv(cfg.out, LARGE_HEADER, rows)
     return rows

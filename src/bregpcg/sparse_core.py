@@ -35,8 +35,7 @@ of three sweeps (see ``CholFactor``), which every solve shares:
   do, and the diagonal scalings are the same divisions and products;
 - ``chol_solve``, (L L^T) x = b: the forward sweep, then a reversed sweep
   with -M^T after a division by d^2.  It agrees with two ``tri_solve``
-  calls, and with the fused SuperLU solve earlier versions made, up to
-  roundoff;
+  calls up to roundoff;
 - ``scaled_apply``, Q^-1 S Q^-T v, the operator the low-rank builders
   apply: ``tri_solve``'s two sweeps in place around one ``spmv`` call per
   vector or block column, bitwise ``tri_solve(q, spmv(s, tri_solve(q, v,
@@ -436,10 +435,9 @@ def chol_solve(factor: CholFactor, b) -> np.ndarray:
 
     Both sweeps are with the unit factor M, so the divisions by the diagonal
     happen once, between them; a diagonal factor gives exactly b / (d * d).
-    This is not the arithmetic of ``tri_solve``'s two forms (nor of the fused
-    SuperLU solve earlier versions made, which divided inside the backward
-    recurrence), so the result equals ``tri_solve(factor, tri_solve(factor,
-    b), True)`` only up to roundoff.  ``b`` may be a vector or a dense matrix
+    This is not the arithmetic of ``tri_solve``'s two forms, so the result
+    equals ``tri_solve(factor, tri_solve(factor, b), True)`` only up to
+    roundoff.  ``b`` may be a vector or a dense matrix
     of stacked right-hand sides; the result is always a fresh array, and
     Fortran-ordered for a block.
     """

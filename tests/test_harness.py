@@ -422,6 +422,44 @@ def test_large_suite_rows_are_pinned(tmp_path, monkeypatch, positive_part):
         assert float(row[col["rel_residual"]]) <= cfg.tol
 
 
+@pytest.mark.parametrize("positive_part", ["nystrom", "krylov_schur"])
+def test_cli_solve_prints_its_large_suite_row(tmp_path, monkeypatch, capsys, positive_part):
+    # solve had its own right-hand side and build seeds, Lanczos budget and
+    # maxit, so it could not re-run a row: on this matrix the none row read
+    # rel_residual 4.05e-11 where solve printed 3.56e-11, and nys_indef took
+    # 7 iterations where solve took 6
+    from bregpcg import cli
+
+    monkeypatch.chdir(tmp_path)
+    write_instance("band.mtx", bumped_band(120, seed=30))
+    cfg = ExperimentConfig(
+        suite="large", matrices=("band.mtx",), epsilons=(0.05,), seed=2, positive_part=positive_part
+    )
+    rows = run_large_suite(cfg)
+    col = {key: i for i, key in enumerate(LARGE_HEADER)}
+    compared = ("preconditioner", "r", "alpha", "converged", "rel_residual", "iterations", "matvecs_S", "note")
+    assert len(rows) == 10
+    for row in rows:
+        label, alpha = row[col["preconditioner"]], row[col["alpha"]]
+        args = ["solve", "band.mtx", "--precond", label, "--rank-frac", "0.05", "--seed", "2"]
+        args += ["--positive-part", positive_part] + ([] if alpha == "-" else ["--alpha", alpha])
+        status = cli.main(args)
+        printed = dict((line.split(None, 1) + [""])[:2] for line in capsys.readouterr().out.splitlines())
+        assert {key: printed[key] for key in compared} == {key: str(row[col[key]]) for key in compared}
+        assert status == (0 if row[col["converged"]] == "true" else 1)
+
+
+def test_large_suite_krylov_rows_fit_a_small_matrix(tmp_path):
+    # 60 slack vectors on top of r = 5 did not fit n = 50: svd_ks and the
+    # four breg_alpha rows that run Lanczos read err:ValueError
+    path = write_instance(tmp_path / "small_n.mtx", bumped_band(50))
+    rows = run_large_suite(ExperimentConfig(suite="large", matrices=(path,), epsilons=(0.1,)))
+    col = {key: i for i, key in enumerate(LARGE_HEADER)}
+    krylov = [row for row in rows if row[col["preconditioner"]] in ("svd_ks", "breg_alpha")]
+    assert [row[col["r"]] for row in krylov] == [5] * 6
+    assert all(row[col["converged"]] == "true" and not row[col["note"]].startswith("err") for row in rows), rows
+
+
 def test_large_suite_rejects_unknown_label(tmp_path):
     path = write_instance(tmp_path / "typo.mtx", bumped_band(40, seed=3))
     cfg = ExperimentConfig(suite="large", matrices=(path,), preconditioners=("ichol", "breg_alfa"))
@@ -477,10 +515,7 @@ def run_cli(*args):
 @pytest.mark.parametrize("label", ["none", "ichol", *LABELS])
 def test_cli_solve_smoke(tmp_path, label):
     path = write_instance(tmp_path / "cli_a.mtx", bumped_band(50, seed=14))
-    # a Lanczos basis of r + 60 vectors would not fit n = 50
-    proc = run_cli(
-        "solve", path, "--precond", label, "--rank", "4", "--tol", "1e-10", "--eig-budget", "20"
-    )
+    proc = run_cli("solve", path, "--precond", label, "--rank", "4", "--tol", "1e-10")
     assert proc.returncode == 0, proc.stderr
     assert "converged" in proc.stdout.lower()
 
@@ -493,11 +528,11 @@ def test_cli_solve_missing_file_hints_download(tmp_path):
 
 def test_cli_solve_builder_error_exits_two(tmp_path):
     path = write_instance(tmp_path / "cli_d.mtx", bumped_band(50, seed=14))
-    # the default --eig-budget asks for a basis of 4 + 60 vectors at n = 50
-    proc = run_cli("solve", path, "--precond", "svd_ks", "--rank", "4")
+    proc = run_cli("solve", path, "--precond", "breg", "--cap", "30")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "error: svd_ks: subspace dimension 64 exceeds operator dimension 50" in proc.stderr
+    assert "error: breg: order 50 exceeds the densification cap 30" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("label", ["nys", "svd_ks"])
@@ -533,7 +568,10 @@ def test_cli_solve_maxit_zero_is_the_default(tmp_path):
     path = write_instance(tmp_path / "cli_m.mtx", bumped_band(20, seed=14))
     zero, default = (run_cli("solve", path, "--precond", "none", *maxit) for maxit in (["--maxit", "0"], []))
     assert zero.returncode == default.returncode == 0, zero.stderr
-    untimed = [[line for line in proc.stdout.splitlines() if "(s)" not in line] for proc in (zero, default)]
+    untimed = [
+        [line for line in proc.stdout.splitlines() if not line.startswith(("construction_s", "solve_s"))]
+        for proc in (zero, default)
+    ]
     assert untimed[0] == untimed[1]
 
 
@@ -586,14 +624,6 @@ def test_cli_breakdown_hint_names_the_given_shift(tmp_path, monkeypatch, capsys,
     assert f"error: incomplete Cholesky broke down in row 439 at --diag-shift {shift}; retry with a larger one\n" in err
 
 
-def test_cli_solve_eig_budget_below_one_restart_exits_two(tmp_path):
-    path = write_instance(tmp_path / "cli_i.mtx", bumped_band(20, seed=14))
-    proc = run_cli("solve", path, "--precond", "svd_ks", "--rank", "2", "--eig-budget", "0")
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error: svd_ks: max_restarts must be at least 1" in proc.stderr
-
-
 @pytest.mark.parametrize(
     "command", [("solve", "--precond", "ichol"), ("spectrum", "--out", "spec.csv")], ids=["solve", "spectrum"]
 )
@@ -629,7 +659,7 @@ def test_cli_solve_factors_at_most_once(tmp_path, monkeypatch, label):
 
     path = write_instance(tmp_path / "once.mtx", bumped_band(50, seed=14))
     calls = count_ic0(monkeypatch)
-    assert cli.main(["solve", path, "--precond", label, "--rank", "4", "--eig-budget", "20"]) == 0
+    assert cli.main(["solve", path, "--precond", label, "--rank", "4"]) == 0
     assert len(calls) == (0 if label == "none" else 1)
 
 
@@ -671,15 +701,17 @@ def test_large_table_of_none_rows_reads_no_factor(tmp_path, monkeypatch, caplog)
 
 
 @pytest.mark.parametrize(
-    "command",
-    [("bench", "--suite", "small", "--out"), ("spectrum", "--out")],
-    ids=["bench", "spectrum"],
+    "command, empty",
+    [(("bench", "--suite", "small", "--out"), False), (("spectrum", "--out"), False), (("spectrum", "--out"), True)],
+    ids=["bench", "spectrum", "spectrum-empty"],
 )
-def test_cli_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, command):
+def test_cli_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, capsys, command, empty):
+    # an empty --out ran ic0 and the dense spectrum, then exited 2 with the
+    # download hint; bench reads an empty --out as results.csv
     from bregpcg import cli
 
     path = write_instance(tmp_path / "out_m.mtx", bumped_band(60, seed=5))
-    out = str(tmp_path / "missing_dir" / "x.csv")
+    out = "" if empty else str(tmp_path / "missing_dir" / "x.csv")
     calls = count_ic0(monkeypatch)
     assert cli.main([command[0], path, *command[1:], out]) == 2
     err = capsys.readouterr().err
@@ -702,7 +734,7 @@ def test_cli_solve_ichol_reports_factor_time(tmp_path):
     path = write_instance(tmp_path / "cli_e.mtx", laplacian_2d(30))
     proc = run_cli("solve", path, "--precond", "ichol")
     assert proc.returncode == 0, proc.stderr
-    line = next(row for row in proc.stdout.splitlines() if row.startswith("construction (s)"))
+    line = next(row for row in proc.stdout.splitlines() if row.startswith("construction_s"))
     assert float(line.split()[-1]) > 0.0
     # the large suite's ichol rows report the factor time as well
     rows = run_large_suite(ExperimentConfig(suite="large", matrices=(path,), preconditioners=("ichol",)))

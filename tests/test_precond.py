@@ -223,8 +223,8 @@ def test_assemble_drops_zero_weight_directions():
 
 def test_exact_factor_gives_factor_only_alpha_build():
     # ic0 of tridiag(-1, 4, -1) is its exact Cholesky factor, so the scaled
-    # error is zero and every Ritz value maps back to a weight of exactly 0;
-    # the settings of ``bregpcg solve --eig-budget 20`` in the CI smoke test
+    # error is zero and every Ritz value maps back to a weight of exactly 0,
+    # so one cycle fills the basis of 4 + 20 vectors and stops
     n = 200
     s = CsrMatrix.from_dense(4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
     params = EigsParams(max_restarts=20, slack=20)
