@@ -45,11 +45,13 @@ class NoConvergence(RuntimeError):
 
 
 class InfeasibleLowRank(ValueError):
-    """A low-rank term has an eigenvalue at or below -1, so I + W is not SPD."""
+    """A low-rank term has a non-finite entry or an eigenvalue at or below -1,
+    so I + W is not SPD."""
 
 
 class IndefinitePreconditionerDetected(ArithmeticError):
-    """PCG observed <z, r> <= 0, impossible with an SPD preconditioner."""
+    """PCG observed <z, r> that is not positive (NaN included), impossible
+    with an SPD preconditioner."""
 
 
 class CapExceeded(ValueError):

@@ -89,7 +89,7 @@ _RULES = {
     "alphas": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
     "oversample": (lambda x: x >= 0, ">= 0"),
     "width_factor": (lambda x: x >= 1.0, ">= 1"),  # the indefinite sketch is at least r wide
-    "diag_shift": (lambda x: x > -1.0, "> -1"),  # the shifted diagonal stays positive
+    "diag_shift": (lambda x: -1.0 < x < math.inf, "> -1"),  # the shifted diagonal stays positive and finite
     "cap": (lambda x: x >= 1, ">= 1"),
 }
 

@@ -41,13 +41,17 @@ def ic0(s: CsrMatrix, diag_shift: float = 0.0) -> CholFactor:
         lower triangle is accessed.
     diag_shift : float
         When nonzero, factor S + diag_shift * diag(S) instead.  A small
-        positive shift is the usual retry after a Breakdown.
+        positive shift is the usual retry after a Breakdown.  It must be
+        finite and above -1, so that the shifted diagonal stays positive;
+        any other value is a ValueError before any work.
 
     Raises
     ------
     Breakdown
         When a computed pivot is nonpositive.  Carries the row index.
     """
+    if not -1.0 < diag_shift < math.inf:
+        raise ValueError(f"diag_shift must be > -1, not {diag_shift!r}")
     if s.n_rows != s.n_cols:
         raise ValueError("matrix must be square")
     lower = s.lower_triangle()

@@ -66,7 +66,8 @@ def pcg_solve(
 
     Raises NotPositiveDefinite (``which="s"``) when a search direction has
     nonpositive curvature ``<d, S d>``, which an SPD ``S`` rules out, and
-    IndefinitePreconditionerDetected when ``<z, r> <= 0``.
+    IndefinitePreconditionerDetected when ``<z, r>`` is not positive, NaN
+    included, at the iteration where it appears.
 
     Returns (x, SolveReport).
     """
@@ -109,7 +110,7 @@ def pcg_solve(
     history = [1.0]
     z = residual if plain else p.apply_inverse(residual)
     rho = float(residual.dot(z))
-    if rho <= 0.0:
+    if not rho > 0.0:  # NaN included
         raise IndefinitePreconditionerDetected(f"<z, r> = {rho:.6g} at iteration 0")
     # the identity's z is the residual, which the loop updates in place
     direction = z.copy() if plain else z
@@ -163,7 +164,7 @@ def pcg_solve(
         else:
             z = p.apply_inverse(residual)
             rho_next = float(residual.dot(z))
-        if rho_next <= 0.0:
+        if not rho_next > 0.0:
             raise IndefinitePreconditionerDetected(f"<z, r> = {rho_next:.6g} at iteration {k}")
         # z is a fresh array on every general call, so the first direction
         # (which is the first z) may be updated in place

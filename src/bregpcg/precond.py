@@ -68,8 +68,9 @@ class BuildInfo:
 class Preconditioner:
     """P = Q (I + W) Q^T, or the identity when Q is None.
 
-    Construction is the one place that checks I + W: a low-rank eigenvalue
-    with 1 + lam at or below ``FEASIBILITY_MARGIN`` raises InfeasibleLowRank.
+    Construction is the one place that checks I + W: a non-finite entry of
+    Z or lam, or a low-rank eigenvalue with 1 + lam at or below
+    ``FEASIBILITY_MARGIN``, raises InfeasibleLowRank.
     Directions whose Woodbury weight lam / (1 + lam) is exactly zero change
     nothing and are dropped, and a term left with none becomes W = None.
     The weights and the basis Y = Q^{-T} Z are derived here, so that block
@@ -91,6 +92,13 @@ class Preconditioner:
             raise ValueError("a low-rank term needs a factor")
         if w.n != self.Q.n:
             raise ValueError("low-rank term and factor orders differ")
+        for what, values in (("eigenvalue", w.lam), ("basis entry", w.Z)):
+            # min and max carry a NaN or an infinity without an n x k mask
+            if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
+                at = tuple(np.argwhere(~np.isfinite(values))[0])
+                raise InfeasibleLowRank(
+                    f"low-rank {what} [{', '.join(map(str, at))}] = {values[at]:g} is not finite"
+                )
         if np.any(1.0 + w.lam <= FEASIBILITY_MARGIN):
             raise InfeasibleLowRank(
                 f"low-rank eigenvalue {w.lam.min():.9g} makes I + W indefinite"

@@ -42,6 +42,7 @@ def _nystrom_core(op: LinearOperator, r: int, width: int, seed: int) -> LowRank:
     omega = rng.normal_matrix(seed, n, width)  # the Gaussian test matrix
     sample = op.apply(omega)  # one block: exactly `width` applications
     core = omega.T @ sample
+    del omega  # from here on the sketch holds its image, then the image and half
     # the operator's roundoff makes the core asymmetric by more than sym_eig's
     # check allows on ill-conditioned problems (1.1e-12 relative on a 100x100
     # Laplacian with 1e-6 anisotropy), so average it here
@@ -68,6 +69,7 @@ def _nystrom_core(op: LinearOperator, r: int, width: int, seed: int) -> LowRank:
     # with half = sample * vecs * diag(|vals|^{-1/2}), the Nystrom
     # reconstruction is half * diag(sign(vals)) * half^T; compress it to eigen form
     half = sample @ (vecs / np.sqrt(np.abs(vals)))
+    del sample  # compress needs half alone
     return compress(half, np.sign(vals))
 
 

@@ -39,7 +39,9 @@ of three sweeps (see ``CholFactor``), which every solve shares:
 - ``scaled_apply``, Q^-1 S Q^-T v, the operator the low-rank builders
   apply: ``tri_solve``'s two sweeps in place around one ``spmv`` call per
   vector or block column, bitwise ``tri_solve(q, spmv(s, tri_solve(q, v,
-  True)))`` without its copies and layout changes.  Each S-product stays a
+  True)))`` without its copies and layout changes.  A block runs in chunks
+  of ``_BLOCK_COLUMNS`` columns, as a block solve does, so its scratch does
+  not grow with its width.  Each S-product stays a
   separate ``spmv`` call through this module's binding, because that is
   where S-products are counted.
 
@@ -288,8 +290,9 @@ class CholFactor:
         return self.L.to_dense()
 
 
-# columns of a block swept at a time, which bounds a block solve's scratch
-_BLOCK_COLUMNS = 32
+# columns of a block swept at a time, which bounds the scratch of a block
+# solve and of a block ``scaled_apply``
+_BLOCK_COLUMNS = 16
 
 
 class _Split(NamedTuple):
@@ -375,20 +378,21 @@ def _chol_into(factor: CholFactor, b: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _solve(factor: CholFactor, b, solve_into) -> np.ndarray:
-    """A fresh ``solve_into(factor, b, out)``; a block comes back Fortran-ordered.
+def _solve(factor: CholFactor, b, solve_into, order: str = "F") -> np.ndarray:
+    """A fresh ``solve_into(factor, b, out)``; a block comes back in ``order``.
 
     ``csr_matvecs`` reads the k values of a row as one contiguous run, so a
     block is swept in C-ordered scratch, ``_BLOCK_COLUMNS`` columns at a
-    time: the scratch stays small however wide the block is, and each
-    chunk's layout changes happen in cache.
+    time, and each chunk goes into its columns of ``out``: the working
+    memory is the result and a few (n, ``_BLOCK_COLUMNS``) buffers however
+    wide the block is, and each chunk's layout changes happen in cache.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != factor.n:
         raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
     if b.ndim == 1:
         return solve_into(factor, b, np.empty(len(b)))
-    out = np.empty(b.shape, order="F")
+    out = np.empty(b.shape, order=order)
     for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
         solve_into(factor, b[:, lo : lo + _BLOCK_COLUMNS], out[:, lo : lo + _BLOCK_COLUMNS])
     return out
@@ -450,12 +454,15 @@ def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
     Bitwise ``tri_solve(factor, spmv(s, tri_solve(factor, v, True)))``, on
     the same sweeps: the upper sweep on one fresh C-ordered buffer, a
     scaling by 1 / d into the S-product's input, the forward sweep in place
-    on the product, and a scaling by 1 / d in place.  ``v`` may be a vector
-    or a dense (n, k) block, whose columns come out as k vector applications
-    would.  A block's S-product input is Fortran-ordered: each product
-    overwrites its own contiguous input column, and one layout change then
-    moves all of them into the swept buffer, which costs less than writing
-    each product into a strided column of it.
+    on the product, and a scaling by 1 / d.  ``v`` may be a vector or a
+    dense (n, k) block, whose columns come out as k vector applications
+    would.  A block runs ``_BLOCK_COLUMNS`` columns at a time, each chunk
+    scaled into its columns of the result, so its working memory is the
+    result and two (n, ``_BLOCK_COLUMNS``) buffers however wide it is.  A
+    chunk's S-product input is Fortran-ordered: each product overwrites its
+    own contiguous input column, and one layout change then moves all of
+    them into the swept buffer, which costs less than writing each product
+    into a strided column of it.
 
     Each S-product is one ``spmv`` call, one per column of a block, looked
     up through this module's binding when it runs: tracers and tests count
@@ -467,6 +474,14 @@ def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
     n = factor.n
     if s.n_rows != n or s.n_cols != n or v.shape[0] != n:
         raise ValueError(f"matrix {s.shape} and operand {v.shape} do not match factor order {n}")
+    if v.ndim == 1:
+        return _scaled_into(s, factor, v)
+    return _solve(factor, v, lambda f, b, out: _scaled_into(s, f, b, out), order="C")
+
+
+def _scaled_into(s: CsrMatrix, factor: CholFactor, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``scaled_apply`` of a vector or one chunk of columns, scaled into
+    ``out``, or in place on a fresh array when ``out`` is None."""
     invdiag = _by_row(factor._split.invdiag, v)
     x = factor._upper.apply(v)
     half = np.multiply(x[::-1], invdiag, order="F")
@@ -477,8 +492,7 @@ def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
             half[:, i] = spmv(s, half[:, i])
         x[...] = half
     factor._forward.run(x)
-    x *= invdiag
-    return x
+    return np.multiply(x, invdiag, out=x if out is None else out)
 
 
 def sparse_ata(a: CsrMatrix) -> CsrMatrix:

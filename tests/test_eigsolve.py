@@ -424,3 +424,39 @@ def test_smallest_part_rank_zero():
     s = band(20)
     w = smallest_part(s, ic0(s), 0, 10.0, EigsParams())
     assert w.rank == 0 and w.n == 20
+
+
+@pytest.mark.parametrize("grid", [50, 20], ids=["n2500", "n400"])
+def test_restart_rotation_by_row_blocks_is_one_product(grid, monkeypatch):
+    # n = 2500 is not a multiple of the row block and runs the omega
+    # recurrence; n = 400 is below one block and runs the full pass on
+    # every step.  Both restart, and the whole estimate is bitwise the one
+    # a single-product rotation gives
+    n = grid * grid
+    assert n % eigsolve._ROTATE_ROWS and (n > eigsolve._ROTATE_ROWS) == (grid == 50)
+    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(grid, grid))
+    s = CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(n))
+    op = scaled_operator(s, ic0(s))
+    params = EigsParams(tol=1e-6, slack=30, max_restarts=8)
+    assert (n * (6 + 4 + 30 + 1) > eigsolve.ALWAYS_FULL_SIZE) == (grid == 50)
+
+    def run():
+        try:
+            return lanczos_tr(op, 6, params, bottom=4)
+        except NoConvergence as exc:
+            return exc.estimate
+
+    got = run()
+    rotations = []
+
+    def reference(basis, rotation):  # one product into a new array, copied back
+        m, k = rotation.shape
+        basis[:, :k] = basis[:, :m] @ rotation
+        rotations.append(k)
+
+    monkeypatch.setattr(eigsolve, "_rotate_in_place", reference)
+    want = run()
+    assert rotations
+    for name in ("values", "vectors", "residual_norms"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.converged_count, got.full_passes) == (want.converged_count, want.full_passes)

@@ -596,6 +596,8 @@ def test_cli_solve_negative_tolerance_exits_two(tmp_path, flag):
         (("solve", "--precond", "nys_indef", "--width-factor", "0.5"), "width_factor must be >= 1, not 0.5"),
         (("solve", "--diag-shift", "-2"), "diag_shift must be > -1, not -2.0"),
         (("spectrum", "--diag-shift", "-2"), "diag_shift must be > -1, not -2.0"),
+        (("solve", "--diag-shift", "inf"), "diag_shift must be > -1, not inf"),
+        (("spectrum", "--diag-shift", "nan"), "diag_shift must be > -1, not nan"),
     ],
 )
 def test_cli_rejects_flag_values_no_run_can_use(tmp_path, capsys, command, message):
@@ -865,6 +867,7 @@ def test_cli_bench_rejects_a_bad_config(tmp_path, text, message):
         ("diag_shift = -2", "config line 2: diag_shift must be > -1, not -2.0"),
         ("epsilons = 1.5", "config line 2: epsilons must be in [0, 1), not 1.5"),
         ("cap = -1", "config line 2: cap must be >= 1, not -1"),
+        ("diag_shift = inf", "config line 2: diag_shift must be > -1, not inf"),
     ],
 )
 def test_cli_bench_rejects_config_values_no_run_can_use(tmp_path, line, message):

@@ -206,6 +206,18 @@ def test_diag_shift_factors_shifted_matrix():
     np.testing.assert_allclose(fac.to_dense(), want, atol=1e-14)
 
 
+@pytest.mark.parametrize("shift", [-2.0, math.nan, math.inf])
+def test_diag_shift_outside_its_domain_fails_before_any_pass(shift, monkeypatch):
+    # -2 raised Breakdown(0), a pivot error for a bad argument; NaN and inf
+    # ran both passes before CsrMatrix rejected the factor's values
+    def no_pass(*args):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(bregpcg.ichol, "_shared_slots", no_pass)
+    with pytest.raises(ValueError, match=f"^diag_shift must be > -1, not {shift!r}$"):
+        ic0(CsrMatrix.from_dense(laplacian_2d(4)), diag_shift=shift)
+
+
 def test_rejects_missing_or_negative_diagonal():
     with pytest.raises(ValueError):
         ic0(CsrMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 2.0]])))

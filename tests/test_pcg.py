@@ -167,6 +167,27 @@ def test_indefinite_preconditioner_detected():
         pcg_solve(s, np.ones(n), _NegatedIdentity(), tol=1e-10)
 
 
+class _NanFrom:
+    """P^-1 v = v until call ``first``, NaN from there on: a non-finite
+    preconditioner output, which ``<z, r> <= 0`` let through."""
+
+    label = "nan"
+
+    def __init__(self, first):
+        self.first, self.calls = first, 0
+
+    def apply_inverse(self, v):
+        self.calls += 1
+        return v.copy() if self.calls <= self.first else np.full_like(v, np.nan)
+
+
+@pytest.mark.parametrize("first", [0, 3])
+def test_nan_preconditioner_output_is_detected_where_it_appears(first):
+    s = CsrMatrix.from_dense(4.0 * np.eye(10) - np.eye(10, k=1) - np.eye(10, k=-1))
+    with pytest.raises(IndefinitePreconditionerDetected, match=f"<z, r> = nan at iteration {first}$"):
+        pcg_solve(s, np.arange(1.0, 11.0), _NanFrom(first), tol=1e-12, maxit=50)
+
+
 @pytest.mark.parametrize("second", [0.0, -1.0], ids=["zero", "negative"])
 def test_nonpositive_curvature_is_a_typed_error(second):
     # b points along the second axis, so <d, S d> = second at iteration 1

@@ -1,9 +1,12 @@
 import itertools
 import sys
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +37,7 @@ from bregpcg import (
     truncate,
 )
 from bregpcg import eigsolve, precond, rng, sparse_core
+from bregpcg import sketch as sketch_mod
 from bregpcg.dense_kernels import sym_eig
 from bregpcg.harness import factor_stage
 from bregpcg.precond import LABELS, build
@@ -92,6 +96,27 @@ def test_assemble_rejects_infeasible_eigenvalue():
     for bad in (-1.0, -1.0000001, -5.0):
         with pytest.raises(InfeasibleLowRank):
             assemble(fac, LowRank(z, np.array([bad])))
+
+
+@pytest.mark.parametrize(
+    "lam, z_entry, message",
+    [
+        (np.nan, 0.0, r"^low-rank eigenvalue \[0\] = nan is not finite$"),
+        (np.inf, 0.0, r"^low-rank eigenvalue \[0\] = inf is not finite$"),
+        (0.5, -np.inf, r"^low-rank basis entry \[2, 0\] = -inf is not finite$"),
+        (0.5, np.nan, r"^low-rank basis entry \[2, 0\] = nan is not finite$"),
+    ],
+    ids=["nan_lam", "inf_lam", "inf_z", "nan_z"],
+)
+def test_assemble_rejects_a_non_finite_term(lam, z_entry, message):
+    # each built a factor_low_rank preconditioner, and PCG then ran to
+    # stagnation on a NaN residual
+    fac = CholFactor(CsrMatrix.from_dense(np.eye(4)))
+    z = np.zeros((4, 1))
+    z[0, 0] = 1.0
+    z[2, 0] = z_entry
+    with pytest.raises(InfeasibleLowRank, match=message):
+        assemble(fac, LowRank(z, np.array([lam])))
 
 
 def test_direct_construction_is_gated():
@@ -750,3 +775,50 @@ def test_alpha_golden_build_keeps_its_top_cluster():
     assert 900 * (30 + 60 + 1) > eigsolve.ALWAYS_FULL_SIZE
     p = build_alpha(s, ic0(s), 30, 0.5, EigsParams(tol=1e-2, slack=60, seed=0), positive_method="krylov_schur")
     assert np.sort(p.W.lam)[::-1][14] >= 0.1762
+
+
+def traced_peak(f):
+    """The traced peak, in bytes, of what ``f`` allocates."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["nystrom", "nystrom_indefinite", "krylov"])
+def test_low_rank_build_working_memory_is_bounded(kind, monkeypatch):
+    # at n = 4900, in units of one n-row column of float64: a sketch of
+    # width w holds its test matrix and its image (2 w) and two chunks of a
+    # block apply; a Krylov build holds its basis of m + 1 columns, the r
+    # vectors it returns and one chunk, through its restarts.  5% covers the
+    # small arrays.  One more n x k temporary (a second basis, an unchunked
+    # apply, a test matrix or image kept past its use) does not fit: the
+    # indefinite sketch, whose r is 2/3 of its width, shows the last two
+    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(70, 70))
+    s = CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(4900))
+    q = ic0(s)
+    n, chunk = s.n_rows, sparse_core._BLOCK_COLUMNS
+    scaled = scaled_operator(s, q)
+    scaled.apply(np.ones((n, 2)))  # the sweeps and the diagonal layout, built once
+    if kind == "krylov":
+        r, params = 36, EigsParams(tol=1e-2, slack=60, seed=0)
+        rotations, rotate = [], eigsolve._rotate_in_place
+
+        def counted(basis, rotation):
+            rotations.append(rotation.shape)
+            rotate(basis, rotation)
+
+        monkeypatch.setattr(eigsolve, "_rotate_in_place", counted)
+        peak = traced_peak(lambda: build_alpha(s, q, r, 0.0, params, allow_partial=True))
+        assert rotations  # the build restarted
+        columns = (r + params.slack + 1) + r + chunk
+    else:
+        r, sketch = (36, sketch_mod.nystrom) if kind == "nystrom" else (64, sketch_mod.nystrom_indefinite)
+        width = 96  # r + 60 and ceil(1.5 r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankCollapse)
+            peak = traced_peak(lambda: sketch(precond._minus_identity(scaled), r, SketchParams()))
+        columns = 2 * width + 2 * chunk
+    assert peak <= 1.05 * 8 * n * columns

@@ -733,6 +733,28 @@ def test_property_scaled_apply_is_bitwise_its_definition(fac, wide, k, fortran, 
     check_scaled_apply(fac, random_square(gen, fac.n), np.asfortranarray(v) if fortran else v, wide, eta)
 
 
+CHUNK = sparse_core._BLOCK_COLUMNS
+
+
+@pytest.mark.parametrize("width", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("fortran", [False, True], ids=["C", "F"])
+def test_chunked_scaled_apply_is_its_column_applies(width, fortran):
+    # a block runs CHUNK columns at a time: a partial chunk, one chunk,
+    # one past it and several with a remainder each equal the vector
+    # applications column by column, in a fresh C-ordered result
+    fac = PLAN_FACTORS["ic0_poisson20"]()
+    gen = np.random.default_rng(width)
+    s = random_square(gen, fac.n)
+    v = gen.standard_normal((fac.n, width))
+    v = np.asfortranarray(v) if fortran else v
+    kept = v.copy()
+    got = scaled_apply(s, fac, v)
+    want = np.column_stack([scaled_apply(s, fac, v[:, i]) for i in range(width)])
+    assert same_bits(got, want)
+    assert got.flags.c_contiguous and got.flags.owndata
+    assert same_bits(v, kept)
+
+
 def test_scaled_apply_checks_orders():
     fac = diagonal_factor(4)
     with pytest.raises(ValueError, match="factor order 4"):
