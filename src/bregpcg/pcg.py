@@ -6,6 +6,13 @@ whenever the recurrence claims convergence, and at termination.  The
 reported final residual is always a true one.  Matrix products are counted
 exactly: one per iteration plus one per true-residual recomputation.
 
+The vector updates are in-place level-1 BLAS calls, one pass over memory
+each: x and the residual take a ``daxpy``, the direction a ``dscal`` by
+rho_next / rho and then a ``daxpy`` of z with a = 1.  The direction update
+is bitwise ``d *= beta; d += z``; the x and residual updates round once per
+element wherever the BLAS kernel fuses the multiply and the add, so their
+last bits depend on the BLAS build and core type, as the dot products' do.
+
 The diagnostics all read one spectrum.  For P = Q (I + W) Q^T and the scaled
 system I + E = Q^{-1} S Q^{-T}, the eigenvalues mu of P^{-1} S are those of
 (I + W)^{-1/2} (I + E) (I + W)^{-1/2}, so one eigenvalue solve gives the
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy, dscal
 
 from .bregman import DENSIFY_CAP, gamma, nu, scaled_error
 from .errors import CapExceeded, IndefinitePreconditionerDetected, NotPositiveDefinite
@@ -106,14 +114,14 @@ def pcg_solve(
     plain = isinstance(p, Preconditioner) and p.Q is None
     x = np.zeros(s.n_rows)
     residual = b.copy()
-    scratch = np.empty(s.n_rows)  # step * direction, then step * S direction
     history = [1.0]
     z = residual if plain else p.apply_inverse(residual)
     rho = float(residual.dot(z))
     if not rho > 0.0:  # NaN included
         raise IndefinitePreconditionerDetected(f"<z, r> = {rho:.6g} at iteration 0")
-    # the identity's z is the residual, which the loop updates in place
-    direction = z.copy() if plain else z
+    # the loop writes only into x, the residual and this copy, never into
+    # an array apply_inverse returned (the identity's z is the residual)
+    direction = z.copy()
 
     converged = False
     reason = None
@@ -130,8 +138,9 @@ def pcg_solve(
         if curvature <= 0.0:
             raise NotPositiveDefinite(f"<d, S d> = {curvature:.6g} at iteration {k}", which="s")
         step = rho / curvature
-        x += np.multiply(direction, step, out=scratch)
-        residual -= np.multiply(s_dir, step, out=scratch)
+        # daxpy(x, y, n, a); f2py parses keywords at some 0.1 us a call
+        x = daxpy(direction, x, s.n_rows, step)
+        residual = daxpy(s_dir, residual, s.n_rows, -step)
         rr = float(residual.dot(residual))
         rel = math.sqrt(rr) / b_norm
         history.append(rel)
@@ -166,10 +175,10 @@ def pcg_solve(
             rho_next = float(residual.dot(z))
         if not rho_next > 0.0:
             raise IndefinitePreconditionerDetected(f"<z, r> = {rho_next:.6g} at iteration {k}")
-        # z is a fresh array on every general call, so the first direction
-        # (which is the first z) may be updated in place
-        direction *= rho_next / rho
-        direction += z
+        # f2py updates a copy of an argument that is not contiguous float64
+        # and returns it, so the direction is always the array returned
+        direction = dscal(rho_next / rho, direction)
+        direction = daxpy(z, direction)
         rho = rho_next
 
     if not converged and reason is None:

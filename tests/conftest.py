@@ -153,6 +153,19 @@ def spd_with_spectrum(values, seed: int) -> np.ndarray:
     return (q * values) @ q.T
 
 
+def dynamic_arch_openblas(*modules) -> bool:
+    """Whether each of numpy and scipy given links a DYNAMIC_ARCH OpenBLAS,
+    whose kernel ``OPENBLAS_CORETYPE`` picks at load time."""
+    for module in modules:
+        try:
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):  # numpy < 1.25 has no dict form
+            return False
+        if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+            return False
+    return True
+
+
 @pytest.fixture
 def tmp_mtx(tmp_path):
     """Write a dense array to a Matrix Market file, return the path."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import bregpcg
 from bregpcg import Breakdown, CsrMatrix, ic0, scaled_error
 from bregpcg.ichol import _lookup, _shared_slots
-from conftest import bumped_band, laplacian_2d, random_spd, ref_ic0_dense
+from conftest import bumped_band, dynamic_arch_openblas, laplacian_2d, random_spd, ref_ic0_dense
 
 
 def ref_dot(x, y):
@@ -380,16 +380,8 @@ print(blas, hashlib.sha1(ic0(s).L.values.tobytes()).hexdigest())
 """
 
 
-def _dynamic_arch_openblas() -> bool:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.25 has no dict form
-        return False
-    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
-
-
 @pytest.mark.skipif(
-    platform.machine() not in ("x86_64", "AMD64") or not _dynamic_arch_openblas(),
+    platform.machine() not in ("x86_64", "AMD64") or not dynamic_arch_openblas(np),
     reason="needs numpy on a DYNAMIC_ARCH OpenBLAS on x86-64",
 )
 def test_factor_bits_do_not_depend_on_the_blas_kernel():

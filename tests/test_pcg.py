@@ -1,7 +1,15 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse
 from scipy.linalg import hilbert
+
+import bregpcg
 
 from bregpcg import (
     CapExceeded,
@@ -26,11 +34,17 @@ from bregpcg import (
 )
 import bregpcg.pcg as pcg_module
 from bregpcg.pcg import preconditioned_spectrum
-from conftest import bumped_band
+from conftest import bumped_band, dynamic_arch_openblas
 
 
 def band(n, **kw):
     return CsrMatrix.from_dense(bumped_band(n, **kw))
+
+
+def shifted_laplacian(m):
+    """The five-point Laplacian on an m x m grid plus 0.01 I."""
+    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    return CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(m * m))
 
 
 def test_identity_system_converges_immediately():
@@ -201,31 +215,33 @@ def test_ichol_pcg_golden_laplacian():
     # 50x50 five-point Laplacian + 0.01 I; the counts and the residual bits
     # are pinned so that faster kernels must reproduce the same arithmetic
     # (the bits are those of chol_solve's two unit sweeps with the division
-    # by d^2 between them, on the BLAS-free ic0 factor)
+    # by d^2 between them, on the BLAS-free ic0 factor, and of the loop's
+    # BLAS updates on one OpenBLAS core type: see the test below)
     m = 50
-    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
-    s = CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(m * m))
+    s = shifted_laplacian(m)
     p = assemble(ic0(s), None, label="ichol")
     _, rep = pcg_solve(s, make_rhs(m * m, 0), p, tol=1e-10, maxit=2000)
     assert rep.converged
     assert rep.iterations == 53
     assert rep.matvecs_S == 56
-    assert rep.final_rel_residual == 7.473129958486034e-11
+    assert rep.final_rel_residual == 7.473133681684328e-11
 
 
 def test_plain_cg_golden_laplacian():
-    # same problem as above without a preconditioner; pins the in-place
-    # vector updates of the PCG loop to the original arithmetic
+    # same problem as above without a preconditioner; pins the loop's
+    # daxpy and dscal updates and its dot products on one OpenBLAS core
+    # type: with OPENBLAS_CORETYPE=Prescott, whose daxpy does not fuse, the
+    # residual reads 8.246888930100133e-11.  The counts hold on every core
+    # type measured
     m = 50
-    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
-    s = CsrMatrix.from_scipy(scipy.sparse.kronsum(t, t) + 0.01 * scipy.sparse.identity(m * m))
+    s = shifted_laplacian(m)
     b = make_rhs(m * m, 0)
     b_before = b.copy()
     _, rep = pcg_solve(s, b, identity(), tol=1e-10, maxit=2000)
     assert rep.converged
     assert rep.iterations == 159
     assert rep.matvecs_S == 166
-    assert rep.final_rel_residual == 8.246895583260052e-11
+    assert rep.final_rel_residual == 8.246888864106131e-11
     np.testing.assert_array_equal(b, b_before)
 
 
@@ -253,6 +269,154 @@ def test_identity_path_is_bitwise_the_general_path(tol, maxit):
     assert (lean.iterations, lean.matvecs_S, lean.final_rel_residual, lean.reason) == (
         general.iterations, general.matvecs_S, general.final_rel_residual, general.reason
     )
+
+
+def _numpy_daxpy(x, y, n=None, a=1.0):
+    # y + a x as the loop formed it before its BLAS calls: the product is
+    # rounded into a buffer, then added (r - step Sd is r + (-step) Sd
+    # bitwise); the loop's n is always the full length
+    assert n in (None, len(y))
+    y += np.multiply(x, a)
+    return y
+
+
+def _numpy_dscal(a, x):
+    x *= a
+    return x
+
+
+def solve_with_both_updates(s, b, p):
+    """pcg_solve with its BLAS updates, then with the numpy updates they replaced."""
+    blas = pcg_solve(s, b, p, tol=1e-10, maxit=2000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pcg_module, "daxpy", _numpy_daxpy)
+        patch.setattr(pcg_module, "dscal", _numpy_dscal)
+        return blas, pcg_solve(s, b, p, tol=1e-10, maxit=2000)
+
+
+def update_cases():
+    """Plain CG and ichol-PCG at n = 2,500, and a Krylov breg_alpha build at n = 400."""
+    s = shifted_laplacian(50)
+    b = make_rhs(s.n_rows, 0)
+    small = shifted_laplacian(20)
+    alpha = build_alpha(small, ic0(small), 8, 0.5, EigsParams(tol=1e-8, slack=30, seed=1))
+    return [
+        ("none", s, b, identity()),
+        ("ichol", s, b, assemble(ic0(s), None, label="ichol")),
+        ("breg_alpha", small, make_rhs(small.n_rows, 1), alpha),
+    ]
+
+
+def test_blas_updates_keep_the_counts_of_the_numpy_updates():
+    # daxpy rounds a x + y once where OpenBLAS fuses it, so the final true
+    # residuals move by some 5e-7 relative (they sit at roundoff level) but
+    # the counts must not move.  The recurrence histories differed by at
+    # most 1.5e-13 relative under the native, Haswell and Prescott kernels
+    # and with numpy's AVX-512 kernels off
+    for label, s, b, p in update_cases():
+        (_, blas), (_, numpy_) = solve_with_both_updates(s, b, p)
+        assert blas.converged and numpy_.converged, label
+        assert (blas.iterations, blas.matvecs_S) == (numpy_.iterations, numpy_.matvecs_S), label
+        np.testing.assert_allclose(
+            blas.rel_residual_history, numpy_.rel_residual_history, rtol=1e-12, atol=0, err_msg=label
+        )
+
+
+_COMPARE_UPDATES = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+from scipy.linalg.blas import daxpy
+from test_pcg import solve_with_both_updates, update_cases
+gen = np.random.default_rng(0)
+x, y = gen.standard_normal(1001), gen.standard_normal(1001)
+probe = hashlib.sha1(daxpy(x, y, a=0.1).tobytes()).hexdigest()
+same = True
+for label, s, b, p in update_cases():
+    (x_blas, blas), (x_numpy, numpy_) = solve_with_both_updates(s, b, p)
+    same &= np.array_equal(x_blas, x_numpy)
+    same &= blas.rel_residual_history == numpy_.rel_residual_history
+    same &= blas.final_rel_residual == numpy_.final_rel_residual
+print(probe, same)
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64") or not dynamic_arch_openblas(np, scipy),
+    reason="needs numpy and scipy on a DYNAMIC_ARCH OpenBLAS on x86-64",
+)
+def test_blas_updates_are_the_numpy_updates_where_daxpy_does_not_fuse():
+    # Prescott's daxpy rounds the product and the sum apart, as numpy does,
+    # so there the single rounding of a fused kernel is the only change
+    paths = [
+        os.path.dirname(os.path.dirname(os.path.abspath(bregpcg.__file__))),
+        os.path.dirname(os.path.abspath(__file__)),
+    ]
+    runs = {}
+    for core in (None, "Prescott"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        out = subprocess.run(
+            [sys.executable, "-c", _COMPARE_UPDATES, *paths],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        runs[core] = out.stdout.split()
+    if runs[None][0] == runs["Prescott"][0]:
+        pytest.skip("OPENBLAS_CORETYPE=Prescott did not change daxpy here")
+    assert runs["Prescott"][1] == "True"
+
+
+class _ReturningIdentity:
+    """P^-1 v = v, returned as the argument itself."""
+
+    label = "returning"
+
+    def apply_inverse(self, v):
+        return v
+
+
+class _StridedIdentity:
+    """P^-1 v = v, returned as a strided view of a fresh array."""
+
+    label = "strided"
+
+    def apply_inverse(self, v):
+        return np.repeat(v, 2)[::2]
+
+
+def test_loop_only_reads_what_the_preconditioner_returns():
+    # the first direction is a copy of z, so z may be the residual itself
+    s = shifted_laplacian(30)
+    b = make_rhs(s.n_rows, 3)
+    b_before = b.copy()
+    x_returning, returning = pcg_solve(s, b, _ReturningIdentity(), tol=1e-10, maxit=2000)
+    x_copying, copying = pcg_solve(s, b, _CopyingIdentity(), tol=1e-10, maxit=2000)
+    assert returning.converged
+    np.testing.assert_array_equal(x_returning, x_copying)
+    assert returning.rel_residual_history == copying.rel_residual_history
+    assert (returning.iterations, returning.matvecs_S, returning.final_rel_residual) == (
+        copying.iterations, copying.matvecs_S, copying.final_rel_residual
+    )
+    np.testing.assert_array_equal(b, b_before)
+
+
+def test_strided_preconditioner_output_solves_as_a_contiguous_one():
+    # daxpy reads a contiguous copy of a strided z; <r, z> runs numpy's dot
+    # with a stride of 2, which sums in another order, so the bits differ:
+    # the histories by at most 6e-15 relative and x by 1e-15 of its largest
+    # entry at m = 20, 30 and 50
+    s = shifted_laplacian(30)
+    b = make_rhs(s.n_rows, 3)
+    b_before = b.copy()
+    x_strided, strided = pcg_solve(s, b, _StridedIdentity(), tol=1e-10, maxit=2000)
+    x_copying, copying = pcg_solve(s, b, _CopyingIdentity(), tol=1e-10, maxit=2000)
+    assert strided.converged
+    assert (strided.iterations, strided.matvecs_S) == (copying.iterations, copying.matvecs_S)
+    np.testing.assert_allclose(strided.rel_residual_history, copying.rel_residual_history, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(x_strided, x_copying, rtol=0, atol=1e-13 * np.abs(x_copying).max())
+    np.testing.assert_array_equal(b, b_before)
 
 
 def test_zero_rhs_short_circuits():
