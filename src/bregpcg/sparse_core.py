@@ -45,10 +45,33 @@ of three sweeps (see ``CholFactor``), which every solve shares:
   separate ``spmv`` call through this module's binding, because that is
   where S-products are counted.
 
+A vector's sweeps run their rows in another order (``CholFactor._order``).
+Row i of a sweep must wait for every row it reads, and in natural order
+each row of a stencil factor reads the row just before it, so the sweep is
+one chain of dependent loads and adds.  Sorted stably by a key that exceeds
+the keys of the rows it reads, every row still comes after those rows,
+while rows that run one after the other seldom read each other and the CPU
+overlaps them: level scheduling (Anderson & Saad 1989), used here for
+instruction-level parallelism within one ``csr_matvec`` call, not for
+threads.  The vector sweeps hold the same rows as the natural ones, each
+with its entries in the same order, rows and columns numbered by position
+in that order; a gather puts the input into that order and another puts
+the result back, where natural order copies.  Every row does the same
+arithmetic on the same values in the same order, so each result is
+bitwise the natural order's.  The upper and backward sweeps run in the
+reverse of the forward sweep's order.  Two cases keep natural order:
+blocks, since ``csr_matvecs`` gains nothing from the reorder and a row
+gather of an (n, k) block costs several times its copy, and a factor whose
+order comes out natural, such as a band, where each row reads the one
+before it.  ``scaled_apply`` keeps natural order as well: the gathers
+around its S-product, which must stay in natural order, ate the gain.
+
 ``tests/test_sparse_core.py`` checks ``spmv`` bitwise against ``csr_matvec``
-on random banded matrices, and pins the in-place reading of ``csr_matvec``;
-both guard the private imports on new scipy versions.  No kernel here uses
-threads, so repeated runs in one environment agree bitwise.
+on random banded matrices, pins the in-place reading of ``csr_matvec``, in
+stored order within a row whose column indices do not ascend, and checks
+the counting sort the sweeps are built with against numpy's stable sort;
+these guard the private imports on new scipy versions.  No kernel here
+uses threads, so repeated runs in one environment agree bitwise.
 
 Explicit zeros are legal stored entries.  They matter: incomplete
 factorizations work with the sparsity pattern, and a stored zero is part of
@@ -268,23 +291,57 @@ class CholFactor:
         return _Split(rows[strict], L.col_idx[strict], L.values[strict], diag, 1 / diag)
 
     @cached_property
+    def _order(self) -> "_Order | None":
+        """The row order of the vector sweeps, or None where it is natural.
+
+        A row's key is 1 plus the sum of the keys of the rows it reads: one
+        in-place ``csr_matvec`` with unit weights over L's strict pattern, on
+        ones.  So a row's key exceeds the key of every row it reads, and as
+        rounding is monotone, key_i >= key_j holds even where keys overflow
+        to inf.  A stable sort by key keeps ties in natural order, so each row
+        still comes after every row it reads, while rows whose keys are
+        close, which run one after the other, seldom read each other.
+        """
+        i, j = self._split.i, self._split.j
+        n = self.n
+        indptr = np.zeros(n + 1, dtype=j.dtype)
+        np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+        key = np.ones(n)
+        _sparsetools.csr_matvec(n, n, indptr, j, np.ones(len(j)), key, key)
+        if np.all(key[1:] >= key[:-1]):
+            return None  # the stable sort keeps natural order
+        rows = np.argsort(key, kind="stable")
+        positions = np.empty_like(rows)
+        positions[rows] = np.arange(n)
+        return _Order(rows, positions)
+
+    # The three sweeps (see ``_build_sweep``), each built on first use: in
+    # natural order for blocks, and in ``_order`` for vectors, where the
+    # vector sweep is the natural one itself when that order is natural.
+
+    @cached_property
     def _forward(self) -> "_Sweep":
-        """-M, M_ij = L_ij (1 / d_j): L y = b is this sweep, then y = x / d."""
-        i, j, values, _, invdiag = self._split
-        return _sweep(len(invdiag), i, j, values * invdiag[j])
+        return _build_sweep("forward", self._split, None)
 
     @cached_property
     def _upper(self) -> "_Sweep":
-        """scipy's L^T y = b: N^T x = b, N = D^-1 L, whose diagonal L_jj (1 / d_j)
-        need not be 1: divide by it, sweep with -N^T, then y = x / d."""
-        i, j, values, diag, invdiag = self._split
-        return _reversed_sweep(i, j, values * invdiag[i], diag * invdiag)
+        return _build_sweep("upper", self._split, None)
 
     @cached_property
     def _backward(self) -> "_Sweep":
-        """L L^T x = M D^2 M^T x = b after the forward sweep: x / d^2, -M^T."""
-        i, j, values, diag, invdiag = self._split
-        return _reversed_sweep(i, j, values * invdiag[j], diag * diag)
+        return _build_sweep("backward", self._split, None)
+
+    @cached_property
+    def _vector_forward(self) -> "_Sweep":
+        return self._forward if self._order is None else _build_sweep("forward", self._split, self._order)
+
+    @cached_property
+    def _vector_upper(self) -> "_Sweep":
+        return self._upper if self._order is None else _build_sweep("upper", self._split, self._order)
+
+    @cached_property
+    def _vector_backward(self) -> "_Sweep":
+        return self._backward if self._order is None else _build_sweep("backward", self._split, self._order)
 
     def to_dense(self) -> np.ndarray:
         return self.L.to_dense()
@@ -306,6 +363,15 @@ class _Split(NamedTuple):
     invdiag: np.ndarray
 
 
+class _Order(NamedTuple):
+    """A row order of a sweep: the row run at each position, and each row's
+    position.  Both are ``np.intp``, numpy's own index type, so a gather by
+    them converts nothing."""
+
+    rows: np.ndarray
+    positions: np.ndarray
+
+
 def _by_row(a: np.ndarray, like: np.ndarray) -> np.ndarray:
     """``a``, one value per row, shaped to broadcast against ``like``."""
     return a if like.ndim == 1 else a[:, None]
@@ -318,13 +384,16 @@ class _Sweep(NamedTuple):
     row, in stored order.  With x and y the same array, row i reads entries
     the rows before it have already written: unit forward substitution.  A
     sweep of an upper triangle runs on reversed vectors and holds the
-    divisors its input is scaled by first, in reversed order.
+    divisors its input is scaled by first, in its own row order.  A sweep
+    with an ``order`` runs the rows of a vector in that order, and its rows
+    and columns are numbered by position in it.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     divisors: np.ndarray | None = None
+    order: _Order | None = None
 
     def run(self, x: np.ndarray) -> None:
         n = len(self.indptr) - 1
@@ -334,48 +403,130 @@ class _Sweep(NamedTuple):
             _sparsetools.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data, x, x)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        """A fresh C-ordered copy of ``b``, swept in place.  A sweep with
-        ``divisors`` reverses ``b`` and divides it by them into the copy,
-        whose result stays reversed."""
-        if self.divisors is None:
+        """``b`` in the sweep's row order, a fresh C-ordered array divided by
+        ``divisors`` if any, swept in place: a copy in natural order, a
+        reversed copy for a natural sweep with divisors, a gather otherwise."""
+        if self.order is not None:
+            x = b.take(self.order.rows)
+            if self.divisors is not None:
+                np.divide(x, self.divisors, out=x)
+        elif self.divisors is None:
             x = np.array(b, order="C")
         else:
             x = np.divide(b[::-1], _by_row(self.divisors, b), order="C")
         self.run(x)
         return x
 
+    def restore(self, x: np.ndarray, out: np.ndarray | None = None, scale: np.ndarray | None = None) -> np.ndarray:
+        """The swept ``x`` in natural row order, times ``scale`` by row if
+        given, written into ``out`` or a fresh array, Fortran-ordered for a
+        block.  A sweep with an order runs vectors only: it gathers ``x``
+        into a fresh array."""
+        if self.order is not None:
+            x = x.take(self.order.positions)
+            return x if scale is None else np.multiply(x, scale, out=x)
+        if self.divisors is not None:
+            x = x[::-1]
+        if scale is not None:
+            return np.multiply(x, _by_row(scale, x), out=out, order="F")
+        if out is None:
+            return x.copy()
+        np.copyto(out, x)
+        return out
 
-def _sweep(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, divisors=None) -> _Sweep:
+
+def _sweep(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, divisors=None, positions=None) -> _Sweep:
     """The sweep holding ``-values`` at (rows, cols), which come in ascending
-    row order and keep the order given within a row; exact zeros are dropped."""
+    row order, or, given ``positions``, at (positions[rows], positions[cols])
+    in ascending position order.  Each row keeps the order its entries come
+    in, exact zeros are dropped, and the index arrays keep ``cols``'s dtype."""
     keep = values != 0.0
-    rows, cols = rows[keep], cols[keep]
-    indptr = np.zeros(n + 1, dtype=cols.dtype)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return _Sweep(indptr, cols, -values[keep], divisors)
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    if positions is None:
+        indptr = np.zeros(n + 1, dtype=cols.dtype)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    else:
+        positions = positions.astype(cols.dtype, copy=False)
+        indptr, take = _grouped(positions[rows], n)
+        cols, values = positions[cols[take]], values[take]
+    return _Sweep(indptr, cols, -values, divisors)
 
 
-def _reversed_sweep(i: np.ndarray, j: np.ndarray, values: np.ndarray, divisors: np.ndarray) -> _Sweep:
-    """The sweep of the upper triangle with ``values`` at (j, i), on reversed
-    vectors divided by ``divisors`` first: row j becomes row n - 1 - j, column
-    i becomes n - 1 - i, and each row keeps its entries in the ascending i given."""
-    n = len(divisors)
-    rows = (n - 1) - j
-    order = np.argsort(rows, kind="stable")
-    return _sweep(n, rows[order], ((n - 1) - i)[order], values[order], divisors[::-1].copy())
+def _grouped(keys: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray]":
+    """(indptr, take): the places of the entries whose key is k, for keys in
+    [0, n), are take[indptr[k]:indptr[k + 1]], in the order the entries come
+    in.  This is a counting sort, ``csr_tocsc`` of the one-row matrix whose
+    column indices are the keys and whose values are the places, and it
+    equals ``np.argsort(keys, kind="stable")`` at a fraction of its cost."""
+    m, index = len(keys), keys.dtype
+    indptr, take = np.empty(n + 1, dtype=index), np.empty(m, dtype=index)
+    places = np.arange(m, dtype=index)
+    _sparsetools.csr_tocsc(1, n, np.array([0, m], dtype=index), keys, places, indptr, np.zeros_like(places), take)
+    return indptr, take
 
 
-def _lower_into(factor: CholFactor, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.multiply(factor._forward.apply(b), _by_row(factor._split.invdiag, b), out=out, order="F")
+def _build_sweep(form: str, split: _Split, order: _Order | None) -> _Sweep:
+    """One of a factor's three sweeps, in natural row order or in ``order``.
+
+    - "forward": -M, M_ij = L_ij (1 / d_j); L y = b is this sweep, then
+      y = x / d;
+    - "upper": scipy's L^T y = b is N^T x = b, N = D^-1 L, whose diagonal
+      L_jj (1 / d_j) need not be 1: divide by it, sweep with -N^T, then
+      y = x / d;
+    - "backward": L L^T x = M D^2 M^T x = b after the forward sweep: x / d^2,
+      then -M^T.
+
+    The last two sweep an upper triangle in the reverse of the forward
+    sweep's row order: row j of the transpose runs as far from the end as
+    row j of L runs from the start, and keeps its entries in ascending i.
+    """
+    i, j, values, diag, invdiag = split
+    n = len(diag)
+    if form == "forward":
+        sweep = _sweep(n, i, j, values * invdiag[j], None, None if order is None else order.positions)
+        return sweep._replace(order=order)
+    if order is None:
+        rows = np.arange(n - 1, -1, -1)
+        reverse = _Order(rows, rows)
+    else:
+        reverse = _Order(order.rows[::-1].copy(), (n - 1) - order.positions)
+    if form == "upper":
+        values, divisors = values * invdiag[i], diag * invdiag
+    else:
+        values, divisors = values * invdiag[j], diag * diag
+    sweep = _sweep(n, j, i, values, divisors[reverse.rows], reverse.positions)
+    # a natural sweep reverses by a view; only a reordered one gathers
+    return sweep._replace(order=None if order is None else reverse)
 
 
-def _upper_into(factor: CholFactor, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.multiply(factor._upper.apply(b)[::-1], _by_row(factor._split.invdiag, b), out=out, order="F")
+def _lower_into(factor: CholFactor, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    sweep = factor._vector_forward if b.ndim == 1 else factor._forward
+    return sweep.restore(sweep.apply(b), out, factor._split.invdiag)
 
 
-def _chol_into(factor: CholFactor, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.copyto(out, factor._backward.apply(factor._forward.apply(b))[::-1])
-    return out
+def _upper_into(factor: CholFactor, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    sweep = factor._vector_upper if b.ndim == 1 else factor._upper
+    return sweep.restore(sweep.apply(b), out, factor._split.invdiag)
+
+
+def _chol_into(factor: CholFactor, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    # the backward sweep runs in the reverse of the forward sweep's order, so
+    # its input is the forward sweep's result reversed
+    if b.ndim == 1:
+        forward, backward = factor._vector_forward, factor._vector_backward
+    else:
+        forward, backward = factor._forward, factor._backward
+    x = np.divide(forward.apply(b)[::-1], _by_row(backward.divisors, b), order="C")
+    backward.run(x)
+    return backward.restore(x, out)
+
+
+def _operand(b, n: int) -> np.ndarray:
+    """``b`` as float64, checked to be a vector (n,) or a block (n, k)."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2):
+        raise ValueError(f"operand has shape {b.shape}, expected ({n},) or ({n}, k)")
+    return b
 
 
 def _solve(factor: CholFactor, b, solve_into, order: str = "F") -> np.ndarray:
@@ -387,11 +538,11 @@ def _solve(factor: CholFactor, b, solve_into, order: str = "F") -> np.ndarray:
     memory is the result and a few (n, ``_BLOCK_COLUMNS``) buffers however
     wide the block is, and each chunk's layout changes happen in cache.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = _operand(b, factor.n)
     if b.shape[0] != factor.n:
         raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
     if b.ndim == 1:
-        return solve_into(factor, b, np.empty(len(b)))
+        return solve_into(factor, b, None)
     out = np.empty(b.shape, order=order)
     for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
         solve_into(factor, b[:, lo : lo + _BLOCK_COLUMNS], out[:, lo : lo + _BLOCK_COLUMNS])
@@ -470,8 +621,8 @@ def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
     product with S would hide them.  The result is fresh and C-ordered, so
     callers may update it in place; ``v`` is never written.
     """
-    v = np.asarray(v, dtype=np.float64)
     n = factor.n
+    v = _operand(v, n)
     if s.n_rows != n or s.n_cols != n or v.shape[0] != n:
         raise ValueError(f"matrix {s.shape} and operand {v.shape} do not match factor order {n}")
     if v.ndim == 1:

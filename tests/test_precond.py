@@ -214,8 +214,10 @@ def test_apply_inverse_returns_a_fresh_array():
         if p.Y is not None:
             held.append(p.Y)
         if kind != "identity":
-            sweeps = (fac._forward, fac._backward)
-            held += [arr for sweep in sweeps for arr in sweep if arr is not None] + list(fac._split)
+            sweeps = (fac._forward, fac._backward, fac._vector_forward, fac._vector_backward)
+            for sweep in sweeps:
+                held += [arr for arr in sweep[:4] if arr is not None] + list(sweep.order or ())
+            held += list(fac._split)
         assert not np.shares_memory(first, second)
         for arr in held:
             assert not np.shares_memory(first, arr), kind

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -435,19 +436,37 @@ PLAN_FACTORS = {
 }
 
 
+def permuted_rows(sweep, rows, columns):
+    """``sweep``'s CSR arrays with its rows taken in the order ``rows`` and
+    its column indices mapped through ``columns``."""
+    counts = np.diff(sweep.indptr)[rows]
+    take = np.concatenate([np.arange(sweep.indptr[r], sweep.indptr[r] + c) for r, c in zip(rows, counts)] + [[]])
+    take = take.astype(np.intp)
+    return np.concatenate([[0], np.cumsum(counts)]), columns[sweep.indices[take]], sweep.data[take]
+
+
+FORMS = {"lower": ["forward"], "upper": ["upper"], "both": ["forward", "backward"]}
+
+
+def sweep_of(fac, form, vector):
+    """The factor's sweep ``form``, the vector one or the natural one blocks run."""
+    return getattr(fac, ("_vector_" if vector else "_") + form)
+
+
 # "both" is chol_solve's form, a forward and a backward sweep
 @pytest.mark.parametrize("form", ["lower", "upper", "both"])
 @pytest.mark.parametrize("name", sorted(PLAN_FACTORS))
 def test_solve_plan_arrays_equal_the_diagonal_product_form(name, form):
     # the sweeps scale and permute L's arrays entry by entry; each entry is
     # the one product a sparse product with a diagonal matrix forms, so every
-    # array is equal.  A reversed sweep keeps ascending original rows, which
-    # are descending columns after the reversal
+    # array of the natural sweeps, which blocks run, is equal.  A reversed
+    # sweep keeps ascending original rows, which are descending columns after
+    # the reversal
     fac = PLAN_FACTORS[name]()
     low = fac.L.to_scipy()
     if name == "stored_zero":
         assert np.count_nonzero(low.data == 0.0) == 3
-    sweeps = {"lower": [fac._forward], "upper": [fac._upper], "both": [fac._forward, fac._backward]}[form]
+    sweeps = [sweep_of(fac, f, False) for f in FORMS[form]]
     want = product_sweeps(low, form)
     assert len(sweeps) == len(want)
     for k, (got, mat) in enumerate(zip(sweeps, want)):
@@ -468,6 +487,24 @@ def test_solve_plan_arrays_equal_the_diagonal_product_form(name, form):
         assert sweeps[0].divisors is None
     if divisors is not None:
         assert sweeps[-1].divisors.tobytes() == divisors[::-1].tobytes()
+    # a vector's sweeps hold the same rows in the vector order, each with its
+    # entries in the same order, the columns renumbered by position
+    n = fac.n
+    for f, natural in zip(FORMS[form], sweeps):
+        vector = sweep_of(fac, f, True)
+        if fac._order is None:
+            assert vector is natural
+            continue
+        order = vector.order
+        natural_rows = np.arange(n) if f == "forward" else np.arange(n)[::-1]
+        want = permuted_rows(natural, natural_rows[order.rows], order.positions[natural_rows])
+        for got, arr, kept in zip(vector[:3], want, natural[:3]):
+            assert got.dtype == kept.dtype
+            assert got.tobytes() == arr.astype(kept.dtype).tobytes()
+        if natural.divisors is None:
+            assert vector.divisors is None
+        else:
+            assert vector.divisors.tobytes() == natural.divisors[natural_rows[order.rows]].tobytes()
     # the factor's own arrays are not written
     for arr in (fac.L.row_ptr, fac.L.col_idx, fac.L.values):
         assert not arr.flags.writeable
@@ -488,27 +525,146 @@ def counted_sweeps(monkeypatch):
 def test_every_solve_of_a_factor_shares_its_three_sweeps(monkeypatch):
     # the lower solve, chol_solve's first half and scaled_apply's second half
     # run one forward sweep; the upper solve and scaled_apply's first half
-    # one reversed sweep; chol_solve's second half the other
+    # one reversed sweep; chol_solve's second half the other.  Blocks run the
+    # three in natural order, vectors in the vector order, which is natural
+    # on the bumped band: each sweep is built once per order
     calls = counted_sweeps(monkeypatch)
-    fac = PLAN_FACTORS["ic0_poisson20"]()
-    s = CsrMatrix.from_dense(laplacian_2d(20))
-    v = np.random.default_rng(3).standard_normal((fac.n, 3))
-    for b in (v[:, 0], v):
-        tri_solve(fac, b)
-        tri_solve(fac, b, transposed=True)
-        chol_solve(fac, b)
-        scaled_apply(s, fac, b)
-    assert len(calls) == 3
+    for name, orders in (("ic0_poisson20", 2), ("ic0_bumped_band256", 1)):
+        calls.clear()
+        fac = PLAN_FACTORS[name]()
+        s = CsrMatrix.from_scipy(fac.L.to_scipy() @ fac.L.to_scipy().T)
+        v = np.random.default_rng(3).standard_normal((fac.n, 3))
+        for _ in range(2):
+            for b in (v[:, 0], v):
+                tri_solve(fac, b)
+                tri_solve(fac, b, transposed=True)
+                chol_solve(fac, b)
+                scaled_apply(s, fac, b)
+        assert len(calls) == 3 * orders, name
 
 
 def test_chol_solve_alone_never_builds_the_upper_sweep(monkeypatch):
+    # a forward and a backward sweep in each order, the natural one for the
+    # block and the vector order for the vector
     calls = counted_sweeps(monkeypatch)
     fac = PLAN_FACTORS["ic0_poisson20"]()
     b = np.random.default_rng(3).standard_normal((fac.n, 3))
     chol_solve(fac, b)
     chol_solve(fac, b[:, 0])
-    assert len(calls) == 2
-    assert "_upper" not in vars(fac)
+    assert len(calls) == 4
+    assert "_upper" not in vars(fac) and "_vector_upper" not in vars(fac)
+
+
+def test_vector_order_is_a_topological_order_and_natural_on_the_band():
+    # on the 70 x 70 grid rows follow each other in another order than the
+    # natural one, and each row still comes after every row it reads: L's
+    # strict entries, stored zeros included, and each vector sweep's entries
+    # point to earlier positions
+    fac = PLAN_FACTORS["ic0_poisson70"]()
+    order = fac._order
+    assert order.rows.dtype == order.positions.dtype == np.intp
+    assert not np.array_equal(order.rows, np.arange(fac.n))
+    np.testing.assert_array_equal(order.positions[order.rows], np.arange(fac.n))
+    i, j = fac._split.i, fac._split.j
+    assert np.all(order.positions[j] < order.positions[i])
+    for form in ("forward", "upper", "backward"):
+        sweep = sweep_of(fac, form, True)
+        rows = np.repeat(np.arange(fac.n), np.diff(sweep.indptr))
+        assert np.all(sweep.indices < rows)
+    # every row of the bumped band reads the row before it, so its order is
+    # natural: a vector shares the block's sweeps, and no gather runs
+    band = PLAN_FACTORS["ic0_bumped_band256"]()
+    assert band._order is None
+    for form in ("forward", "upper", "backward"):
+        assert sweep_of(band, form, True) is sweep_of(band, form, False)
+        assert sweep_of(band, form, True).order is None
+
+
+def overflowing_factor():
+    """A unit-diagonal factor whose row keys overflow to inf: a dense lower
+    triangle on the first 1,100 rows, where row i's key is 2**i, then rows
+    that read nothing, which the order moves forward, and rows that read
+    row 1,099 only, whose keys tie with it at inf."""
+    dense, free, tied = 1100, 40, 40
+    n = dense + free + tied
+    gen = np.random.default_rng(9)
+    rows, cols = np.tril_indices(dense, -1)
+    rows = np.concatenate([rows, np.arange(dense + free, n)])
+    cols = np.concatenate([cols, np.full(tied, dense - 1)])
+    vals = 1e-4 * gen.standard_normal(len(rows))
+    rows, cols = np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)])
+    vals = np.concatenate([vals, 1.0 + gen.random(n)])
+    return CholFactor(CsrMatrix.from_coo(n, n, rows, cols, vals))
+
+
+def test_overflowing_keys_still_solve_bitwise():
+    fac = overflowing_factor()
+    order = fac._order
+    assert order is not None and not np.array_equal(order.rows, np.arange(fac.n))
+    # the free rows come first, and the tied rows keep natural order after
+    # the dense ones they tie with
+    assert set(order.rows[1:41].tolist()) == set(range(1100, 1140))
+    np.testing.assert_array_equal(order.rows[-41:], [1099] + list(range(1140, 1180)))
+    i, j = fac._split.i, fac._split.j
+    assert np.all(order.positions[j] < order.positions[i])
+    low = fac.L.to_scipy()
+    b = np.random.default_rng(10).standard_normal(fac.n)
+    for transposed in (False, True):
+        tri = low.T.tocsr() if transposed else low
+        want = scipy.sparse.linalg.spsolve_triangular(tri, b, lower=not transposed)
+        assert tri_solve(fac, b, transposed).tobytes() == want.tobytes()
+    assert chol_solve(fac, b).tobytes() == ref_chol_solve(fac.L, b).tobytes()
+
+
+def test_vector_sweeps_keep_the_index_dtype():
+    # int32 from an int32 factor, int64 from widened_factor's int64 split, in
+    # both orders; the order itself is numpy's index type
+    fac = PLAN_FACTORS["ic0_poisson20"]()
+    wide = widened_factor(fac)
+    assert fac._order is not None
+    for form in ("forward", "upper", "backward"):
+        for vector in (False, True):
+            for f, index in ((fac, np.int32), (wide, np.int64)):
+                sweep = sweep_of(f, form, vector)
+                assert sweep.indptr.dtype == sweep.indices.dtype == index
+                assert (sweep.order is not None) == vector
+            narrow, widened = sweep_of(fac, form, vector), sweep_of(wide, form, vector)
+            for a, b in zip(narrow[:3], widened[:3]):
+                np.testing.assert_array_equal(a, b)
+    assert wide._order.rows.dtype == np.intp
+    gen = np.random.default_rng(11)
+    v = gen.standard_normal(fac.n)
+    assert chol_solve(wide, v).tobytes() == chol_solve(fac, v).tobytes()
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+def test_grouping_is_a_stable_sort(index):
+    gen = np.random.default_rng(12)
+    for m, n in ((0, 3), (1, 1), (50, 4), (500, 60)):
+        keys = gen.integers(0, n, m).astype(index)
+        indptr, take = sparse_core._grouped(keys, n)
+        assert indptr.dtype == take.dtype == index
+        np.testing.assert_array_equal(take, np.argsort(keys, kind="stable"))
+        np.testing.assert_array_equal(indptr, np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))]))
+
+
+BAD_OPERANDS = {"0-D": np.float64(1.0), "3-D": np.ones((9, 2, 2)), "empty 3-D": np.ones((9, 0, 1))}
+
+
+@pytest.mark.parametrize("kernel", ["lower", "upper", "chol", "scaled"])
+@pytest.mark.parametrize("operand", sorted(BAD_OPERANDS))
+def test_solves_reject_operands_that_are_neither_vectors_nor_blocks(kernel, operand):
+    fac = diagonal_factor(9)
+    s = CsrMatrix.from_dense(np.eye(9))
+    run = {
+        "lower": lambda b: tri_solve(fac, b),
+        "upper": lambda b: tri_solve(fac, b, True),
+        "chol": lambda b: chol_solve(fac, b),
+        "scaled": lambda b: scaled_apply(s, fac, b),
+    }[kernel]
+    b = BAD_OPERANDS[operand]
+    with pytest.raises(ValueError, match=re.escape(f"operand has shape {np.shape(b)}")):
+        run(b)
 
 
 def test_sweep_reads_what_it_has_written():
@@ -524,6 +680,21 @@ def test_sweep_reads_what_it_has_written():
     block = np.ones((6, 3))
     _sparsetools.csr_matvecs(6, 6, 3, indptr, indices, data, block, block)
     np.testing.assert_array_equal(block, np.repeat(np.arange(1.0, 7.0)[:, None], 3, axis=1))
+    # a vector sweep runs its rows in a permuted order, so a row's column
+    # indices, which are positions in that order, need not ascend: row 3
+    # reads the rows at positions 2, 0 and 1 in that stored order, and adds
+    # their products in it.  Summed in ascending column order it would
+    # round to another value
+    indptr = np.array([0, 0, 1, 2, 5], dtype=np.int32)
+    indices = np.array([0, 1, 2, 0, 1], dtype=np.int32)
+    data = np.array([1.0, 1.0, 1.0, 1e16, -0.5e16])
+    x = np.ones(4)
+    _sparsetools.csr_matvec(4, 4, indptr, indices, data, x, x)
+    x1, x2 = 2.0, 3.0
+    stored = ((1.0 + 1.0 * x2) + 1e16 * 1.0) + -0.5e16 * x1
+    ascending = ((1.0 + 1e16 * 1.0) + -0.5e16 * x1) + 1.0 * x2
+    assert stored != ascending
+    np.testing.assert_array_equal(x, [1.0, x1, x2, stored])
 
 
 def widened(low: CsrMatrix):
@@ -535,13 +706,15 @@ def widened(low: CsrMatrix):
 
 
 def widened_factor(fac: CholFactor) -> CholFactor:
-    """A copy of ``fac`` whose split, and so every sweep built from it, has
-    int64 indices, which CsrMatrix keeps only from 2**31."""
+    """A copy of ``fac`` whose split, and so every sweep built from it, in
+    either order, has int64 indices, which CsrMatrix keeps only from 2**31."""
     wide = CholFactor(fac.L)
     split = fac._split
     wide.__dict__["_split"] = split._replace(i=split.i.astype(np.int64), j=split.j.astype(np.int64))
-    for sweep in (wide._forward, wide._upper, wide._backward):
-        assert sweep.indptr.dtype == sweep.indices.dtype == np.int64
+    for form in ("forward", "upper", "backward"):
+        for vector in (False, True):
+            sweep = sweep_of(wide, form, vector)
+            assert sweep.indptr.dtype == sweep.indices.dtype == np.int64
     return wide
 
 
