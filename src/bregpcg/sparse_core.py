@@ -24,8 +24,8 @@ the rows before it have already written.  With the strict lower triangle of
 a unit factor M stored negated, that is forward substitution with M; run on
 the reversed vector with M^T's rows stored in reversed order, it is
 backward substitution.  A factor L = M D, D = diag(d), splits L once into
-its strict entries, d and 1 / d, and builds from them, on first use, each
-of three sweeps (see ``CholFactor``), which every solve shares:
+its strict entries, d and 1 / d, and builds its sweeps from them on first
+use (see ``CholFactor``), which every solve shares:
 
 - ``tri_solve``: L y = b is the forward sweep with -M, then 1 / d; L^T y =
   b is a reversed sweep with -(D^-1 L)^T after a division by its diagonal,
@@ -33,9 +33,6 @@ of three sweeps (see ``CholFactor``), which every solve shares:
   x)) is exactly a - m x in IEEE arithmetic, signed zeros included, so each
   row subtracts the same products in the same order that SuperLU's sweeps
   do, and the diagonal scalings are the same divisions and products;
-- ``chol_solve``, (L L^T) x = b: the forward sweep, then a reversed sweep
-  with -M^T after a division by d^2.  It agrees with two ``tri_solve``
-  calls up to roundoff;
 - ``scaled_apply``, Q^-1 S Q^-T v, the operator the low-rank builders
   apply: ``tri_solve``'s two sweeps in place around one ``spmv`` call per
   vector or block column, bitwise ``tri_solve(q, spmv(s, tri_solve(q, v,
@@ -43,28 +40,32 @@ of three sweeps (see ``CholFactor``), which every solve shares:
   of ``_BLOCK_COLUMNS`` columns, as a block solve does, so its scratch does
   not grow with its width.  Each S-product stays a
   separate ``spmv`` call through this module's binding, because that is
-  where S-products are counted.
+  where S-products are counted;
+- ``chol_solve``, (L L^T) x = b for a vector b, which P^-1 runs on every
+  PCG iteration: a forward sweep with -M, then a reversed sweep with -M^T
+  after a division by d^2, both in a row order of their own.  It agrees
+  with two ``tri_solve`` calls up to roundoff.
 
-A vector's sweeps run their rows in another order (``CholFactor._order``).
-Row i of a sweep must wait for every row it reads, and in natural order
-each row of a stencil factor reads the row just before it, so the sweep is
-one chain of dependent loads and adds.  Sorted stably by a key that exceeds
-the keys of the rows it reads, every row still comes after those rows,
-while rows that run one after the other seldom read each other and the CPU
-overlaps them: level scheduling (Anderson & Saad 1989), used here for
-instruction-level parallelism within one ``csr_matvec`` call, not for
-threads.  The vector sweeps hold the same rows as the natural ones, each
-with its entries in the same order, rows and columns numbered by position
-in that order; a gather puts the input into that order and another puts
-the result back, where natural order copies.  Every row does the same
-arithmetic on the same values in the same order, so each result is
-bitwise the natural order's.  The upper and backward sweeps run in the
-reverse of the forward sweep's order.  Two cases keep natural order:
-blocks, since ``csr_matvecs`` gains nothing from the reorder and a row
-gather of an (n, k) block costs several times its copy, and a factor whose
-order comes out natural, such as a band, where each row reads the one
-before it.  ``scaled_apply`` keeps natural order as well: the gathers
-around its S-product, which must stay in natural order, ate the gain.
+``chol_solve``'s order (``CholFactor._chol``) breaks chains.  Row i of a
+sweep must wait for every row it reads, and in natural order each row of a
+stencil factor reads the row just before it, so the sweep is one chain of
+dependent loads and adds.  Sorted stably by a key that exceeds the keys of
+the rows it reads, every row still comes after those rows, while rows that
+run one after the other seldom read each other and the CPU overlaps them:
+level scheduling (Anderson & Saad 1989), used here for instruction-level
+parallelism within one ``csr_matvec`` call, not for threads.  Its two
+sweeps are built as the natural ones are, from the split with rows and
+columns renumbered by position in that order, so each row holds the same
+entries in the same order, does the same arithmetic on the same values,
+and the result is bitwise the natural order's.  A gather puts b into that
+order and another puts the result back; a factor whose order comes out
+natural, such as a band, where each row reads the one before it, gathers
+by the identity.  The other solves stay in natural order: a row gather of
+an (n, k) block costs several times its copy and ``csr_matvecs`` gains
+nothing from the reorder; the gathers around ``scaled_apply``'s S-product,
+which must stay in natural order, ate the gain; and a low-rank build's
+triangular work is ``scaled_apply`` and block ``tri_solve`` calls, so no
+hot path runs a vector ``tri_solve``.
 
 ``tests/test_sparse_core.py`` checks ``spmv`` bitwise against ``csr_matvec``
 on random banded matrices, pins the in-place reading of ``csr_matvec``, in
@@ -290,58 +291,48 @@ class CholFactor:
         diag = L.values[L.row_ptr[1:] - 1]
         return _Split(rows[strict], L.col_idx[strict], L.values[strict], diag, 1 / diag)
 
+    # The sweeps (see ``_build_sweep``), each built on first use: the two in
+    # natural order that ``tri_solve`` and ``scaled_apply`` run, and the two
+    # of ``chol_solve``, which run in their own row order
+
     @cached_property
-    def _order(self) -> "_Order | None":
-        """The row order of the vector sweeps, or None where it is natural.
+    def _forward(self) -> "_Sweep":
+        return _build_sweep("forward", self._split)
+
+    @cached_property
+    def _upper(self) -> "_Sweep":
+        return _build_sweep("upper", self._split)
+
+    @cached_property
+    def _chol(self) -> "tuple[np.ndarray, np.ndarray, _Sweep, _Sweep]":
+        """(rows, ends, forward, backward): ``chol_solve``'s row order and its
+        two sweeps.
 
         A row's key is 1 plus the sum of the keys of the rows it reads: one
         in-place ``csr_matvec`` with unit weights over L's strict pattern, on
         ones.  So a row's key exceeds the key of every row it reads, and as
         rounding is monotone, key_i >= key_j holds even where keys overflow
-        to inf.  A stable sort by key keeps ties in natural order, so each row
-        still comes after every row it reads, while rows whose keys are
-        close, which run one after the other, seldom read each other.
+        to inf.  ``rows``, the row at each position of a stable sort by key,
+        keeps ties in natural order, so each row still comes after every row
+        it reads, while rows whose keys are close, which run one after the
+        other, seldom read each other.  The sweeps are built from the split
+        with its rows and columns renumbered by position in that order.  The
+        backward sweep runs in the reverse order, where row i sits at
+        ``ends[i]``.  ``rows`` and ``ends`` are ``np.intp``, numpy's own index
+        type, so a gather by them converts nothing.
         """
-        i, j = self._split.i, self._split.j
-        n = self.n
-        indptr = np.zeros(n + 1, dtype=j.dtype)
-        np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+        split, n = self._split, self.n
+        indptr = np.zeros(n + 1, dtype=split.j.dtype)
+        np.cumsum(np.bincount(split.i, minlength=n), out=indptr[1:])
         key = np.ones(n)
-        _sparsetools.csr_matvec(n, n, indptr, j, np.ones(len(j)), key, key)
-        if np.all(key[1:] >= key[:-1]):
-            return None  # the stable sort keeps natural order
+        _sparsetools.csr_matvec(n, n, indptr, split.j, np.ones(len(split.j)), key, key)
         rows = np.argsort(key, kind="stable")
-        positions = np.empty_like(rows)
-        positions[rows] = np.arange(n)
-        return _Order(rows, positions)
-
-    # The three sweeps (see ``_build_sweep``), each built on first use: in
-    # natural order for blocks, and in ``_order`` for vectors, where the
-    # vector sweep is the natural one itself when that order is natural.
-
-    @cached_property
-    def _forward(self) -> "_Sweep":
-        return _build_sweep("forward", self._split, None)
-
-    @cached_property
-    def _upper(self) -> "_Sweep":
-        return _build_sweep("upper", self._split, None)
-
-    @cached_property
-    def _backward(self) -> "_Sweep":
-        return _build_sweep("backward", self._split, None)
-
-    @cached_property
-    def _vector_forward(self) -> "_Sweep":
-        return self._forward if self._order is None else _build_sweep("forward", self._split, self._order)
-
-    @cached_property
-    def _vector_upper(self) -> "_Sweep":
-        return self._upper if self._order is None else _build_sweep("upper", self._split, self._order)
-
-    @cached_property
-    def _vector_backward(self) -> "_Sweep":
-        return self._backward if self._order is None else _build_sweep("backward", self._split, self._order)
+        pos = np.empty(n, dtype=split.j.dtype)
+        pos[rows] = np.arange(n, dtype=pos.dtype)
+        ends = np.empty_like(rows)
+        ends[rows] = np.arange(n - 1, -1, -1)
+        renumbered = _Split(pos[split.i], pos[split.j], split.values, split.diag[rows], split.invdiag[rows])
+        return rows, ends, _build_sweep("forward", renumbered), _build_sweep("backward", renumbered)
 
     def to_dense(self) -> np.ndarray:
         return self.L.to_dense()
@@ -354,22 +345,14 @@ _BLOCK_COLUMNS = 16
 
 class _Split(NamedTuple):
     """L's strictly lower entries (i, j, L_ij) in stored order, its diagonal
-    d and 1 / d: what every sweep of the factor is built from."""
+    d and 1 / d: what a sweep is built from.  Rows and columns are numbered
+    in natural order, or by position in ``chol_solve``'s row order."""
 
     i: np.ndarray
     j: np.ndarray
     values: np.ndarray
     diag: np.ndarray
     invdiag: np.ndarray
-
-
-class _Order(NamedTuple):
-    """A row order of a sweep: the row run at each position, and each row's
-    position.  Both are ``np.intp``, numpy's own index type, so a gather by
-    them converts nothing."""
-
-    rows: np.ndarray
-    positions: np.ndarray
 
 
 def _by_row(a: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -384,16 +367,13 @@ class _Sweep(NamedTuple):
     row, in stored order.  With x and y the same array, row i reads entries
     the rows before it have already written: unit forward substitution.  A
     sweep of an upper triangle runs on reversed vectors and holds the
-    divisors its input is scaled by first, in its own row order.  A sweep
-    with an ``order`` runs the rows of a vector in that order, and its rows
-    and columns are numbered by position in it.
+    divisors its input is scaled by first, in its own row order.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     divisors: np.ndarray | None = None
-    order: _Order | None = None
 
     def run(self, x: np.ndarray) -> None:
         n = len(self.indptr) - 1
@@ -403,53 +383,25 @@ class _Sweep(NamedTuple):
             _sparsetools.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data, x, x)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        """``b`` in the sweep's row order, a fresh C-ordered array divided by
-        ``divisors`` if any, swept in place: a copy in natural order, a
-        reversed copy for a natural sweep with divisors, a gather otherwise."""
-        if self.order is not None:
-            x = b.take(self.order.rows)
-            if self.divisors is not None:
-                np.divide(x, self.divisors, out=x)
-        elif self.divisors is None:
+        """A fresh C-ordered copy of ``b``, reversed and divided by
+        ``divisors`` for a sweep that has them, swept in place."""
+        if self.divisors is None:
             x = np.array(b, order="C")
         else:
             x = np.divide(b[::-1], _by_row(self.divisors, b), order="C")
         self.run(x)
         return x
 
-    def restore(self, x: np.ndarray, out: np.ndarray | None = None, scale: np.ndarray | None = None) -> np.ndarray:
-        """The swept ``x`` in natural row order, times ``scale`` by row if
-        given, written into ``out`` or a fresh array, Fortran-ordered for a
-        block.  A sweep with an order runs vectors only: it gathers ``x``
-        into a fresh array."""
-        if self.order is not None:
-            x = x.take(self.order.positions)
-            return x if scale is None else np.multiply(x, scale, out=x)
-        if self.divisors is not None:
-            x = x[::-1]
-        if scale is not None:
-            return np.multiply(x, _by_row(scale, x), out=out, order="F")
-        if out is None:
-            return x.copy()
-        np.copyto(out, x)
-        return out
 
-
-def _sweep(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, divisors=None, positions=None) -> _Sweep:
-    """The sweep holding ``-values`` at (rows, cols), which come in ascending
-    row order, or, given ``positions``, at (positions[rows], positions[cols])
-    in ascending position order.  Each row keeps the order its entries come
-    in, exact zeros are dropped, and the index arrays keep ``cols``'s dtype."""
+def _sweep(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, divisors=None) -> _Sweep:
+    """The sweep holding ``-values`` at (rows, cols), its rows in ascending
+    order, each keeping its entries in the order they come in.  Exact zeros
+    are dropped, and the index arrays keep the dtype ``rows`` and ``cols``
+    share."""
     keep = values != 0.0
     rows, cols, values = rows[keep], cols[keep], values[keep]
-    if positions is None:
-        indptr = np.zeros(n + 1, dtype=cols.dtype)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    else:
-        positions = positions.astype(cols.dtype, copy=False)
-        indptr, take = _grouped(positions[rows], n)
-        cols, values = positions[cols[take]], values[take]
-    return _Sweep(indptr, cols, -values, divisors)
+    indptr, take = _grouped(rows, n)
+    return _Sweep(indptr, cols[take], -values[take], divisors)
 
 
 def _grouped(keys: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -465,8 +417,8 @@ def _grouped(keys: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray]":
     return indptr, take
 
 
-def _build_sweep(form: str, split: _Split, order: _Order | None) -> _Sweep:
-    """One of a factor's three sweeps, in natural row order or in ``order``.
+def _build_sweep(form: str, split: _Split) -> _Sweep:
+    """One of a factor's sweeps, its rows numbered as ``split``'s.
 
     - "forward": -M, M_ij = L_ij (1 / d_j); L y = b is this sweep, then
       y = x / d;
@@ -476,49 +428,20 @@ def _build_sweep(form: str, split: _Split, order: _Order | None) -> _Sweep:
     - "backward": L L^T x = M D^2 M^T x = b after the forward sweep: x / d^2,
       then -M^T.
 
-    The last two sweep an upper triangle in the reverse of the forward
-    sweep's row order: row j of the transpose runs as far from the end as
-    row j of L runs from the start, and keeps its entries in ascending i.
+    The last two sweep an upper triangle on the reversed vector: row j of
+    the transpose is numbered n - 1 - j, so it runs as far from the end as
+    row j of L runs from the start, and keeps its entries in the split's
+    order, ascending in L's rows.
     """
     i, j, values, diag, invdiag = split
     n = len(diag)
     if form == "forward":
-        sweep = _sweep(n, i, j, values * invdiag[j], None, None if order is None else order.positions)
-        return sweep._replace(order=order)
-    if order is None:
-        rows = np.arange(n - 1, -1, -1)
-        reverse = _Order(rows, rows)
-    else:
-        reverse = _Order(order.rows[::-1].copy(), (n - 1) - order.positions)
+        return _sweep(n, i, j, values * invdiag[j])
     if form == "upper":
         values, divisors = values * invdiag[i], diag * invdiag
     else:
         values, divisors = values * invdiag[j], diag * diag
-    sweep = _sweep(n, j, i, values, divisors[reverse.rows], reverse.positions)
-    # a natural sweep reverses by a view; only a reordered one gathers
-    return sweep._replace(order=None if order is None else reverse)
-
-
-def _lower_into(factor: CholFactor, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    sweep = factor._vector_forward if b.ndim == 1 else factor._forward
-    return sweep.restore(sweep.apply(b), out, factor._split.invdiag)
-
-
-def _upper_into(factor: CholFactor, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    sweep = factor._vector_upper if b.ndim == 1 else factor._upper
-    return sweep.restore(sweep.apply(b), out, factor._split.invdiag)
-
-
-def _chol_into(factor: CholFactor, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    # the backward sweep runs in the reverse of the forward sweep's order, so
-    # its input is the forward sweep's result reversed
-    if b.ndim == 1:
-        forward, backward = factor._vector_forward, factor._vector_backward
-    else:
-        forward, backward = factor._forward, factor._backward
-    x = np.divide(forward.apply(b)[::-1], _by_row(backward.divisors, b), order="C")
-    backward.run(x)
-    return backward.restore(x, out)
+    return _sweep(n, (n - 1) - j, (n - 1) - i, values, divisors[::-1].copy())
 
 
 def _operand(b, n: int) -> np.ndarray:
@@ -530,7 +453,7 @@ def _operand(b, n: int) -> np.ndarray:
 
 
 def _solve(factor: CholFactor, b, solve_into, order: str = "F") -> np.ndarray:
-    """A fresh ``solve_into(factor, b, out)``; a block comes back in ``order``.
+    """A fresh ``solve_into(b, out)``; a block comes back in ``order``.
 
     ``csr_matvecs`` reads the k values of a row as one contiguous run, so a
     block is swept in C-ordered scratch, ``_BLOCK_COLUMNS`` columns at a
@@ -542,10 +465,10 @@ def _solve(factor: CholFactor, b, solve_into, order: str = "F") -> np.ndarray:
     if b.shape[0] != factor.n:
         raise ValueError(f"right-hand side has leading size {b.shape[0]}, expected {factor.n}")
     if b.ndim == 1:
-        return solve_into(factor, b, None)
+        return solve_into(b, None)
     out = np.empty(b.shape, order=order)
     for lo in range(0, b.shape[1], _BLOCK_COLUMNS):
-        solve_into(factor, b[:, lo : lo + _BLOCK_COLUMNS], out[:, lo : lo + _BLOCK_COLUMNS])
+        solve_into(b[:, lo : lo + _BLOCK_COLUMNS], out[:, lo : lo + _BLOCK_COLUMNS])
     return out
 
 
@@ -582,21 +505,40 @@ def tri_solve(factor: CholFactor, b, transposed: bool = False) -> np.ndarray:
     result is bitwise ``spsolve_triangular``'s, is a fresh array, and is
     Fortran-ordered for a block.
     """
-    return _solve(factor, b, _upper_into if transposed else _lower_into)
+
+    def solve_into(chunk, out):
+        # the upper sweep runs on the reversed vector; 1 / d scales either
+        # result, into ``out`` or a fresh array
+        x = (factor._upper if transposed else factor._forward).apply(chunk)
+        if transposed:
+            x = x[::-1]
+        return np.multiply(x, _by_row(factor._split.invdiag, x), out=out, order="F")
+
+    return _solve(factor, b, solve_into)
 
 
 def chol_solve(factor: CholFactor, b) -> np.ndarray:
-    """Solve (L L^T) x = b as L = M D: a forward sweep, x / d^2, a backward sweep.
+    """Solve (L L^T) x = b for a vector b as L = M D: a forward sweep, x / d^2,
+    a backward sweep.
 
     Both sweeps are with the unit factor M, so the divisions by the diagonal
     happen once, between them; a diagonal factor gives exactly b / (d * d).
     This is not the arithmetic of ``tri_solve``'s two forms, so the result
     equals ``tri_solve(factor, tri_solve(factor, b), True)`` only up to
-    roundoff.  ``b`` may be a vector or a dense matrix
-    of stacked right-hand sides; the result is always a fresh array, and
-    Fortran-ordered for a block.
+    roundoff.  The sweeps run in ``CholFactor._chol``'s row order: a gather
+    puts ``b`` into it and another puts the result back, so the result is
+    bitwise that of the same sweeps in natural order, and a fresh array.
     """
-    return _solve(factor, b, _chol_into)
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (factor.n,):
+        raise ValueError(f"operand has shape {b.shape}, expected ({factor.n},)")
+    rows, ends, forward, backward = factor._chol
+    x = b.take(rows)
+    forward.run(x)
+    # the backward sweep runs in the reverse order, so it takes x reversed
+    x = np.divide(x[::-1], backward.divisors, order="C")
+    backward.run(x)
+    return x.take(ends)
 
 
 def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
@@ -627,7 +569,7 @@ def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
         raise ValueError(f"matrix {s.shape} and operand {v.shape} do not match factor order {n}")
     if v.ndim == 1:
         return _scaled_into(s, factor, v)
-    return _solve(factor, v, lambda f, b, out: _scaled_into(s, f, b, out), order="C")
+    return _solve(factor, v, lambda b, out: _scaled_into(s, factor, b, out), order="C")
 
 
 def _scaled_into(s: CsrMatrix, factor: CholFactor, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

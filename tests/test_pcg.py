@@ -17,6 +17,7 @@ from bregpcg import (
     CsrMatrix,
     EigsParams,
     IndefinitePreconditionerDetected,
+    NoConvergence,
     NotPositiveDefinite,
     SketchParams,
     assemble,
@@ -101,6 +102,17 @@ def test_all_variants_match_dense_solve():
         x, rep = pcg_solve(s, b, p, tol=1e-12, maxit=400)
         assert rep.converged, p.label
         assert np.linalg.norm(x - exact) <= 1e-8 * scale, p.label
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergence, reason="the restart drops the twin of a wanted pair")
+def test_alpha_build_converges_when_its_wanted_set_splits_a_pair():
+    # the scaled error's third and fourth largest eigenvalues are 0.19601733
+    # and 0.19601714, and three top pairs split them: a thick restart keeps
+    # the wanted and the converged pairs only, so it throws the unconverged
+    # twin of the third away at every restart, and that pair never reaches
+    # tol.  r = 4 and r = 8 converge
+    s = shifted_laplacian(20)
+    build_alpha(s, ic0(s), 6, 0.5, EigsParams(tol=1e-8, slack=30, seed=1))
 
 
 def test_matvec_accounting_is_exact(monkeypatch):
