@@ -6,12 +6,19 @@ whenever the recurrence claims convergence, and at termination.  The
 reported final residual is always a true one.  Matrix products are counted
 exactly: one per iteration plus one per true-residual recomputation.
 
-The vector updates are in-place level-1 BLAS calls, one pass over memory
-each: x and the residual take a ``daxpy``, the direction a ``dscal`` by
-rho_next / rho and then a ``daxpy`` of z with a = 1.  The direction update
-is bitwise ``d *= beta; d += z``; the x and residual updates round once per
-element wherever the BLAS kernel fuses the multiply and the add, so their
-last bits depend on the BLAS build and core type, as the dot products' do.
+Every BLAS call of the loop goes to scipy's OpenBLAS, through
+``scipy.linalg.blas``, and so do the Woodbury products of
+``precond.apply_inverse``.  numpy and scipy wheels each bundle their own
+OpenBLAS with its own thread pool, and a loop that calls both each iteration
+leaves two pools fighting over the cores (README, Determinism).  The dot
+products are ``ddot`` and a norm is the square root of one, as numpy's 1-D
+norm forms it.  The vector updates are in-place level-1 calls, one pass over
+memory each: x and the residual take a ``daxpy``, the direction a ``dscal``
+by rho_next / rho and then a ``daxpy`` of z with a = 1.  The direction
+update is bitwise ``d *= beta; d += z``; the x and residual updates round
+once per element wherever the BLAS kernel fuses the multiply and the add, so
+their last bits depend on the BLAS build and core type, as the dot
+products' do.
 
 The diagnostics all read one spectrum.  For P = Q (I + W) Q^T and the scaled
 system I + E = Q^{-1} S Q^{-T}, the eigenvalues mu of P^{-1} S are those of
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import daxpy, dscal
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .bregman import DENSIFY_CAP, gamma, nu, scaled_error
 from .errors import CapExceeded, IndefinitePreconditionerDetected, NotPositiveDefinite
@@ -87,13 +94,14 @@ def pcg_solve(
     if b.shape != (s.n_rows,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({s.n_rows},)")
     started = time.perf_counter()
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(ddot(b, b))
     matvecs = 0
 
     def true_rel(x):
         nonlocal matvecs
         matvecs += 1
-        return float(np.linalg.norm(b - spmv(s, x)) / b_norm)
+        t = b - spmv(s, x)
+        return math.sqrt(ddot(t, t)) / b_norm
 
     if b_norm == 0.0:
         report = SolveReport(
@@ -107,16 +115,14 @@ def pcg_solve(
         )
         return np.zeros(s.n_rows), report
 
-    # the residual norm is sqrt(r.r), as numpy's 1-D norm forms it; with the
-    # identity, z is the residual itself and rho is that same r.r.  A
-    # duck-typed preconditioner without a factor takes the general path.
-    # ``a.dot(b)`` runs the same BLAS dot as ``a @ b`` with less dispatch.
+    # with the identity, z is the residual itself and rho is r.r.  A
+    # duck-typed preconditioner without a factor takes the general path
     plain = isinstance(p, Preconditioner) and p.Q is None
     x = np.zeros(s.n_rows)
     residual = b.copy()
     history = [1.0]
     z = residual if plain else p.apply_inverse(residual)
-    rho = float(residual.dot(z))
+    rho = ddot(residual, z)
     if not rho > 0.0:  # NaN included
         raise IndefinitePreconditionerDetected(f"<z, r> = {rho:.6g} at iteration 0")
     # the loop writes only into x, the residual and this copy, never into
@@ -134,14 +140,14 @@ def pcg_solve(
     for k in range(1, maxit + 1):
         s_dir = spmv(s, direction)
         matvecs += 1
-        curvature = float(direction.dot(s_dir))
+        curvature = ddot(direction, s_dir)
         if curvature <= 0.0:
             raise NotPositiveDefinite(f"<d, S d> = {curvature:.6g} at iteration {k}", which="s")
         step = rho / curvature
         # daxpy(x, y, n, a); f2py parses keywords at some 0.1 us a call
         x = daxpy(direction, x, s.n_rows, step)
         residual = daxpy(s_dir, residual, s.n_rows, -step)
-        rr = float(residual.dot(residual))
+        rr = ddot(residual, residual)
         rel = math.sqrt(rr) / b_norm
         history.append(rel)
         iterations = k
@@ -172,7 +178,7 @@ def pcg_solve(
             rho_next = rr
         else:
             z = p.apply_inverse(residual)
-            rho_next = float(residual.dot(z))
+            rho_next = ddot(residual, z)
         if not rho_next > 0.0:
             raise IndefinitePreconditionerDetected(f"<z, r> = {rho_next:.6g} at iteration {k}")
         # f2py updates a copy of an argument that is not contiguous float64

@@ -40,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import ddot, dgemv
 
 from . import sketch as sketch_mod
 from .bregman import DENSIFY_CAP, LowRank, compress, scaled_error, scaled_operator, select_indices, truncate
@@ -161,7 +162,12 @@ def apply_inverse(p: Preconditioner, v: np.ndarray) -> np.ndarray:
     # chol_solve returns a fresh array, so it may be updated in place
     x = chol_solve(p.Q, v)
     if p.W is not None:
-        x -= p.Y @ (p.woodbury_diag * (p.Y.T @ v))
+        # Y^T v and Y w through scipy's BLAS, as PCG's dot products and
+        # updates: numpy's own BLAS has its own thread pool.  numpy forms a
+        # one-column Y^T v as a dot, and so does this, for the same bits
+        y = p.Y
+        yv = ddot(y[:, 0], v) if y.shape[1] == 1 else dgemv(1.0, y, v, trans=1)
+        x -= dgemv(1.0, y, p.woodbury_diag * yv)
     return x
 
 

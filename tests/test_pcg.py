@@ -8,6 +8,7 @@ import pytest
 import scipy
 import scipy.sparse
 from scipy.linalg import hilbert
+from scipy.linalg.blas import ddot, dgemv
 
 import bregpcg
 
@@ -34,6 +35,7 @@ from bregpcg import (
     pcg_solve,
 )
 import bregpcg.pcg as pcg_module
+import bregpcg.precond as precond_module
 from bregpcg.pcg import preconditioned_spectrum
 from conftest import bumped_band, dynamic_arch_openblas
 
@@ -380,6 +382,72 @@ def test_blas_updates_are_the_numpy_updates_where_daxpy_does_not_fuse():
     assert runs["Prescott"][1] == "True"
 
 
+@pytest.mark.parametrize("n", [7, 256, 4900, 40000])
+def test_scipy_blas_calls_are_bitwise_numpys(n):
+    # the solve loop's dot products and apply_inverse's Woodbury products
+    # run scipy's OpenBLAS, where numpy's ran them before; each wheel bundles
+    # its own build, and a solve stays bitwise only while these hold.  numpy
+    # forms a one-column Y^T v as a dot, so apply_inverse does too
+    gen = np.random.default_rng(n)
+    a, b = gen.standard_normal(n), gen.standard_normal(n)
+    assert ddot(a, b) == a.dot(b)
+    for k in (1, 2, 5, 12):
+        y = np.asfortranarray(gen.standard_normal((n, k)))
+        v, w = gen.standard_normal(n), gen.standard_normal(k)
+        if k == 1:
+            assert ddot(y[:, 0], v) == (y.T @ v)[0]
+        else:
+            assert dgemv(1.0, y, v, trans=1).tobytes() == (y.T @ v).tobytes(), k
+        assert dgemv(1.0, y, w).tobytes() == (y @ w).tobytes(), k
+
+
+def count_blas(monkeypatch):
+    """Count the calls of the BLAS names that pcg and precond bind."""
+    counts = {}
+    for module, names in ((pcg_module, ("ddot", "daxpy", "dscal")), (precond_module, ("ddot", "dgemv"))):
+        for name in names:
+            key = f"{module.__name__.rpartition('.')[2]}.{name}"
+            counts[key] = 0
+
+            def counted(*args, _real=getattr(module, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["none", "ichol", "rank1", "rank4"])
+def test_every_blas_call_of_a_solve_is_scipys(monkeypatch, kind):
+    s = shifted_laplacian(30)
+    q = ic0(s)
+    p = {
+        "none": lambda: identity(),
+        "ichol": lambda: assemble(q, None, label="ichol"),
+        "rank1": lambda: build_svd_krylov(s, q, 1, EigsParams(tol=1e-8, seed=1)),
+        "rank4": lambda: build_svd_krylov(s, q, 4, EigsParams(tol=1e-8, seed=1)),
+    }[kind]()
+    rank = 0 if p.Y is None else p.Y.shape[1]
+    assert rank == {"rank1": 1, "rank4": 4}.get(kind, 0)
+    counts = count_blas(monkeypatch)
+    _, rep = pcg_solve(s, make_rhs(s.n_rows, 3), p, tol=1e-10, maxit=2000)
+    assert rep.converged and rep.iterations > 25
+    # each iteration: <d, Sd>, two daxpy and r.r; each true-residual check a
+    # dot; each iteration but the last then applies P^-1 (the identity
+    # skips it), takes <r, z>, a dscal and a daxpy.  Before the loop: |b|
+    # and the first <r, z>, with one application of P^-1
+    iterations, checks = rep.iterations, rep.matvecs_S - rep.iterations
+    updates = iterations - 1
+    applies = 0 if kind == "none" else 1 + updates
+    assert counts == {
+        "pcg.ddot": 2 + 2 * iterations + checks + (0 if kind == "none" else updates),
+        "pcg.daxpy": 2 * iterations + updates,
+        "pcg.dscal": updates,
+        "precond.ddot": applies if rank == 1 else 0,
+        "precond.dgemv": 0 if rank == 0 else applies if rank == 1 else 2 * applies,
+    }
+
+
 class _ReturningIdentity:
     """P^-1 v = v, returned as the argument itself."""
 
@@ -415,19 +483,19 @@ def test_loop_only_reads_what_the_preconditioner_returns():
 
 
 def test_strided_preconditioner_output_solves_as_a_contiguous_one():
-    # daxpy reads a contiguous copy of a strided z; <r, z> runs numpy's dot
-    # with a stride of 2, which sums in another order, so the bits differ:
-    # the histories by at most 6e-15 relative and x by 1e-15 of its largest
-    # entry at m = 20, 30 and 50
+    # ddot and daxpy read a contiguous copy of a strided z (f2py makes it),
+    # so the solve is bitwise the contiguous one
     s = shifted_laplacian(30)
     b = make_rhs(s.n_rows, 3)
     b_before = b.copy()
     x_strided, strided = pcg_solve(s, b, _StridedIdentity(), tol=1e-10, maxit=2000)
     x_copying, copying = pcg_solve(s, b, _CopyingIdentity(), tol=1e-10, maxit=2000)
     assert strided.converged
-    assert (strided.iterations, strided.matvecs_S) == (copying.iterations, copying.matvecs_S)
-    np.testing.assert_allclose(strided.rel_residual_history, copying.rel_residual_history, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(x_strided, x_copying, rtol=0, atol=1e-13 * np.abs(x_copying).max())
+    np.testing.assert_array_equal(x_strided, x_copying)
+    assert strided.rel_residual_history == copying.rel_residual_history
+    assert (strided.iterations, strided.matvecs_S, strided.final_rel_residual) == (
+        copying.iterations, copying.matvecs_S, copying.final_rel_residual
+    )
     np.testing.assert_array_equal(b, b_before)
 
 

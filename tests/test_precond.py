@@ -247,6 +247,30 @@ def test_assemble_drops_zero_weight_directions():
     assert only_zeros.label == "zeros"
 
 
+def assert_fortran_float64(y):
+    # apply_inverse's dgemv reads a Fortran-ordered float64 Y in place;
+    # f2py would copy any other Y, n x k, on every PCG iteration
+    assert y.dtype == np.float64 and y.flags.f_contiguous, (y.dtype, y.flags)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_every_build_gives_a_fortran_ordered_woodbury_basis(label):
+    s = band(120)
+    p = build(label, s, ic0(s), 6, eig=_CONVERGED, sketch=SketchParams(oversample=20, seed=4))
+    assert p.Y.shape[1] > 1
+    assert_fortran_float64(p.Y)
+
+
+def test_assembled_woodbury_basis_is_fortran_ordered():
+    # a C-ordered basis with a zero-weight column, which construction drops
+    fac = ic0(band(30))
+    z = np.ascontiguousarray(np.linalg.qr(np.random.default_rng(3).standard_normal((30, 4)))[0])
+    assert not z.flags.f_contiguous
+    p = assemble(fac, LowRank(z, np.array([0.5, 0.0, -0.25, 2.0])))
+    assert p.Y.shape == (30, 3)
+    assert_fortran_float64(p.Y)
+
+
 def test_exact_factor_gives_factor_only_alpha_build():
     # ic0 of tridiag(-1, 4, -1) is its exact Cholesky factor, so the scaled
     # error is zero and every Ritz value maps back to a weight of exactly 0,
