@@ -10,25 +10,67 @@ factorization.
 The work is split in two passes.  The symbolic pass (``_shared_slots``) is
 vectorized numpy: for every off-diagonal entry (i, j) it finds the pairs of
 stored entries of rows i and j that share a column below j, by looking each
-candidate (row, column) entry up within its row of the pattern.  The
-numeric pass runs the row recurrence over those pairs on Python floats,
-reading and writing the numpy buffers through ``memoryview``.
+candidate (row, column) entry up within its row of the pattern.
+
+The numeric pass comes in two forms, which give the same bits:
+
+- ``_scalar_pass`` runs the row recurrence on Python floats, one row after
+  another, reading and writing the numpy buffers through ``memoryview``;
+- ``_level_pass`` factors by level sets (Anderson & Saad 1989; Saad,
+  *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 11.6).
+  Row i reads row j for each off-diagonal entry (i, j), and a row's
+  level is 1 plus the highest level of the rows it reads, so the rows of
+  one level read only rows of lower levels: the 5-point grid of m x m
+  rows has 2m - 1 anti-diagonal levels.  ``_levels`` finds them in one
+  sweep, as the depths of the forest that links each row to the last row
+  it reads, where those depths are the levels, as on natural-order grids.
+  For each level and each position k in a row, numpy ufuncs factor the
+  k-th entries of all its rows at once, each entry through the same IEEE
+  operations, in the same order, as in the row recurrence.
+
+``ic0`` takes the level pass where it is the faster one
+(``_levels_if_faster``), which it reads off two properties of the
+pattern: at least ``_LEVEL_MIN_ROWS`` rows, and a mean level width (rows
+over levels) of at least ``_LEVEL_MIN_WIDTH``.  Each level costs a fixed
+number of numpy calls, so narrow levels leave too little work per call.
+A chain, such as a band, where every row reads the one before it, has a
+forest as deep as it has rows, which turns it away after that one sweep;
+a pattern whose forest depths are not its levels takes the recurrence.
 
 Summation contract: every product is rounded on its own and the products
 are summed left to right, in ascending column order, starting from 0.0;
 the pivot subtracts the sum of squares of its row, formed the same way.
-No BLAS call, no fused multiply-add and no compensated summation (such as
-the builtin ``sum`` of Python 3.12) is involved, so the factor is bitwise
-the same on every machine, BLAS build and thread count.
+The level pass keeps it: it adds one pair index, or one row position, per
+elementwise ufunc call, and never sums along an axis (``np.sum``,
+``add.reduce`` and ``reduceat`` sum pairwise); every elementwise ufunc is
+one correctly rounded IEEE operation per element, and a multiply and an
+add in separate calls cannot fuse.  No BLAS call, no fused multiply-add
+and no compensated summation (such as the builtin ``sum`` of Python 3.12)
+is involved, so the factor is bitwise the same on every machine, BLAS
+build and thread count, whichever pass makes it.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import _sparsetools
 
 from .errors import Breakdown
-from .sparse_core import CholFactor, CsrMatrix
+from .sparse_core import CholFactor, CsrMatrix, _grouped
+
+# The rule between the two numeric passes (see ``_levels_if_faster``).  On
+# one core (numpy 2.4, Python 3.11) the level pass took as long as the
+# recurrence at some 15 rows a level on 5-point grids (poisson_2d(30)) and
+# at some 18 on 7-point grids (7^3 rows, 19 levels).  On the widest
+# patterns, where only its fixed cost counts, it did at some 450 rows of a
+# diagonal and some 300 of 2 x 2 blocks.  The size bound decides no matrix
+# of the benchmark: those below it have narrow levels or are chains.  Each
+# bound sits on the recurrence's side of its crossover.  Pairs per entry
+# are no bound: the level pass took 0.42 to 0.62 of the recurrence's time
+# on 27-point grids, at 3.2 pairs per off-diagonal entry.
+_LEVEL_MIN_ROWS = 500
+_LEVEL_MIN_WIDTH = 20
 
 
 def ic0(s: CsrMatrix, diag_shift: float = 0.0) -> CholFactor:
@@ -68,13 +110,30 @@ def ic0(s: CsrMatrix, diag_shift: float = 0.0) -> CholFactor:
     if diag_shift:
         vals[ends] *= 1.0 + diag_shift
 
-    pair_ptr, left, right = _shared_slots(row_ptr, cols)
+    slots = _shared_slots(row_ptr, cols)
+    level = _levels_if_faster(row_ptr, cols)
+    if level is None:
+        _scalar_pass(vals, row_ptr, cols, slots)
+    else:
+        _level_pass(vals, row_ptr, cols, slots, level)
+    return CholFactor(CsrMatrix(n, n, row_ptr, cols, vals))
+
+
+def _scalar_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots) -> None:
+    """Numeric pass of ``ic0`` by the row recurrence, in place on ``vals``.
+
+    Runs on Python floats, reading and writing ``vals`` through
+    ``memoryview``, one row after another in natural order, so it raises
+    ``Breakdown`` at the first row whose pivot fails.
+    """
+    pair_ptr, left, right = slots
     v = memoryview(vals)
     pp, lt, rt = memoryview(pair_ptr), memoryview(left), memoryview(right)
+    ends = row_ptr[1:] - 1
     div = memoryview(ends[cols])  # slot of the diagonal entry of column j
     rp = memoryview(row_ptr)
     p0 = 0  # pair_ptr[t]; diagonal slots add no pairs, so it carries across rows
-    for i in range(n):
+    for i in range(len(row_ptr) - 1):
         lo, end = rp[i], rp[i + 1] - 1
         squares = 0.0
         for t in range(lo, end):
@@ -93,7 +152,194 @@ def ic0(s: CsrMatrix, diag_shift: float = 0.0) -> CholFactor:
             raise Breakdown(i)
         v[end] = math.sqrt(pivot)
 
-    return CholFactor(CsrMatrix(n, n, row_ptr, cols, vals))
+
+def _levels_if_faster(row_ptr: np.ndarray, cols: np.ndarray):
+    """The level of every row when the level pass is the faster one, else None.
+
+    Below ``_LEVEL_MIN_ROWS`` rows the schedule's one-time cost outweighs
+    what it saves, and a level costs some 10 numpy calls, so the mean
+    level width must reach ``_LEVEL_MIN_WIDTH`` rows; ``_levels`` stops
+    after one sweep when the pattern is deeper than that allows.
+    """
+    n = len(row_ptr) - 1
+    if n < _LEVEL_MIN_ROWS:
+        return None
+    return _levels(row_ptr, cols, n // _LEVEL_MIN_WIDTH)
+
+
+def _levels(row_ptr: np.ndarray, cols: np.ndarray, max_depth: int):
+    """Level of each row in the DAG of the rows it reads, when one sweep
+    finds it and the DAG is at most ``max_depth`` levels deep, else None.
+
+    Row i reads row j for every off-diagonal entry (i, j) of the pattern,
+    and its level is 1 plus the highest level of the rows it reads.  Link
+    each row to the last row it reads: one in-place ``csr_matvec`` sweep
+    gives every row its depth in that forest, d_i = 1 + d_link, which is
+    no deeper than the DAG.  A chain such as a band, where each row reads
+    the one before it, is as deep as it has rows, and so is its forest,
+    which turns it away after that sweep.  Where d_i > d_j holds for every
+    entry (i, j), d_i = 1 + max d_j over the rows i reads, the recurrence
+    of the levels, so d - 1 are the levels: so it is on the natural-order
+    grids of 5, 7, 9 and 27 points.  Where it fails the levels would need a
+    peel (Kahn's algorithm), and the pattern takes the row recurrence.
+    The levels come back in the index dtype of ``cols``.
+    """
+    n = len(row_ptr) - 1
+    reads = np.diff(row_ptr) - 1  # rows each row reads
+    links = reads > 0
+    ends = row_ptr[1:] - 1
+    link_ptr = np.zeros(n + 1, dtype=cols.dtype)
+    np.cumsum(links, dtype=cols.dtype, out=link_ptr[1:])
+    forest = np.ones(n)
+    _sparsetools.csr_matvec(n, n, link_ptr, cols[ends[links] - 1], np.ones(int(link_ptr[-1])), forest, forest)
+    if n and forest.max() > max_depth:
+        return None
+    off = np.ones(len(cols), dtype=bool)
+    off[ends] = False
+    if not np.all(np.repeat(forest, reads) > forest[cols[off]]):
+        return None
+    return (forest - 1.0).astype(cols.dtype)
+
+
+def _level_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, level: np.ndarray) -> None:
+    """Numeric pass of ``ic0`` by level sets, in place on ``vals``.
+
+    The rows of one level read only rows of lower levels, so they factor
+    together.  Within a level the off-diagonal entries go in steps by
+    their position k in the row, and each step does, for all its entries
+    at once, what the row recurrence does for one: the pair products
+    summed left to right from 0.0, one pair index per step, then
+    ``x = (v[t] - acc) / L_jj``.  The squares of each row are added in
+    ascending column order, and each pivot becomes ``sqrt(pivot)``.  So
+    every entry gets the same IEEE operations in the same order as in
+    ``_scalar_pass``, and the same bits.  Where no entry of a level has
+    pairs, its entries read no other entry of the level, and one division
+    serves all its steps.
+
+    A failed pivot becomes NaN, which its readers carry without a warning,
+    and the pass goes on while a later level holds a row of lower index: a
+    row reads only rows of lower index, so the lowest failing row is exact
+    and is the one ``_scalar_pass`` reports.
+    """
+    plan = _schedule(row_ptr, cols, slots, level)
+    w = np.empty_like(vals)
+    w[plan.at] = vals
+    divisor, pair_at, pair_left, pair_right = plan.divisor, plan.pair_at, plan.pair_left, plan.pair_right
+    gp, gl, sp, ps = plan.group_ptr.tolist(), plan.group_of.tolist(), plan.step_of.tolist(), plan.step_ptr
+    n, level_ptr = len(row_ptr) - 1, plan.level_ptr
+    squares = np.empty(int(np.diff(level_ptr).max()))
+    failed, later = n, None
+    for lvl in range(len(gl) - 1):
+        first, diagonal = gl[lvl], gl[lvl + 1] - 1
+        a, d0, d1 = gp[first], gp[diagonal], gp[diagonal + 1]
+        if sp[first] == sp[diagonal]:
+            # x - 0.0 is x, bit for bit, signed zeros included
+            np.divide(w[a:d0], w[divisor[a:d0]], out=w[a:d0])
+        else:
+            for g in range(first, diagonal):
+                lo, hi = gp[g], gp[g + 1]
+                acc = np.zeros(hi - lo)
+                for step in range(sp[g], sp[g + 1]):
+                    p, q = ps[step], ps[step + 1]
+                    acc[pair_at[p:q]] += w[pair_left[p:q]] * w[pair_right[p:q]]
+                np.divide(np.subtract(w[lo:hi], acc, out=acc), w[divisor[lo:hi]], out=w[lo:hi])
+        squared = w[a:d0] * w[a:d0]
+        sq = squares[: d1 - d0]
+        sq.fill(0.0)
+        for g in range(first, diagonal):
+            part = sq[: gp[g + 1] - gp[g]]
+            part += squared[gp[g] - a : gp[g + 1] - a]
+        pivot = np.subtract(w[d0:d1], sq, out=sq)
+        if not pivot.min() > 0.0:
+            with np.errstate(invalid="ignore"):
+                bad = np.flatnonzero(pivot <= 0.0)
+            if len(bad):
+                failed = min(failed, int(plan.order[level_ptr[lvl] + bad].min()))
+                pivot[bad] = np.nan
+        np.sqrt(pivot, out=w[d0:d1])
+        if failed < n:
+            if later is None:  # the lowest row of the levels after each level
+                low = np.minimum.reduceat(plan.order, level_ptr[:-1])
+                later = np.append(np.minimum.accumulate(low[::-1])[::-1][1:], n)
+            if later[lvl] > failed:
+                raise Breakdown(failed)
+    vals[:] = w[plan.at]
+
+
+class _Schedule(NamedTuple):
+    """The layout of ``_level_pass``: slot t of the pattern at place ``at[t]``.
+
+    Each level holds its rows, ``order[level_ptr[l]:level_ptr[l + 1]]``, by
+    descending off-diagonal count, so the rows with a k-th off-diagonal
+    entry are a prefix of them.  Its groups, from ``group_of[l]`` on, are
+    the k-th entries of those rows for each k, then the diagonal entries
+    of all of them; group g sits at ``group_ptr[g]:group_ptr[g + 1]``, and
+    ``divisor`` holds, for each entry (i, j), the place of L_jj.  Group g
+    sums its pairs in steps ``step_of[g]`` to ``step_of[g + 1]``: step s
+    adds ``w[pair_left] * w[pair_right]`` over ``step_ptr[s]:step_ptr[s + 1]``
+    to the entries at rows ``pair_at`` of the group.
+    """
+
+    order: np.ndarray
+    level_ptr: np.ndarray
+    group_of: np.ndarray
+    group_ptr: np.ndarray
+    at: np.ndarray
+    divisor: np.ndarray
+    step_of: np.ndarray
+    step_ptr: list
+    pair_at: np.ndarray | None
+    pair_left: np.ndarray | None
+    pair_right: np.ndarray | None
+
+
+def _schedule(row_ptr: np.ndarray, cols: np.ndarray, slots, level: np.ndarray) -> _Schedule:
+    """The layout ``_level_pass`` works in, from the levels of the rows.
+
+    Rows are ordered by counting sorts (``_grouped``), and a slot's place
+    is its group's start plus its row's rank in the level.  The arrays
+    are in the index dtype of ``cols``, but for ``at`` and ``group_ptr``,
+    which are ``np.intp``: numpy gathers and scatters by them without a
+    conversion.
+    """
+    pair_ptr, left, right = slots
+    n, nnz, index = len(row_ptr) - 1, len(cols), cols.dtype
+    count = np.diff(row_ptr) - 1  # off-diagonal entries of each row
+    depth, most = int(level.max()) + 1, int(count.max())
+    by_count = _grouped(most - count, most + 1)[1]
+    level_ptr, take = _grouped(level[by_count], depth)
+    order = by_count[take]
+    rank = np.empty(n, dtype=index)
+    rank[order] = np.arange(n, dtype=index) - np.repeat(level_ptr[:-1], np.diff(level_ptr))
+    group_of = np.zeros(depth + 1, dtype=index)
+    np.cumsum(count[order[level_ptr[:-1]]] + 1, out=group_of[1:])
+    size = count + 1
+    group = np.repeat(group_of[:-1][level] - row_ptr[:-1], size)
+    group += np.arange(nnz, dtype=index)  # plus the position in the row
+    ends = row_ptr[1:] - 1
+    group[ends] = group_of[1:][level] - 1
+    group_ptr = np.zeros(int(group_of[-1]) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(group, minlength=len(group_ptr) - 1), out=group_ptr[1:])
+    at = group_ptr[group]
+    at += np.repeat(rank, size)
+    del rank
+    divisor = np.empty(nnz, dtype=index)
+    divisor[at] = at[ends][cols]  # place of L_jj for each entry (i, j)
+
+    step_of = np.zeros(len(group_ptr), dtype=index)
+    if not len(left):
+        return _Schedule(order, level_ptr, group_of, group_ptr, at, divisor, step_of, [0], None, None, None)
+    per_slot = np.diff(pair_ptr)
+    per_place = np.empty(nnz, dtype=per_slot.dtype)
+    per_place[at] = per_slot
+    np.cumsum(np.maximum.reduceat(per_place, group_ptr[:-1]), out=step_of[1:])
+    slot = np.repeat(np.arange(nnz), per_slot)  # slot of each pair
+    group_at = group[slot]
+    step_ptr, take = _grouped(step_of[group_at] + (np.arange(len(left)) - pair_ptr[slot]), int(step_of[-1]))
+    return _Schedule(
+        order, level_ptr, group_of, group_ptr, at, divisor, step_of, step_ptr.tolist(),
+        (at[slot] - group_ptr[group_at])[take], at[left[take]], at[right[take]],
+    )
 
 
 def _shared_slots(row_ptr: np.ndarray, cols: np.ndarray):

@@ -1,18 +1,32 @@
+import hashlib
 import math
 import os
 import platform
 import subprocess
 import sys
+import timeit
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import _sparsetools
 
 import bregpcg
 from bregpcg import Breakdown, CsrMatrix, ic0, scaled_error
-from bregpcg.ichol import _lookup, _shared_slots
+from bregpcg import ichol
+from bregpcg.ichol import (
+    _LEVEL_MIN_ROWS,
+    _LEVEL_MIN_WIDTH,
+    _level_pass,
+    _levels,
+    _levels_if_faster,
+    _lookup,
+    _scalar_pass,
+    _shared_slots,
+)
 from conftest import bumped_band, dynamic_arch_openblas, laplacian_2d, random_spd, ref_ic0_dense
 
 
@@ -74,6 +88,39 @@ def ref_shared_slots(row_ptr, cols):
     return pair_ptr, left, right
 
 
+PASSES = ("scalar", "level")
+
+
+def run_pass(which, s, diag_shift=0.0):
+    """One numeric pass of ``ic0`` on S, called directly, whichever ``ic0``
+    would choose: the values of L, or the row of its Breakdown (as an int).
+    The level pass gets its levels from ``ref_levels``, so it runs on
+    patterns whose levels ``_levels`` does not find too."""
+    lower = s.lower_triangle()
+    row_ptr, cols = lower.row_ptr, lower.col_idx
+    vals = np.array(lower.values)
+    if diag_shift:
+        vals[row_ptr[1:] - 1] *= 1.0 + diag_shift
+    slots = _shared_slots(row_ptr, cols)
+    try:
+        if which == "scalar":
+            _scalar_pass(vals, row_ptr, cols, slots)
+        else:
+            _level_pass(vals, row_ptr, cols, slots, np.array(ref_levels(lower), dtype=cols.dtype))
+    except Breakdown as err:
+        return err.row
+    return vals
+
+
+def assert_same_outcome(got, want):
+    """The same Breakdown row, or the same bits of L, signed zeros told apart."""
+    if isinstance(want, int):
+        assert got == want
+    else:
+        assert not isinstance(got, int), f"Breakdown({got})"
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def arrowhead_band(n):
     """tridiag(-1, 4, -1) with a dense first row and column: every entry
     (i, i - 1) shares column 0 with row i - 1, so ic0 has pairs to sum."""
@@ -83,7 +130,7 @@ def arrowhead_band(n):
     return dense
 
 
-@pytest.mark.parametrize(
+REFERENCE_FIXTURES = pytest.mark.parametrize(
     "dense, diag_shift",
     [
         (laplacian_2d(12), 0.0),
@@ -92,6 +139,9 @@ def arrowhead_band(n):
     ],
     ids=["laplacian", "bumped_band", "random_spd"],
 )
+
+
+@REFERENCE_FIXTURES
 def test_values_bitwise_match_intersect_reference(dense, diag_shift):
     s = CsrMatrix.from_dense(dense)
     want = ref_ic0_intersect(s, diag_shift)
@@ -234,6 +284,8 @@ def test_makes_no_blas_call(monkeypatch):
     for name in ("dot", "vdot", "inner"):
         monkeypatch.setattr(np, name, no_blas)
     np.testing.assert_array_equal(ic0(s).L.values, want)
+    for which in PASSES:
+        np.testing.assert_array_equal(run_pass(which, s), want)
 
 
 def _stored_zero():
@@ -402,3 +454,292 @@ def test_factor_bits_do_not_depend_on_the_blas_kernel():
     if len(blas_hashes) == 1:
         pytest.skip("OPENBLAS_CORETYPE did not change the BLAS kernel here")
     assert len(ic0_hashes) == 1
+
+
+# Both numeric passes, called directly, against the reference
+
+
+@REFERENCE_FIXTURES
+@pytest.mark.parametrize("shift", [0.0, 0.1, 1.5])
+@pytest.mark.parametrize("which", PASSES)
+def test_each_pass_matches_intersect_reference(dense, diag_shift, shift, which):
+    s = CsrMatrix.from_dense(dense)
+    assert_same_outcome(run_pass(which, s, diag_shift + shift), ref_ic0_intersect(s, diag_shift + shift))
+
+
+def _negated_zeros(s):
+    """S with every stored zero stored as -0.0."""
+    return CsrMatrix(s.n_rows, s.n_cols, s.row_ptr, s.col_idx, np.where(s.values == 0.0, -0.0, s.values))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _stored_zero,
+        lambda: _negated_zeros(_stored_zero()),
+        lambda: CsrMatrix.from_dense(arrowhead_band(30)),
+        lambda: CsrMatrix.from_dense(arrowhead_band(30)[::-1, ::-1]),
+        lambda: CsrMatrix.from_dense(np.diag([1.0, 2.0, 3.0])),
+    ],
+    ids=["stored_zero", "negative_zero", "arrowhead", "arrowhead_last_row", "diagonal"],
+)
+@pytest.mark.parametrize("shift", [0.0, 0.1, 1.5])
+@pytest.mark.parametrize("which", PASSES)
+def test_each_pass_matches_reference_on_zeros_and_pairs(make, shift, which):
+    s = make()
+    assert_same_outcome(run_pass(which, s, shift), ref_ic0_intersect(s, shift))
+
+
+@pytest.mark.parametrize("which", PASSES)
+def test_negative_zero_entry_keeps_its_sign(which):
+    # -0.0 - 0.0 is -0.0 and -0.0 / d is -0.0, so a stored -0.0 that shares
+    # no column keeps its sign bit, which a pass adding 0.0 to it would lose
+    s = CsrMatrix.from_coo(
+        3, 3, np.array([0, 1, 0, 1, 2, 2, 1]), np.array([0, 0, 1, 1, 1, 2, 2]),
+        np.array([4.0, -0.0, -0.0, 4.0, -1.0, 4.0, -1.0]),
+    )
+    values = run_pass(which, s)
+    assert values[1] == 0.0 and math.copysign(1.0, values[1]) == -1.0
+    assert_same_outcome(values, ref_ic0_intersect(s))
+
+
+def ref_levels(lower):
+    """Each row's level, 1 plus the highest level of the rows it reads,
+    row by row in natural order."""
+    row_ptr, cols = lower.row_ptr.tolist(), lower.col_idx.tolist()
+    level = []
+    for i in range(lower.n_rows):
+        level.append(1 + max((level[j] for j in cols[row_ptr[i] : row_ptr[i + 1] - 1]), default=-1))
+    return level
+
+
+def check_levels(lower):
+    """``_levels`` gives the levels or None, and None one level too shallow;
+    returns whether it found them."""
+    want = ref_levels(lower)
+    depth = max(want) + 1
+    got = _levels(lower.row_ptr, lower.col_idx, depth)
+    assert _levels(lower.row_ptr, lower.col_idx, depth - 1) is None
+    if got is None:
+        return False
+    assert got.dtype == lower.col_idx.dtype
+    assert got.tolist() == want
+    return True
+
+
+def every_other(n, hub=False, stride=1):
+    """Even rows read the even row ``stride`` even rows before and the odd
+    row just before, which reads no row (with ``hub``, only row 0, which
+    every row reads): the forest of last links is 2 (3) deep, the levels
+    some n / (2 stride), ``stride`` interleaved chains of even rows."""
+    rows = np.arange(2, n, 2)
+    i, j = [rows, rows[rows >= 2 * stride]], [rows - 1, rows[rows >= 2 * stride] - 2 * stride]
+    if hub:
+        i.append(np.arange(3, n))
+        j.append(np.zeros(n - 3, dtype=int))
+    i, j = np.concatenate(i), np.concatenate(j)
+    pattern = scipy.sparse.coo_matrix((np.full(len(i), -0.25), (i, j)), shape=(n, n))
+    return CsrMatrix.from_scipy(scipy.sparse.csr_matrix(pattern + pattern.T + 4.0 * scipy.sparse.identity(n)))
+
+
+@pytest.mark.parametrize(
+    "make, found",
+    [
+        (lambda: CsrMatrix.from_dense(laplacian_2d(12)), True),
+        (lambda: CsrMatrix.from_dense(bumped_band(300)), True),
+        (lambda: CsrMatrix.from_dense(random_spd(40, seed=3)), True),
+        (lambda: CsrMatrix.from_dense(arrowhead_band(30)), True),
+        (lambda: every_other(60), False),
+        (lambda: every_other(60, hub=True), False),
+    ],
+    ids=["laplacian", "bumped_band", "random_spd", "arrowhead", "every_other", "every_other_hub"],
+)
+def test_levels_are_the_forest_depths_or_none(make, found):
+    # the grid's forest depths are its levels, and so are those of a band,
+    # a dense matrix and the arrowhead, where each row reads the one before
+    # it; in the others a row reads a row deeper in the forest than the
+    # last one it reads
+    assert check_levels(make().lower_triangle()) == found
+
+
+@st.composite
+def sparse_symmetric_signed_zeros(draw):
+    """``sparse_symmetric``, with its stored zeros as -0.0 in half the draws."""
+    s = draw(sparse_symmetric())
+    return _negated_zeros(s) if draw(st.booleans()) else s
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=sparse_symmetric_signed_zeros(), diag_shift=st.sampled_from([0.0, 0.1, 1.5]))
+def test_property_both_passes_match_reference(s, diag_shift):
+    check_levels(s.lower_triangle())
+    want = ref_ic0_intersect(s, diag_shift)
+    for which in PASSES:
+        assert_same_outcome(run_pass(which, s, diag_shift), want)
+
+
+def poisson_grid(m, shift=0.01):
+    """The 5-point Laplacian of an m x m grid plus ``shift * I``, as the
+    benchmark's ``poisson_2d`` forms it."""
+    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    eye = scipy.sparse.identity(m)
+    a = scipy.sparse.kron(t, eye) + scipy.sparse.kron(eye, t) + shift * scipy.sparse.identity(m * m)
+    return CsrMatrix.from_scipy(scipy.sparse.csr_matrix(a))
+
+
+def grid_27_point(m):
+    """The 27-point stencil of an m x m x m grid, diagonally dominant: some
+    3.2 pairs per off-diagonal entry of its lower triangle."""
+    d = scipy.sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(m, m))
+    a = 28.0 * scipy.sparse.identity(m**3) - scipy.sparse.kron(scipy.sparse.kron(d, d), d)
+    return CsrMatrix.from_scipy(scipy.sparse.csr_matrix(a))
+
+
+@pytest.fixture
+def level_passes(monkeypatch):
+    """A list that gets one entry each time ``ic0`` runs the level pass."""
+    taken, original = [], ichol._level_pass
+
+    def level_pass(*args):
+        taken.append("level")
+        return original(*args)
+
+    monkeypatch.setattr(ichol, "_level_pass", level_pass)
+    return taken
+
+
+@pytest.mark.parametrize("make", [lambda: poisson_grid(200), lambda: grid_27_point(14)], ids=["grid200", "grid27"])
+def test_ic0_takes_the_level_pass_and_keeps_its_bits(make, level_passes):
+    s = make()
+    got = ic0(s).L.values
+    assert level_passes == ["level"]
+    want = run_pass("scalar", s)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == hashlib.sha256(want.tobytes()).hexdigest()
+
+
+def grid_breaking_at(m, rows):
+    """The m x m grid Laplacian with diagonal 0.2 at ``rows``: row m - 1,
+    the end of the first grid line, reads row m - 2 (L^2 about 0.27), and
+    row m reads row 0 (L^2 = 0.25), so each pivot fails."""
+    dense = laplacian_2d(m)
+    for i in rows:
+        dense[i, i] = 0.2
+    return CsrMatrix.from_dense(dense)
+
+
+def test_breakdown_is_the_lowest_failing_row_not_the_first_failing_level():
+    m = 8
+    lower = grid_breaking_at(m, ()).lower_triangle()
+    level = _levels(lower.row_ptr, lower.col_idx, m * m)
+    assert level[m - 1] == m - 1 and level[m] == 1  # row m fails at an earlier level
+    for rows, want in (((m - 1,), m - 1), ((m,), m), ((m - 1, m), m - 1)):
+        s = grid_breaking_at(m, rows)
+        assert ref_ic0_intersect(s) == want
+        with pytest.raises(Breakdown) as info:
+            ic0(s)
+        assert info.value.row == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no sqrt of a negative pivot, no warning
+            for which in PASSES:
+                assert run_pass(which, s) == want
+
+
+# The rule between the two passes
+
+
+def _rule(s):
+    lower = s.lower_triangle()
+    return _levels_if_faster(lower.row_ptr, lower.col_idx)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """A list that gets the row count of each ``csr_matvec`` sweep."""
+    rows, original = [], _sparsetools.csr_matvec
+
+    def csr_matvec(n_row, *args):
+        rows.append(n_row)
+        return original(n_row, *args)
+
+    monkeypatch.setattr(_sparsetools, "csr_matvec", csr_matvec)
+    return rows
+
+
+def tridiagonal(n):
+    return CsrMatrix.from_scipy(scipy.sparse.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr"))
+
+
+def test_rule_keeps_the_recurrence_for_chains_after_one_sweep(sweeps):
+    # every row reads the one before it, or (the third) the one two before:
+    # the forest of last links, one sweep over the rows, turns each away
+    n = 4000
+    stride_two = CsrMatrix.from_scipy(scipy.sparse.diags([-1.0, 4.0, -1.0], [-2, 0, 2], shape=(n, n), format="csr"))
+    chains = [tridiagonal(20_000), CsrMatrix.from_dense(bumped_band(2000)), stride_two]
+    for s in chains:
+        assert _rule(s) is None
+    assert sweeps == [s.n_rows for s in chains]
+
+
+def test_rule_turns_a_grid_just_below_the_width_away():
+    # the 36 x 36 grid: 71 levels of 18.25 rows
+    s = poisson_grid(36)
+    assert max(ref_levels(s.lower_triangle())) + 1 == 71 > s.n_rows // _LEVEL_MIN_WIDTH
+    assert _rule(s) is None
+    assert _rule(poisson_grid(46)) is not None  # 91 levels of 23.25 rows
+
+
+def randspd1200_pattern():
+    """The pattern of the large suite's randspd1200, B^T B + 0.01 I."""
+    b = scipy.sparse.random(1500, 1200, density=0.004, random_state=1)
+    return CsrMatrix.from_scipy(scipy.sparse.csr_matrix(b.T @ b + 0.01 * scipy.sparse.identity(1200)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: every_other(4000),
+        lambda: every_other(4000, hub=True),
+        lambda: every_other(4000, stride=20),
+        lambda: randspd1200_pattern(),
+    ],
+    ids=["every_other", "every_other_hub", "every_other_stride20", "randspd1200"],
+)
+def test_rule_keeps_the_recurrence_where_the_forest_misses_the_levels(make, sweeps):
+    # wide enough (2,000, 2,000, 101 and 61 levels of 4,000 or 1,200 rows),
+    # but a row reads a row deeper in the forest than the last one it reads
+    s = make()
+    assert _rule(s) is None
+    assert sweeps == [s.n_rows]
+    assert check_levels(s.lower_triangle()) is False
+
+
+def test_rule_keeps_the_recurrence_below_the_size_crossover():
+    # 2 x 2 blocks: two levels of n / 2 rows, wide at any size
+    def blocks(n):
+        return CsrMatrix.from_scipy(
+            scipy.sparse.block_diag([np.array([[4.0, -1.0], [-1.0, 4.0]])] * (n // 2), format="csr")
+        )
+
+    assert _rule(blocks(_LEVEL_MIN_ROWS - 2)) is None
+    level = _rule(blocks(_LEVEL_MIN_ROWS))
+    assert level is not None and level.max() == 1
+
+
+def test_rule_takes_the_level_pass_on_the_200_grid():
+    level = _rule(poisson_grid(200))
+    assert level is not None and level.max() == 398  # the grid's 399 anti-diagonals
+    assert level.dtype == np.int32
+
+
+def test_chain_check_costs_under_five_percent_of_the_recurrence():
+    # the check is one sweep (test_rule_keeps_the_recurrence_for_chains_after_one_sweep);
+    # its time is the minimum of many runs, which noise can only lengthen
+    s = tridiagonal(20_000)
+    lower = s.lower_triangle()
+    row_ptr, cols = lower.row_ptr, lower.col_idx
+    slots = _shared_slots(row_ptr, cols)
+    check = min(timeit.repeat(lambda: _levels_if_faster(row_ptr, cols), number=1, repeat=25))
+    recurrence = min(
+        timeit.repeat(lambda: _scalar_pass(np.array(lower.values), row_ptr, cols, slots), number=1, repeat=3)
+    )
+    assert check <= 0.05 * recurrence, (check, recurrence)
