@@ -28,14 +28,17 @@ The numeric pass comes in two forms, which give the same bits:
   k-th entries of all its rows at once, each entry through the same IEEE
   operations, in the same order, as in the row recurrence.
 
-``ic0`` takes the level pass where it is the faster one
-(``_levels_if_faster``), which it reads off two properties of the
-pattern: at least ``_LEVEL_MIN_ROWS`` rows, and a mean level width (rows
-over levels) of at least ``_LEVEL_MIN_WIDTH``.  Each level costs a fixed
-number of numpy calls, so narrow levels leave too little work per call.
-A chain, such as a band, where every row reads the one before it, has a
-forest as deep as it has rows, which turns it away after that one sweep;
-a pattern whose forest depths are not its levels takes the recurrence.
+``ic0`` takes the level pass where its levels are wide enough: where
+``_levels`` finds them and the mean level width (rows over levels) is at
+least ``_LEVEL_MIN_WIDTH``.  Each level costs a fixed number of numpy
+calls, so narrow levels leave too little work per call.  A chain, such as
+a band, where every row reads the one before it, has a forest as deep as
+it has rows, which turns it away after that one sweep; a pattern whose
+forest depths are not its levels takes the recurrence.  The level pass
+gives up at the first level with a pivot that is not positive and leaves
+the values as they were, and the recurrence runs on them: so the row
+recurrence alone decides the factor's bits where a pivot fails, and the
+row that ``Breakdown`` reports.
 
 Summation contract: every product is rounded on its own and the products
 are summed left to right, in ascending column order, starting from 0.0;
@@ -54,22 +57,20 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from .errors import Breakdown
-from .sparse_core import CholFactor, CsrMatrix, _grouped
+from .sparse_core import CholFactor, CsrMatrix, _grouped, _lookup, _unit_sweep
 
-# The rule between the two numeric passes (see ``_levels_if_faster``).  On
-# one core (numpy 2.4, Python 3.11) the level pass took as long as the
-# recurrence at some 15 rows a level on 5-point grids (poisson_2d(30)) and
-# at some 18 on 7-point grids (7^3 rows, 19 levels).  On the widest
-# patterns, where only its fixed cost counts, it did at some 450 rows of a
-# diagonal and some 300 of 2 x 2 blocks.  The size bound decides no matrix
-# of the benchmark: those below it have narrow levels or are chains.  Each
-# bound sits on the recurrence's side of its crossover.  Pairs per entry
-# are no bound: the level pass took 0.42 to 0.62 of the recurrence's time
-# on 27-point grids, at 3.2 pairs per off-diagonal entry.
-_LEVEL_MIN_ROWS = 500
+# The rule between the two numeric passes: the level pass needs a mean level
+# width of this many rows.  On one core (numpy 2.4, Python 3.11) the level
+# pass took as long as the recurrence at some 15 rows a level on 5-point
+# grids (poisson_2d(30)) and at some 18 on 7-point grids (7^3 rows, 19
+# levels), so the bound sits on the recurrence's side of both.  Size is no
+# bound: small wide patterns take the level pass too, and on diagonals and
+# 2 x 2 blocks of 20 to 500 rows ic0 took some 0.2 to 0.5 ms with either
+# pass.  Pairs per entry are no bound either: the level pass took 0.42 to
+# 0.62 of the recurrence's time on 27-point grids, at 3.2 pairs per
+# off-diagonal entry.
 _LEVEL_MIN_WIDTH = 20
 
 
@@ -96,11 +97,12 @@ def ic0(s: CsrMatrix, diag_shift: float = 0.0) -> CholFactor:
         raise ValueError(f"diag_shift must be > -1, not {diag_shift!r}")
     if s.n_rows != s.n_cols:
         raise ValueError("matrix must be square")
-    lower = s.lower_triangle()
-    n = s.n_rows
-    row_ptr = lower.row_ptr
-    cols = lower.col_idx
-    vals = np.array(lower.values)  # mutable working copy, becomes L
+    n, index = s.n_rows, s.row_ptr.dtype
+    keep = s.col_idx <= np.repeat(np.arange(n, dtype=index), np.diff(s.row_ptr))
+    kept = np.zeros(s.nnz + 1, dtype=index)  # entries kept before each slot of S
+    np.cumsum(keep, dtype=index, out=kept[1:])
+    row_ptr, cols = kept[s.row_ptr], s.col_idx[keep]
+    vals = s.values[keep]  # a fresh copy, worked on in place: it becomes L
 
     ends = row_ptr[1:] - 1
     if np.any(np.diff(row_ptr) == 0) or np.any(cols[ends] != np.arange(n)):
@@ -111,11 +113,9 @@ def ic0(s: CsrMatrix, diag_shift: float = 0.0) -> CholFactor:
         vals[ends] *= 1.0 + diag_shift
 
     slots = _shared_slots(row_ptr, cols)
-    level = _levels_if_faster(row_ptr, cols)
-    if level is None:
+    level = _levels(row_ptr, cols, n // _LEVEL_MIN_WIDTH)
+    if level is None or not _level_pass(vals, row_ptr, cols, slots, level):
         _scalar_pass(vals, row_ptr, cols, slots)
-    else:
-        _level_pass(vals, row_ptr, cols, slots, level)
     return CholFactor(CsrMatrix(n, n, row_ptr, cols, vals))
 
 
@@ -153,28 +153,14 @@ def _scalar_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots)
         v[end] = math.sqrt(pivot)
 
 
-def _levels_if_faster(row_ptr: np.ndarray, cols: np.ndarray):
-    """The level of every row when the level pass is the faster one, else None.
-
-    Below ``_LEVEL_MIN_ROWS`` rows the schedule's one-time cost outweighs
-    what it saves, and a level costs some 10 numpy calls, so the mean
-    level width must reach ``_LEVEL_MIN_WIDTH`` rows; ``_levels`` stops
-    after one sweep when the pattern is deeper than that allows.
-    """
-    n = len(row_ptr) - 1
-    if n < _LEVEL_MIN_ROWS:
-        return None
-    return _levels(row_ptr, cols, n // _LEVEL_MIN_WIDTH)
-
-
 def _levels(row_ptr: np.ndarray, cols: np.ndarray, max_depth: int):
     """Level of each row in the DAG of the rows it reads, when one sweep
     finds it and the DAG is at most ``max_depth`` levels deep, else None.
 
     Row i reads row j for every off-diagonal entry (i, j) of the pattern,
     and its level is 1 plus the highest level of the rows it reads.  Link
-    each row to the last row it reads: one in-place ``csr_matvec`` sweep
-    gives every row its depth in that forest, d_i = 1 + d_link, which is
+    each row to the last row it reads: one sweep (``_unit_sweep``) gives
+    every row its depth in that forest, d_i = 1 + d_link, which is
     no deeper than the DAG.  A chain such as a band, where each row reads
     the one before it, is as deep as it has rows, and so is its forest,
     which turns it away after that sweep.  Where d_i > d_j holds for every
@@ -182,7 +168,8 @@ def _levels(row_ptr: np.ndarray, cols: np.ndarray, max_depth: int):
     of the levels, so d - 1 are the levels: so it is on the natural-order
     grids of 5, 7, 9 and 27 points.  Where it fails the levels would need a
     peel (Kahn's algorithm), and the pattern takes the row recurrence.
-    The levels come back in the index dtype of ``cols``.
+    An empty pattern has no levels to schedule: None.  The levels come
+    back in the index dtype of ``cols``.
     """
     n = len(row_ptr) - 1
     reads = np.diff(row_ptr) - 1  # rows each row reads
@@ -190,9 +177,8 @@ def _levels(row_ptr: np.ndarray, cols: np.ndarray, max_depth: int):
     ends = row_ptr[1:] - 1
     link_ptr = np.zeros(n + 1, dtype=cols.dtype)
     np.cumsum(links, dtype=cols.dtype, out=link_ptr[1:])
-    forest = np.ones(n)
-    _sparsetools.csr_matvec(n, n, link_ptr, cols[ends[links] - 1], np.ones(int(link_ptr[-1])), forest, forest)
-    if n and forest.max() > max_depth:
+    forest = _unit_sweep(link_ptr, cols[ends[links] - 1])
+    if not n or forest.max() > max_depth:
         return None
     off = np.ones(len(cols), dtype=bool)
     off[ends] = False
@@ -201,8 +187,9 @@ def _levels(row_ptr: np.ndarray, cols: np.ndarray, max_depth: int):
     return (forest - 1.0).astype(cols.dtype)
 
 
-def _level_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, level: np.ndarray) -> None:
-    """Numeric pass of ``ic0`` by level sets, in place on ``vals``.
+def _level_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, level: np.ndarray) -> bool:
+    """Numeric pass of ``ic0`` by level sets: True with L in ``vals``, or
+    False with ``vals`` as they were.
 
     The rows of one level read only rows of lower levels, so they factor
     together.  Within a level the off-diagonal entries go in steps by
@@ -216,19 +203,17 @@ def _level_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, 
     pairs, its entries read no other entry of the level, and one division
     serves all its steps.
 
-    A failed pivot becomes NaN, which its readers carry without a warning,
-    and the pass goes on while a later level holds a row of lower index: a
-    row reads only rows of lower index, so the lowest failing row is exact
-    and is the one ``_scalar_pass`` reports.
+    The pass works on a copy in its own layout and writes ``vals`` only
+    at the end.  At the first level with a pivot that is not positive
+    (NaN included) it returns False, and ``_scalar_pass`` on the untouched
+    values finds the row that fails.
     """
     plan = _schedule(row_ptr, cols, slots, level)
     w = np.empty_like(vals)
     w[plan.at] = vals
     divisor, pair_at, pair_left, pair_right = plan.divisor, plan.pair_at, plan.pair_left, plan.pair_right
     gp, gl, sp, ps = plan.group_ptr.tolist(), plan.group_of.tolist(), plan.step_of.tolist(), plan.step_ptr
-    n, level_ptr = len(row_ptr) - 1, plan.level_ptr
-    squares = np.empty(int(np.diff(level_ptr).max()))
-    failed, later = n, None
+    squares = np.empty(int(np.diff(plan.level_ptr).max()))
     for lvl in range(len(gl) - 1):
         first, diagonal = gl[lvl], gl[lvl + 1] - 1
         a, d0, d1 = gp[first], gp[diagonal], gp[diagonal + 1]
@@ -251,25 +236,16 @@ def _level_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, 
             part += squared[gp[g] - a : gp[g + 1] - a]
         pivot = np.subtract(w[d0:d1], sq, out=sq)
         if not pivot.min() > 0.0:
-            with np.errstate(invalid="ignore"):
-                bad = np.flatnonzero(pivot <= 0.0)
-            if len(bad):
-                failed = min(failed, int(plan.order[level_ptr[lvl] + bad].min()))
-                pivot[bad] = np.nan
+            return False
         np.sqrt(pivot, out=w[d0:d1])
-        if failed < n:
-            if later is None:  # the lowest row of the levels after each level
-                low = np.minimum.reduceat(plan.order, level_ptr[:-1])
-                later = np.append(np.minimum.accumulate(low[::-1])[::-1][1:], n)
-            if later[lvl] > failed:
-                raise Breakdown(failed)
     vals[:] = w[plan.at]
+    return True
 
 
 class _Schedule(NamedTuple):
     """The layout of ``_level_pass``: slot t of the pattern at place ``at[t]``.
 
-    Each level holds its rows, ``order[level_ptr[l]:level_ptr[l + 1]]``, by
+    Level l holds ``level_ptr[l + 1] - level_ptr[l]`` rows, ordered by
     descending off-diagonal count, so the rows with a k-th off-diagonal
     entry are a prefix of them.  Its groups, from ``group_of[l]`` on, are
     the k-th entries of those rows for each k, then the diagonal entries
@@ -280,7 +256,6 @@ class _Schedule(NamedTuple):
     to the entries at rows ``pair_at`` of the group.
     """
 
-    order: np.ndarray
     level_ptr: np.ndarray
     group_of: np.ndarray
     group_ptr: np.ndarray
@@ -328,7 +303,7 @@ def _schedule(row_ptr: np.ndarray, cols: np.ndarray, slots, level: np.ndarray) -
 
     step_of = np.zeros(len(group_ptr), dtype=index)
     if not len(left):
-        return _Schedule(order, level_ptr, group_of, group_ptr, at, divisor, step_of, [0], None, None, None)
+        return _Schedule(level_ptr, group_of, group_ptr, at, divisor, step_of, [0], None, None, None)
     per_slot = np.diff(pair_ptr)
     per_place = np.empty(nnz, dtype=per_slot.dtype)
     per_place[at] = per_slot
@@ -337,7 +312,7 @@ def _schedule(row_ptr: np.ndarray, cols: np.ndarray, slots, level: np.ndarray) -
     group_at = group[slot]
     step_ptr, take = _grouped(step_of[group_at] + (np.arange(len(left)) - pair_ptr[slot]), int(step_of[-1]))
     return _Schedule(
-        order, level_ptr, group_of, group_ptr, at, divisor, step_of, step_ptr.tolist(),
+        level_ptr, group_of, group_ptr, at, divisor, step_of, step_ptr.tolist(),
         (at[slot] - group_ptr[group_at])[take], at[left[take]], at[right[take]],
     )
 
@@ -387,25 +362,3 @@ def _expand(starts: np.ndarray, counts: np.ndarray):
     seg = np.repeat(np.arange(len(counts)), counts)
     first = np.cumsum(counts) - counts
     return seg, np.arange(len(seg), dtype=np.int64) + (starts - first)[seg]
-
-
-def _lookup(row_ptr: np.ndarray, cols: np.ndarray, want_rows, want_cols) -> np.ndarray:
-    """Slot of each wanted (row, column) entry of the pattern, or -1 when not stored.
-
-    scipy's ``csr_sample_offsets`` (the kernel behind ``A[rows, cols]``)
-    binary-searches each wanted column within its own row; the pattern's
-    strictly increasing columns are the sorted rows it needs.  It searches
-    only when asked for more than nnz / 10 entries and otherwise scans each
-    asked row whole, which would make a few lookups into one long row cost
-    its length each, so short requests are padded with entry (0, 0).
-    """
-    count = len(want_rows)
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    index, size = cols.dtype, max(count, len(cols) // 10 + 1)
-    rows, wanted = np.zeros(size, dtype=index), np.zeros(size, dtype=index)
-    rows[:count], wanted[:count] = want_rows, want_cols
-    found = np.empty(size, dtype=index)
-    n = len(row_ptr) - 1
-    _sparsetools.csr_sample_offsets(n, n, row_ptr, cols, size, rows, wanted, found)
-    return found[:count].astype(np.int64)

@@ -67,6 +67,12 @@ which must stay in natural order, ate the gain; and a low-rank build's
 triangular work is ``scaled_apply`` and block ``tri_solve`` calls, so no
 hot path runs a vector ``tri_solve``.
 
+``ichol`` calls no scipy kernel itself; two helpers here serve it.
+``_unit_sweep`` is the in-place, unit-weight ``csr_matvec`` that gives each
+row 1 plus the sum over the rows it reads: ``chol_solve``'s order keys and
+``ic0``'s forest depths.  ``_lookup`` finds the slots of (row, column)
+entries by ``csr_sample_offsets``.
+
 ``tests/test_sparse_core.py`` checks ``spmv`` bitwise against ``csr_matvec``
 on random banded matrices, pins the in-place reading of ``csr_matvec``, in
 stored order within a row whose column indices do not ascend, and checks
@@ -240,22 +246,6 @@ class CsrMatrix:
     def transpose(self) -> "CsrMatrix":
         return CsrMatrix.from_scipy(self._sp.T)
 
-    def lower_triangle(self) -> "CsrMatrix":
-        """Stored entries on or below the diagonal, pattern preserved."""
-        mask = self.col_idx <= np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr))
-        keep = np.flatnonzero(mask)
-        counts = np.bincount(
-            np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr))[keep],
-            minlength=self.n_rows,
-        )
-        row_ptr = np.concatenate([[0], np.cumsum(counts)])
-        return CsrMatrix(self.n_rows, self.n_cols, row_ptr, self.col_idx[keep], self.values[keep])
-
-    def row(self, i):
-        """(columns, values) views of stored row ``i``."""
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        return self.col_idx[lo:hi], self.values[lo:hi]
-
     def __matmul__(self, x):
         return spmv(self, x)
 
@@ -309,10 +299,9 @@ class CholFactor:
         two sweeps.
 
         A row's key is 1 plus the sum of the keys of the rows it reads: one
-        in-place ``csr_matvec`` with unit weights over L's strict pattern, on
-        ones.  So a row's key exceeds the key of every row it reads, and as
-        rounding is monotone, key_i >= key_j holds even where keys overflow
-        to inf.  ``rows``, the row at each position of a stable sort by key,
+        ``_unit_sweep`` over L's strict pattern.  So a row's key exceeds the
+        key of every row it reads, and as rounding is monotone, key_i >=
+        key_j holds even where keys overflow to inf.  ``rows``, the row at each position of a stable sort by key,
         keeps ties in natural order, so each row still comes after every row
         it reads, while rows whose keys are close, which run one after the
         other, seldom read each other.  The sweeps are built from the split
@@ -324,9 +313,7 @@ class CholFactor:
         split, n = self._split, self.n
         indptr = np.zeros(n + 1, dtype=split.j.dtype)
         np.cumsum(np.bincount(split.i, minlength=n), out=indptr[1:])
-        key = np.ones(n)
-        _sparsetools.csr_matvec(n, n, indptr, split.j, np.ones(len(split.j)), key, key)
-        rows = np.argsort(key, kind="stable")
+        rows = np.argsort(_unit_sweep(indptr, split.j), kind="stable")
         pos = np.empty(n, dtype=split.j.dtype)
         pos[rows] = np.arange(n, dtype=pos.dtype)
         ends = np.empty_like(rows)
@@ -415,6 +402,41 @@ def _grouped(keys: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray]":
     places = np.arange(m, dtype=index)
     _sparsetools.csr_tocsc(1, n, np.array([0, m], dtype=index), keys, places, indptr, np.zeros_like(places), take)
     return indptr, take
+
+
+def _unit_sweep(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """x_i = 1 + the sum of x_j over the columns j of row i, row after row:
+    one in-place ``csr_matvec`` with unit weights on ones, in which row i
+    reads what the rows before it have written.  Over a strictly lower
+    pattern this gives every row 1 plus the sum over the rows it reads;
+    with one entry a row, its depth in the forest the entries link."""
+    n = len(indptr) - 1
+    x = np.ones(n)
+    _sparsetools.csr_matvec(n, n, indptr, indices, np.ones(len(indices)), x, x)
+    return x
+
+
+def _lookup(row_ptr: np.ndarray, cols: np.ndarray, want_rows, want_cols) -> np.ndarray:
+    """Slot of each wanted (row, column) entry of a square pattern, or -1
+    when not stored.
+
+    scipy's ``csr_sample_offsets`` (the kernel behind ``A[rows, cols]``)
+    binary-searches each wanted column within its own row; the pattern's
+    strictly increasing columns are the sorted rows it needs.  It searches
+    only when asked for more than nnz / 10 entries and otherwise scans each
+    asked row whole, which would make a few lookups into one long row cost
+    its length each, so short requests are padded with entry (0, 0).
+    """
+    count = len(want_rows)
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    index, size = cols.dtype, max(count, len(cols) // 10 + 1)
+    rows, wanted = np.zeros(size, dtype=index), np.zeros(size, dtype=index)
+    rows[:count], wanted[:count] = want_rows, want_cols
+    found = np.empty(size, dtype=index)
+    n = len(row_ptr) - 1
+    _sparsetools.csr_sample_offsets(n, n, row_ptr, cols, size, rows, wanted, found)
+    return found[:count].astype(np.int64)
 
 
 def _build_sweep(form: str, split: _Split) -> _Sweep:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import os
@@ -17,17 +18,18 @@ from scipy.sparse import _sparsetools
 import bregpcg
 from bregpcg import Breakdown, CsrMatrix, ic0, scaled_error
 from bregpcg import ichol
-from bregpcg.ichol import (
-    _LEVEL_MIN_ROWS,
-    _LEVEL_MIN_WIDTH,
-    _level_pass,
-    _levels,
-    _levels_if_faster,
-    _lookup,
-    _scalar_pass,
-    _shared_slots,
-)
+from bregpcg.ichol import _LEVEL_MIN_WIDTH, _level_pass, _levels, _scalar_pass, _shared_slots
+from bregpcg.sparse_core import _lookup
 from conftest import bumped_band, dynamic_arch_openblas, laplacian_2d, random_spd, ref_ic0_dense
+
+
+def lower_of(s):
+    """S's stored entries on or below the diagonal, stored zeros and their
+    signs kept: the pattern and values ``ic0`` starts from."""
+    rows = np.repeat(np.arange(s.n_rows), np.diff(s.row_ptr))
+    keep = s.col_idx <= rows
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=s.n_rows))])
+    return CsrMatrix(s.n_rows, s.n_cols, row_ptr, s.col_idx[keep], s.values[keep])
 
 
 def ref_dot(x, y):
@@ -46,7 +48,7 @@ def ref_ic0_intersect(s, diag_shift=0.0):
     bitwise.  Returns the values of L, or the row index where the pivot
     failed (as an int).
     """
-    lower = s.lower_triangle()
+    lower = lower_of(s)
     row_ptr, cols = lower.row_ptr, lower.col_idx
     vals = np.array(lower.values)
     ends = row_ptr[1:] - 1
@@ -95,18 +97,25 @@ def run_pass(which, s, diag_shift=0.0):
     """One numeric pass of ``ic0`` on S, called directly, whichever ``ic0``
     would choose: the values of L, or the row of its Breakdown (as an int).
     The level pass gets its levels from ``ref_levels``, so it runs on
-    patterns whose levels ``_levels`` does not find too."""
-    lower = s.lower_triangle()
+    patterns whose levels ``_levels`` does not find too.  Where it fails it
+    must leave the values byte-equal to its input, and the recurrence on
+    them must break down: its row is the outcome, as in ``ic0``."""
+    lower = lower_of(s)
     row_ptr, cols = lower.row_ptr, lower.col_idx
     vals = np.array(lower.values)
     if diag_shift:
         vals[row_ptr[1:] - 1] *= 1.0 + diag_shift
     slots = _shared_slots(row_ptr, cols)
-    try:
-        if which == "scalar":
+    if which == "level":
+        given = vals.tobytes()
+        if _level_pass(vals, row_ptr, cols, slots, np.array(ref_levels(lower), dtype=cols.dtype)):
+            return vals
+        assert vals.tobytes() == given
+        with pytest.raises(Breakdown) as info:
             _scalar_pass(vals, row_ptr, cols, slots)
-        else:
-            _level_pass(vals, row_ptr, cols, slots, np.array(ref_levels(lower), dtype=cols.dtype))
+        return info.value.row
+    try:
+        _scalar_pass(vals, row_ptr, cols, slots)
     except Breakdown as err:
         return err.row
     return vals
@@ -231,9 +240,8 @@ def test_explicit_zero_in_pattern_is_kept():
         np.array([0, 0, 1]),
         np.array([1.0, 0.0, 1.0]),
     )
-    fac = ic0(s)
-    cols, _ = fac.L.row(1)
-    np.testing.assert_array_equal(cols, [0, 1])  # stored zero position survives
+    L = ic0(s).L
+    np.testing.assert_array_equal(L.col_idx[L.row_ptr[1] : L.row_ptr[2]], [0, 1])  # stored zero position survives
 
 
 def test_breakdown_reports_row():
@@ -318,7 +326,7 @@ def _stored_zero():
     ],
 )
 def test_shared_slots_match_brute_force_intersection(make):
-    lower = make().lower_triangle()
+    lower = lower_of(make())
     pair_ptr, left, right = _shared_slots(lower.row_ptr, lower.col_idx)
     want_ptr, want_left, want_right = ref_shared_slots(lower.row_ptr, lower.col_idx)
     np.testing.assert_array_equal(pair_ptr, want_ptr)
@@ -352,7 +360,7 @@ def test_shared_slots_keys_do_not_wrap_with_int32_indices():
     rows = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=np.int64)])
     cols = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n)])
     arrow = scipy.sparse.coo_matrix((np.full(2 * n - 1, 0.01), (rows, cols)), shape=(n, n))
-    lower = CsrMatrix.from_scipy(band + arrow).lower_triangle()
+    lower = lower_of(CsrMatrix.from_scipy(band + arrow))
     assert lower.col_idx.dtype == np.int32
     narrow = _shared_slots(lower.row_ptr, lower.col_idx)
     wide = _shared_slots(lower.row_ptr.astype(np.int64), lower.col_idx.astype(np.int64))
@@ -364,9 +372,9 @@ def test_shared_slots_keys_do_not_wrap_with_int32_indices():
 def test_pair_fixtures_are_not_vacuous():
     # the pattern cases above check pairs only where some exist
     for dense in (bumped_band(300), arrowhead_band(30)):
-        lower = CsrMatrix.from_dense(dense).lower_triangle()
+        lower = lower_of(CsrMatrix.from_dense(dense))
         assert len(_shared_slots(lower.row_ptr, lower.col_idx)[1]) > 0
-    lower = _stored_zero().lower_triangle()
+    lower = lower_of(_stored_zero())
     _, _, right = _shared_slots(lower.row_ptr, lower.col_idx)
     assert 4 in right.tolist()  # the stored zero (2, 1), slot 4, is summed over
 
@@ -404,7 +412,7 @@ def sparse_symmetric(draw):
 @settings(max_examples=80, deadline=None)
 @given(s=sparse_symmetric(), diag_shift=st.sampled_from([0.0, 0.1, 1.5]))
 def test_property_bitwise_reference_and_breakdown_row(s, diag_shift):
-    lower = s.lower_triangle()
+    lower = lower_of(s)
     slots = _shared_slots(lower.row_ptr, lower.col_idx)
     for got, ref in zip(slots, ref_shared_slots(lower.row_ptr, lower.col_idx)):
         np.testing.assert_array_equal(got, ref)
@@ -559,7 +567,7 @@ def test_levels_are_the_forest_depths_or_none(make, found):
     # a dense matrix and the arrowhead, where each row reads the one before
     # it; in the others a row reads a row deeper in the forest than the
     # last one it reads
-    assert check_levels(make().lower_triangle()) == found
+    assert check_levels(lower_of(make())) == found
 
 
 @st.composite
@@ -572,7 +580,7 @@ def sparse_symmetric_signed_zeros(draw):
 @settings(max_examples=80, deadline=None)
 @given(s=sparse_symmetric_signed_zeros(), diag_shift=st.sampled_from([0.0, 0.1, 1.5]))
 def test_property_both_passes_match_reference(s, diag_shift):
-    check_levels(s.lower_triangle())
+    check_levels(lower_of(s))
     want = ref_ic0_intersect(s, diag_shift)
     for which in PASSES:
         assert_same_outcome(run_pass(which, s, diag_shift), want)
@@ -595,61 +603,125 @@ def grid_27_point(m):
     return CsrMatrix.from_scipy(scipy.sparse.csr_matrix(a))
 
 
+@contextlib.contextmanager
+def recorded_passes():
+    """A list that gets "level" or "scalar" each time ``ic0`` runs that pass."""
+    taken = []
+    with pytest.MonkeyPatch.context() as patch:
+        for which in PASSES:
+            original = getattr(ichol, f"_{which}_pass")
+
+            def record(*args, which=which, original=original):
+                taken.append(which)
+                return original(*args)
+
+            patch.setattr(ichol, f"_{which}_pass", record)
+        yield taken
+
+
 @pytest.fixture
-def level_passes(monkeypatch):
-    """A list that gets one entry each time ``ic0`` runs the level pass."""
-    taken, original = [], ichol._level_pass
-
-    def level_pass(*args):
-        taken.append("level")
-        return original(*args)
-
-    monkeypatch.setattr(ichol, "_level_pass", level_pass)
-    return taken
+def passes():
+    with recorded_passes() as taken:
+        yield taken
 
 
 @pytest.mark.parametrize("make", [lambda: poisson_grid(200), lambda: grid_27_point(14)], ids=["grid200", "grid27"])
-def test_ic0_takes_the_level_pass_and_keeps_its_bits(make, level_passes):
+def test_ic0_takes_the_level_pass_and_keeps_its_bits(make, passes):
     s = make()
     got = ic0(s).L.values
-    assert level_passes == ["level"]
+    assert passes == ["level"]
     want = run_pass("scalar", s)
     assert hashlib.sha256(got.tobytes()).hexdigest() == hashlib.sha256(want.tobytes()).hexdigest()
 
 
-def grid_breaking_at(m, rows):
-    """The m x m grid Laplacian with diagonal 0.2 at ``rows``: row m - 1,
-    the end of the first grid line, reads row m - 2 (L^2 about 0.27), and
-    row m reads row 0 (L^2 = 0.25), so each pivot fails."""
-    dense = laplacian_2d(m)
-    for i in rows:
-        dense[i, i] = 0.2
-    return CsrMatrix.from_dense(dense)
+def grid_breaking_at(m, rows, weak=0.2):
+    """The m x m grid Laplacian with diagonal ``weak`` at ``rows``.  At 0.2
+    each pivot fails: row m - 1, the end of the first grid line, reads row
+    m - 2 (L^2 about 0.27), and row m reads row 0 (L^2 = 0.25)."""
+    diagonal = np.full(m * m, 4.0)
+    diagonal[list(rows)] = weak
+    a = poisson_grid(m, shift=0.0).to_scipy().copy()
+    a.setdiag(diagonal)
+    return CsrMatrix.from_scipy(a)
 
 
-def test_breakdown_is_the_lowest_failing_row_not_the_first_failing_level():
-    m = 8
-    lower = grid_breaking_at(m, ()).lower_triangle()
+def test_breakdown_is_the_lowest_failing_row_not_the_first_failing_level(passes):
+    # the 50 x 50 grid is wide enough for the level pass, which gives up at
+    # row m's level, one before row m - 1's; the recurrence finds the row
+    m = 50
+    lower = lower_of(grid_breaking_at(m, ()))
     level = _levels(lower.row_ptr, lower.col_idx, m * m)
     assert level[m - 1] == m - 1 and level[m] == 1  # row m fails at an earlier level
     for rows, want in (((m - 1,), m - 1), ((m,), m), ((m - 1, m), m - 1)):
         s = grid_breaking_at(m, rows)
         assert ref_ic0_intersect(s) == want
-        with pytest.raises(Breakdown) as info:
-            ic0(s)
-        assert info.value.row == want
+        passes.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no sqrt of a negative pivot, no warning
+            with pytest.raises(Breakdown) as info:
+                ic0(s)
             for which in PASSES:
                 assert run_pass(which, s) == want
+        assert info.value.row == want
+        assert passes == ["level", "scalar"]
+
+
+@st.composite
+def weakened_grids(draw):
+    """An m x m grid Laplacian, m from 40 to 50, with up to four diagonal
+    entries lowered from 4 to 0.2 or 0.5, where pivots fail, or 2.5."""
+    m = draw(st.integers(40, 50))
+    weak = draw(st.dictionaries(st.integers(0, m * m - 1), st.sampled_from([0.2, 0.5, 2.5]), min_size=1, max_size=4))
+    return grid_breaking_at(m, list(weak), weak=list(weak.values()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(s=weakened_grids())
+def test_property_level_pass_hands_every_failure_to_the_recurrence(s):
+    # from m = 40 on the grid's 2m - 1 levels are wide enough for the level
+    # pass, which runs first and hands a failure to the recurrence
+    want = ref_ic0_intersect(s)
+    with recorded_passes() as taken:
+        try:
+            got = ic0(s).L.values
+        except Breakdown as err:
+            got = err.row
+    assert_same_outcome(got, want)
+    assert taken == (["level", "scalar"] if isinstance(want, int) else ["level"])
+
+
+def test_empty_matrix_factors_to_an_empty_factor(passes):
+    factor = ic0(CsrMatrix(0, 0, np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)))
+    assert factor.n == 0 and factor.L.nnz == 0
+    assert passes == ["scalar"]  # no levels to schedule
+
+
+@pytest.mark.parametrize(
+    "make, taken",
+    [
+        (lambda: poisson_grid(16), ["scalar"]),
+        (lambda: poisson_grid(20), ["scalar"]),
+        (lambda: CsrMatrix.from_dense(bumped_band(256)), ["scalar"]),
+        (lambda: poisson_grid(70), ["level"]),
+        (lambda: poisson_grid(200), ["level"]),
+    ],
+    ids=["poisson16", "poisson20", "bumped_band256", "poisson70", "poisson200"],
+)
+def test_each_benchmark_matrix_takes_its_pass(make, taken, passes):
+    # poisson_2d(m, 0.01) as the benchmark forms it: 2m - 1 levels, too
+    # narrow at m = 16 and 20 (8.3 and 10.3 rows a level), wide enough at
+    # 70 and 200; the bumped band is a chain
+    ic0(make())
+    assert passes == taken
 
 
 # The rule between the two passes
 
 
 def _rule(s):
-    lower = s.lower_triangle()
-    return _levels_if_faster(lower.row_ptr, lower.col_idx)
+    """The levels ``ic0`` schedules the level pass by, or None."""
+    lower = lower_of(s)
+    return _levels(lower.row_ptr, lower.col_idx, s.n_rows // _LEVEL_MIN_WIDTH)
 
 
 @pytest.fixture
@@ -683,7 +755,7 @@ def test_rule_keeps_the_recurrence_for_chains_after_one_sweep(sweeps):
 def test_rule_turns_a_grid_just_below_the_width_away():
     # the 36 x 36 grid: 71 levels of 18.25 rows
     s = poisson_grid(36)
-    assert max(ref_levels(s.lower_triangle())) + 1 == 71 > s.n_rows // _LEVEL_MIN_WIDTH
+    assert max(ref_levels(lower_of(s))) + 1 == 71 > s.n_rows // _LEVEL_MIN_WIDTH
     assert _rule(s) is None
     assert _rule(poisson_grid(46)) is not None  # 91 levels of 23.25 rows
 
@@ -710,19 +782,7 @@ def test_rule_keeps_the_recurrence_where_the_forest_misses_the_levels(make, swee
     s = make()
     assert _rule(s) is None
     assert sweeps == [s.n_rows]
-    assert check_levels(s.lower_triangle()) is False
-
-
-def test_rule_keeps_the_recurrence_below_the_size_crossover():
-    # 2 x 2 blocks: two levels of n / 2 rows, wide at any size
-    def blocks(n):
-        return CsrMatrix.from_scipy(
-            scipy.sparse.block_diag([np.array([[4.0, -1.0], [-1.0, 4.0]])] * (n // 2), format="csr")
-        )
-
-    assert _rule(blocks(_LEVEL_MIN_ROWS - 2)) is None
-    level = _rule(blocks(_LEVEL_MIN_ROWS))
-    assert level is not None and level.max() == 1
+    assert check_levels(lower_of(s)) is False
 
 
 def test_rule_takes_the_level_pass_on_the_200_grid():
@@ -735,10 +795,10 @@ def test_chain_check_costs_under_five_percent_of_the_recurrence():
     # the check is one sweep (test_rule_keeps_the_recurrence_for_chains_after_one_sweep);
     # its time is the minimum of many runs, which noise can only lengthen
     s = tridiagonal(20_000)
-    lower = s.lower_triangle()
+    lower = lower_of(s)
     row_ptr, cols = lower.row_ptr, lower.col_idx
     slots = _shared_slots(row_ptr, cols)
-    check = min(timeit.repeat(lambda: _levels_if_faster(row_ptr, cols), number=1, repeat=25))
+    check = min(timeit.repeat(lambda: _levels(row_ptr, cols, s.n_rows // _LEVEL_MIN_WIDTH), number=1, repeat=25))
     recurrence = min(
         timeit.repeat(lambda: _scalar_pass(np.array(lower.values), row_ptr, cols, slots), number=1, repeat=3)
     )

@@ -46,7 +46,8 @@ def per_entry_mtx(a) -> bytes:
     """The file written one entry at a time, with ``repr`` of each value."""
     lines = ["%%MatrixMarket matrix coordinate real general\n", f"{a.n_rows} {a.n_cols} {a.nnz}\n"]
     for i in range(a.n_rows):
-        cols, vals = a.row(i)
+        lo, hi = a.row_ptr[i], a.row_ptr[i + 1]
+        cols, vals = a.col_idx[lo:hi], a.values[lo:hi]
         lines += [f"{i + 1} {j + 1} {float(v)!r}\n" for j, v in zip(cols, vals)]
     return "".join(lines).encode("ascii")
 

@@ -53,7 +53,7 @@ def test_csr_keeps_explicit_zeros_from_coo():
         2, 2, np.array([0, 1, 1]), np.array([0, 0, 1]), np.array([1.0, 0.0, 2.0])
     )
     assert a.nnz == 3
-    cols, vals = a.row(1)
+    cols, vals = a.col_idx[a.row_ptr[1] :], a.values[a.row_ptr[1] :]
     np.testing.assert_array_equal(cols, [0, 1])
     np.testing.assert_array_equal(vals, [0.0, 2.0])
 
