@@ -35,10 +35,12 @@ calls, so narrow levels leave too little work per call.  A chain, such as
 a band, where every row reads the one before it, has a forest as deep as
 it has rows, which turns it away after that one sweep; a pattern whose
 forest depths are not its levels takes the recurrence.  The level pass
-gives up at the first level with a pivot that is not positive and leaves
-the values as they were, and the recurrence runs on them: so the row
-recurrence alone decides the factor's bits where a pivot fails, and the
-row that ``Breakdown`` reports.
+gives up at the first level with a pivot that is not positive.  It writes
+back the rows below ``start``, the lowest row of that level and the levels
+after it, which all lie in the levels before and are final, and leaves the
+other rows' values as they were; the recurrence runs on from ``start``.  So
+the row recurrence alone decides the factor's bits where a pivot fails, and
+the row that ``Breakdown`` reports.
 
 Summation contract: every product is rounded on its own and the products
 are summed left to right, in ascending column order, starting from 0.0;
@@ -114,17 +116,19 @@ def ic0(s: CsrMatrix, diag_shift: float = 0.0) -> CholFactor:
 
     slots = _shared_slots(row_ptr, cols)
     level = _levels(row_ptr, cols, n // _LEVEL_MIN_WIDTH)
-    if level is None or not _level_pass(vals, row_ptr, cols, slots, level):
-        _scalar_pass(vals, row_ptr, cols, slots)
+    start = 0 if level is None else _level_pass(vals, row_ptr, cols, slots, level)
+    if start is not None:
+        _scalar_pass(vals, row_ptr, cols, slots, start)
     return CholFactor(CsrMatrix(n, n, row_ptr, cols, vals))
 
 
-def _scalar_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots) -> None:
+def _scalar_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, start: int = 0) -> None:
     """Numeric pass of ``ic0`` by the row recurrence, in place on ``vals``.
 
     Runs on Python floats, reading and writing ``vals`` through
-    ``memoryview``, one row after another in natural order, so it raises
-    ``Breakdown`` at the first row whose pivot fails.
+    ``memoryview``, one row after another in natural order from row
+    ``start``, whose rows before it must hold their final values, so it
+    raises ``Breakdown`` at the first row from there whose pivot fails.
     """
     pair_ptr, left, right = slots
     v = memoryview(vals)
@@ -132,8 +136,8 @@ def _scalar_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots)
     ends = row_ptr[1:] - 1
     div = memoryview(ends[cols])  # slot of the diagonal entry of column j
     rp = memoryview(row_ptr)
-    p0 = 0  # pair_ptr[t]; diagonal slots add no pairs, so it carries across rows
-    for i in range(len(row_ptr) - 1):
+    p0 = pp[rp[start]]  # pair_ptr[t]; diagonal slots add no pairs, so it carries across rows
+    for i in range(start, len(row_ptr) - 1):
         lo, end = rp[i], rp[i + 1] - 1
         squares = 0.0
         for t in range(lo, end):
@@ -187,9 +191,9 @@ def _levels(row_ptr: np.ndarray, cols: np.ndarray, max_depth: int):
     return (forest - 1.0).astype(cols.dtype)
 
 
-def _level_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, level: np.ndarray) -> bool:
-    """Numeric pass of ``ic0`` by level sets: True with L in ``vals``, or
-    False with ``vals`` as they were.
+def _level_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, level: np.ndarray) -> "int | None":
+    """Numeric pass of ``ic0`` by level sets: None with L in ``vals``, or
+    the row from which the recurrence must go on.
 
     The rows of one level read only rows of lower levels, so they factor
     together.  Within a level the off-diagonal entries go in steps by
@@ -204,9 +208,12 @@ def _level_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, 
     serves all its steps.
 
     The pass works on a copy in its own layout and writes ``vals`` only
-    at the end.  At the first level with a pivot that is not positive
-    (NaN included) it returns False, and ``_scalar_pass`` on the untouched
-    values finds the row that fails.
+    at the end.  At the first level with a pivot that is not positive (NaN
+    included) it writes back the rows below ``start``, the lowest row of
+    that level and the levels after it: those rows lie in the levels
+    before, so their values are final.  It returns ``start``, and
+    ``_scalar_pass`` from there, on the other rows' untouched values, finds
+    the row that fails.
     """
     plan = _schedule(row_ptr, cols, slots, level)
     w = np.empty_like(vals)
@@ -236,10 +243,13 @@ def _level_pass(vals: np.ndarray, row_ptr: np.ndarray, cols: np.ndarray, slots, 
             part += squared[gp[g] - a : gp[g + 1] - a]
         pivot = np.subtract(w[d0:d1], sq, out=sq)
         if not pivot.min() > 0.0:
-            return False
+            start = int(np.argmax(level >= lvl))
+            done = row_ptr[start]
+            vals[:done] = w[plan.at[:done]]
+            return start
         np.sqrt(pivot, out=w[d0:d1])
     vals[:] = w[plan.at]
-    return True
+    return None
 
 
 class _Schedule(NamedTuple):

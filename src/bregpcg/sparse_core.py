@@ -42,40 +42,44 @@ use (see ``CholFactor``), which every solve shares:
   separate ``spmv`` call through this module's binding, because that is
   where S-products are counted;
 - ``chol_solve``, (L L^T) x = b for a vector b, which P^-1 runs on every
-  PCG iteration: a forward sweep with -M, then a reversed sweep with -M^T
-  after a division by d^2, both in a row order of their own.  It agrees
-  with two ``tri_solve`` calls up to roundoff.
+  PCG iteration: a forward sweep with -M, then a backward sweep with -M^T
+  after a division by d^2.  It agrees with two ``tri_solve`` calls up to
+  roundoff.
 
-``chol_solve``'s order (``CholFactor._chol``) breaks chains.  Row i of a
+The vector solves, ``chol_solve`` and a vector ``scaled_apply``, run their
+rows in an order that breaks chains (``CholFactor._rank``).  Row i of a
 sweep must wait for every row it reads, and in natural order each row of a
 stencil factor reads the row just before it, so the sweep is one chain of
 dependent loads and adds.  Sorted stably by a key that exceeds the keys of
 the rows it reads, every row still comes after those rows, while rows that
 run one after the other seldom read each other and the CPU overlaps them:
 level scheduling (Anderson & Saad 1989), used here for instruction-level
-parallelism within one ``csr_matvec`` call, not for threads.  Its two
-sweeps are built as the natural ones are, from the split with rows and
-columns renumbered by position in that order, so each row holds the same
-entries in the same order, does the same arithmetic on the same values,
-and the result is bitwise the natural order's.  A gather puts b into that
-order and another puts the result back; a factor whose order comes out
-natural, such as a band, where each row reads the one before it, gathers
-by the identity.  The other solves stay in natural order: a row gather of
-an (n, k) block costs several times its copy and ``csr_matvecs`` gains
-nothing from the reorder; the gathers around ``scaled_apply``'s S-product,
-which must stay in natural order, ate the gain; and a low-rank build's
+parallelism within one kernel call, not for threads.  Each of their sweeps
+is a COO plan (``_Plan``): the natural sweep's entries grouped by their
+row's position in that order, the reverse order for an upper triangle, in
+natural row and column numbers.  ``coo_matvec`` adds y[i] += A_ij x[j]
+entry by entry in stored order; run in place, each row adds the same
+products in the same order as in the natural sweep, at natural positions,
+so the result is bitwise the natural sweeps' with no gather and no
+reversed copy.  A factor whose order comes out natural, such as a band,
+where each row reads the one before it, runs the natural CSR sweeps
+instead: ``coo_matvec``'s read-modify-write of y per entry costs some 2.4
+times ``csr_matvec``'s row sums on such a chain.  Blocks and ``tri_solve``
+keep the natural CSR sweeps: ``csr_matvecs`` reads a row's k values as one
+run, which one plan run per column did not match, and a low-rank build's
 triangular work is ``scaled_apply`` and block ``tri_solve`` calls, so no
 hot path runs a vector ``tri_solve``.
 
 ``ichol`` calls no scipy kernel itself; two helpers here serve it.
 ``_unit_sweep`` is the in-place, unit-weight ``csr_matvec`` that gives each
-row 1 plus the sum over the rows it reads: ``chol_solve``'s order keys and
-``ic0``'s forest depths.  ``_lookup`` finds the slots of (row, column)
+row 1 plus the sum over the rows it reads: the vector solves' order keys
+and ``ic0``'s forest depths.  ``_lookup`` finds the slots of (row, column)
 entries by ``csr_sample_offsets``.
 
 ``tests/test_sparse_core.py`` checks ``spmv`` bitwise against ``csr_matvec``
 on random banded matrices, pins the in-place reading of ``csr_matvec``, in
-stored order within a row whose column indices do not ascend, and checks
+stored order within a row whose column indices do not ascend, and of
+``coo_matvec``, entry by entry with entries out of row order, and checks
 the counting sort the sweeps are built with against numpy's stable sort;
 these guard the private imports on new scipy versions.  No kernel here
 uses threads, so repeated runs in one environment agree bitwise.
@@ -281,9 +285,35 @@ class CholFactor:
         diag = L.values[L.row_ptr[1:] - 1]
         return _Split(rows[strict], L.col_idx[strict], L.values[strict], diag, 1 / diag)
 
-    # The sweeps (see ``_build_sweep``), each built on first use: the two in
-    # natural order that ``tri_solve`` and ``scaled_apply`` run, and the two
-    # of ``chol_solve``, which run in their own row order
+    @cached_property
+    def _rank(self) -> "np.ndarray | None":
+        """Each row's position in the key order of the vector solves, in L's
+        index dtype, or None where that order is natural.
+
+        A row's key is 1 plus the sum of the keys of the rows it reads: one
+        ``_unit_sweep`` over L's strict pattern.  So a row's key exceeds the
+        key of every row it reads, and as rounding is monotone, key_i >=
+        key_j holds even where keys overflow to inf.  A stable sort by key
+        keeps ties in natural order, so each row still comes after every row
+        it reads, while rows whose keys are close, which run one after the
+        other, seldom read each other.  Keys that never fall, as on a chain
+        such as a band, give the natural order.
+        """
+        split, n = self._split, self.n
+        indptr = np.zeros(n + 1, dtype=split.j.dtype)
+        np.cumsum(np.bincount(split.i, minlength=n), out=indptr[1:])
+        keys = _unit_sweep(indptr, split.j)
+        if np.all(keys[1:] >= keys[:-1]):
+            return None
+        rank = np.empty(n, dtype=split.j.dtype)
+        rank[np.argsort(keys, kind="stable")] = np.arange(n, dtype=rank.dtype)
+        return rank
+
+    # The sweeps (see ``_build_sweep``), each built on first use.  Blocks and
+    # ``tri_solve`` run the natural CSR sweeps, and so do the vector solves
+    # where the key order is natural; ``chol_solve`` takes the backward one
+    # only then.  The other vector solves run the COO plans, which are built
+    # only where ``_rank`` is not None
 
     @cached_property
     def _forward(self) -> "_Sweep":
@@ -294,32 +324,20 @@ class CholFactor:
         return _build_sweep("upper", self._split)
 
     @cached_property
-    def _chol(self) -> "tuple[np.ndarray, np.ndarray, _Sweep, _Sweep]":
-        """(rows, ends, forward, backward): ``chol_solve``'s row order and its
-        two sweeps.
+    def _backward(self) -> "_Sweep":
+        return _build_sweep("backward", self._split)
 
-        A row's key is 1 plus the sum of the keys of the rows it reads: one
-        ``_unit_sweep`` over L's strict pattern.  So a row's key exceeds the
-        key of every row it reads, and as rounding is monotone, key_i >=
-        key_j holds even where keys overflow to inf.  ``rows``, the row at each position of a stable sort by key,
-        keeps ties in natural order, so each row still comes after every row
-        it reads, while rows whose keys are close, which run one after the
-        other, seldom read each other.  The sweeps are built from the split
-        with its rows and columns renumbered by position in that order.  The
-        backward sweep runs in the reverse order, where row i sits at
-        ``ends[i]``.  ``rows`` and ``ends`` are ``np.intp``, numpy's own index
-        type, so a gather by them converts nothing.
-        """
-        split, n = self._split, self.n
-        indptr = np.zeros(n + 1, dtype=split.j.dtype)
-        np.cumsum(np.bincount(split.i, minlength=n), out=indptr[1:])
-        rows = np.argsort(_unit_sweep(indptr, split.j), kind="stable")
-        pos = np.empty(n, dtype=split.j.dtype)
-        pos[rows] = np.arange(n, dtype=pos.dtype)
-        ends = np.empty_like(rows)
-        ends[rows] = np.arange(n - 1, -1, -1)
-        renumbered = _Split(pos[split.i], pos[split.j], split.values, split.diag[rows], split.invdiag[rows])
-        return rows, ends, _build_sweep("forward", renumbered), _build_sweep("backward", renumbered)
+    @cached_property
+    def _forward_plan(self) -> "_Plan":
+        return _build_sweep("forward", self._split, self._rank)
+
+    @cached_property
+    def _upper_plan(self) -> "_Plan":
+        return _build_sweep("upper", self._split, self._rank)
+
+    @cached_property
+    def _backward_plan(self) -> "_Plan":
+        return _build_sweep("backward", self._split, self._rank)
 
     def to_dense(self) -> np.ndarray:
         return self.L.to_dense()
@@ -332,8 +350,7 @@ _BLOCK_COLUMNS = 16
 
 class _Split(NamedTuple):
     """L's strictly lower entries (i, j, L_ij) in stored order, its diagonal
-    d and 1 / d: what a sweep is built from.  Rows and columns are numbered
-    in natural order, or by position in ``chol_solve``'s row order."""
+    d and 1 / d: what a sweep is built from."""
 
     i: np.ndarray
     j: np.ndarray
@@ -354,7 +371,7 @@ class _Sweep(NamedTuple):
     row, in stored order.  With x and y the same array, row i reads entries
     the rows before it have already written: unit forward substitution.  A
     sweep of an upper triangle runs on reversed vectors and holds the
-    divisors its input is scaled by first, in its own row order.
+    divisors its input is scaled by first, in reversed order.
     """
 
     indptr: np.ndarray
@@ -380,15 +397,24 @@ class _Sweep(NamedTuple):
         return x
 
 
-def _sweep(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, divisors=None) -> _Sweep:
-    """The sweep holding ``-values`` at (rows, cols), its rows in ascending
-    order, each keeping its entries in the order they come in.  Exact zeros
-    are dropped, and the index arrays keep the dtype ``rows`` and ``cols``
-    share."""
-    keep = values != 0.0
-    rows, cols, values = rows[keep], cols[keep], values[keep]
-    indptr, take = _grouped(rows, n)
-    return _Sweep(indptr, cols[take], -values[take], divisors)
+class _Plan(NamedTuple):
+    """COO arrays of a triangle that ``run`` sweeps a vector with in place,
+    in natural positions.
+
+    ``coo_matvec`` computes y[rows[k]] += data[k] * x[cols[k]] entry by
+    entry, in stored order.  With x and y the same array and the entries of
+    each row together, in rows that come after every row they read, each
+    row does ``csr_matvec``'s arithmetic, with no gather.  ``divisors``
+    scale the input of an upper triangle's plan first, in natural order.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    divisors: np.ndarray | None = None
+
+    def run(self, x: np.ndarray) -> None:
+        _sparsetools.coo_matvec(len(self.data), self.rows, self.cols, self.data, x, x)
 
 
 def _grouped(keys: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -439,8 +465,9 @@ def _lookup(row_ptr: np.ndarray, cols: np.ndarray, want_rows, want_cols) -> np.n
     return found[:count].astype(np.int64)
 
 
-def _build_sweep(form: str, split: _Split) -> _Sweep:
-    """One of a factor's sweeps, its rows numbered as ``split``'s.
+def _build_sweep(form: str, split: _Split, rank: "np.ndarray | None" = None) -> "_Sweep | _Plan":
+    """One of a factor's sweeps: the natural CSR sweep, or with ``rank``
+    the COO plan whose rows run in that order.
 
     - "forward": -M, M_ij = L_ij (1 / d_j); L y = b is this sweep, then
       y = x / d;
@@ -450,20 +477,39 @@ def _build_sweep(form: str, split: _Split) -> _Sweep:
     - "backward": L L^T x = M D^2 M^T x = b after the forward sweep: x / d^2,
       then -M^T.
 
-    The last two sweep an upper triangle on the reversed vector: row j of
-    the transpose is numbered n - 1 - j, so it runs as far from the end as
-    row j of L runs from the start, and keeps its entries in the split's
-    order, ascending in L's rows.
+    The last two sweep an upper triangle, whose rows run in the reverse
+    order: row j of the transpose sits at n - 1 - j, or at n - 1 - rank[j],
+    so it runs as far from the end as row j of L runs from the start, and
+    keeps its entries in the split's order, ascending in L's rows.  The
+    entries of each row keep the order they come in, exact zeros are
+    dropped, and the index arrays keep the dtype the split's share.  A CSR
+    sweep of an upper triangle numbers its rows and columns by their
+    reversed positions and runs on the reversed vector; a plan keeps
+    natural numbers and divisors.
     """
     i, j, values, diag, invdiag = split
     n = len(diag)
     if form == "forward":
-        return _sweep(n, i, j, values * invdiag[j])
-    if form == "upper":
-        values, divisors = values * invdiag[i], diag * invdiag
+        rows, cols, values, divisors = i, j, values * invdiag[j], None
     else:
-        values, divisors = values * invdiag[j], diag * diag
-    return _sweep(n, (n - 1) - j, (n - 1) - i, values, divisors[::-1].copy())
+        rows, cols = j, i
+        if form == "upper":
+            values, divisors = values * invdiag[i], diag * invdiag
+        else:
+            values, divisors = values * invdiag[j], diag * diag
+    np.negative(values, out=values)  # a fresh product
+    keep = values != 0.0
+    if not keep.all():
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    at = rows if rank is None else rank[rows]  # the row's position in its order
+    if form != "forward":
+        at = (n - 1) - at
+    indptr, take = _grouped(at, n)
+    if rank is not None:
+        return _Plan(rows[take], cols[take], values[take], divisors)
+    if form != "forward":
+        cols, divisors = (n - 1) - cols, divisors[::-1].copy()
+    return _Sweep(indptr, cols[take], values[take], divisors)
 
 
 def _operand(b, n: int) -> np.ndarray:
@@ -547,20 +593,24 @@ def chol_solve(factor: CholFactor, b) -> np.ndarray:
     happen once, between them; a diagonal factor gives exactly b / (d * d).
     This is not the arithmetic of ``tri_solve``'s two forms, so the result
     equals ``tri_solve(factor, tri_solve(factor, b), True)`` only up to
-    roundoff.  The sweeps run in ``CholFactor._chol``'s row order: a gather
-    puts ``b`` into it and another puts the result back, so the result is
-    bitwise that of the same sweeps in natural order, and a fresh array.
+    roundoff.  The sweeps are the plans of ``CholFactor._rank``'s key order,
+    in place on a copy of ``b``, or the natural sweeps where that order is
+    natural; either way the result is bitwise that of the natural sweeps,
+    and a fresh array.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (factor.n,):
         raise ValueError(f"operand has shape {b.shape}, expected ({factor.n},)")
-    rows, ends, forward, backward = factor._chol
-    x = b.take(rows)
-    forward.run(x)
-    # the backward sweep runs in the reverse order, so it takes x reversed
-    x = np.divide(x[::-1], backward.divisors, order="C")
+    x = np.array(b)
+    if factor._rank is None:
+        # the natural backward sweep runs on the reversed vector
+        factor._forward.run(x)
+        return factor._backward.apply(x)[::-1].copy()
+    factor._forward_plan.run(x)
+    backward = factor._backward_plan
+    x /= backward.divisors
     backward.run(x)
-    return x.take(ends)
+    return x
 
 
 def scaled_apply(s: CsrMatrix, factor: CholFactor, v) -> np.ndarray:
@@ -598,6 +648,14 @@ def _scaled_into(s: CsrMatrix, factor: CholFactor, v: np.ndarray, out: np.ndarra
     """``scaled_apply`` of a vector or one chunk of columns, scaled into
     ``out``, or in place on a fresh array when ``out`` is None."""
     invdiag = _by_row(factor._split.invdiag, v)
+    if v.ndim == 1 and factor._rank is not None:
+        # the plans sweep in natural positions: no reversal, no layout change
+        upper = factor._upper_plan
+        x = np.divide(v, upper.divisors)
+        upper.run(x)
+        x = spmv(s, np.multiply(x, invdiag, out=x))
+        factor._forward_plan.run(x)
+        return np.multiply(x, invdiag, out=x)
     x = factor._upper.apply(v)
     half = np.multiply(x[::-1], invdiag, order="F")
     if v.ndim == 1:

@@ -98,8 +98,10 @@ def run_pass(which, s, diag_shift=0.0):
     would choose: the values of L, or the row of its Breakdown (as an int).
     The level pass gets its levels from ``ref_levels``, so it runs on
     patterns whose levels ``_levels`` does not find too.  Where it fails it
-    must leave the values byte-equal to its input, and the recurrence on
-    them must break down: its row is the outcome, as in ``ic0``."""
+    must return a row ``start``, leave the values from that row on
+    byte-equal to its input and the rows before it byte-equal to the
+    recurrence's, and the recurrence from ``start`` must break down: its
+    row is the outcome, as in ``ic0``."""
     lower = lower_of(s)
     row_ptr, cols = lower.row_ptr, lower.col_idx
     vals = np.array(lower.values)
@@ -107,12 +109,18 @@ def run_pass(which, s, diag_shift=0.0):
         vals[row_ptr[1:] - 1] *= 1.0 + diag_shift
     slots = _shared_slots(row_ptr, cols)
     if which == "level":
-        given = vals.tobytes()
-        if _level_pass(vals, row_ptr, cols, slots, np.array(ref_levels(lower), dtype=cols.dtype)):
+        given = vals.copy()
+        start = _level_pass(vals, row_ptr, cols, slots, np.array(ref_levels(lower), dtype=cols.dtype))
+        if start is None:
             return vals
-        assert vals.tobytes() == given
+        done = row_ptr[start]
+        assert vals[done:].tobytes() == given[done:].tobytes()
         with pytest.raises(Breakdown) as info:
-            _scalar_pass(vals, row_ptr, cols, slots)
+            _scalar_pass(given, row_ptr, cols, slots)
+        assert vals[:done].tobytes() == given[:done].tobytes()
+        assert info.value.row >= start
+        with pytest.raises(Breakdown) as info:
+            _scalar_pass(vals, row_ptr, cols, slots, start)
         return info.value.row
     try:
         _scalar_pass(vals, row_ptr, cols, slots)
@@ -664,6 +672,36 @@ def test_breakdown_is_the_lowest_failing_row_not_the_first_failing_level(passes)
                 assert run_pass(which, s) == want
         assert info.value.row == want
         assert passes == ["level", "scalar"]
+
+
+def test_recurrence_goes_on_from_the_lowest_row_of_the_failing_level(monkeypatch):
+    # on the m x m grid the level of row r m + c is r + c.  The level pass
+    # gives up at the first failing level, and the recurrence runs from the
+    # lowest row of that level and the levels after it, on the level pass's
+    # values of the rows before, which are the recurrence's own
+    m = 50
+    starts = []
+
+    def record(vals, row_ptr, cols, slots, start=0):
+        starts.append(start)
+        full = np.array(lower.values)
+        with pytest.raises(Breakdown):
+            original(full, row_ptr, cols, slots)
+        assert vals[: row_ptr[start]].tobytes() == full[: row_ptr[start]].tobytes()
+        return original(vals, row_ptr, cols, slots, start)
+
+    original = ichol._scalar_pass
+    monkeypatch.setattr(ichol, "_scalar_pass", record)
+    # row 49 fails at level 49, whose lowest row it is; row 50, at level 1,
+    # fails first when both are weak, and level 1's lowest row is row 1; row
+    # 2,498 fails at level 97, whose lowest row is 48 m + 49
+    for rows, start, want in (((m - 1,), m - 1, m - 1), ((m,), 1, m), ((m - 1, m), 1, m - 1), ((m * m - 2,), 48 * m + 49, m * m - 2)):
+        s = grid_breaking_at(m, rows)
+        lower = lower_of(s)
+        starts.clear()
+        with pytest.raises(Breakdown) as info:
+            ic0(s)
+        assert starts == [start] and info.value.row == want
 
 
 @st.composite

@@ -214,9 +214,10 @@ def test_apply_inverse_returns_a_fresh_array():
         if p.Y is not None:
             held.append(p.Y)
         if kind != "identity":
-            rows, ends, *sweeps = fac._chol
-            held += [rows, ends] + [arr for sweep in sweeps for arr in sweep if arr is not None]
-            held += list(fac._split)
+            # the rank, the split and every sweep or plan the factor has built
+            assert fac._rank is not None and "_backward_plan" in vars(fac)
+            for cached in vars(fac).values():
+                held += [arr for arr in (cached if isinstance(cached, tuple) else [cached]) if isinstance(arr, np.ndarray)]
         assert not np.shares_memory(first, second)
         for arr in held:
             assert not np.shares_memory(first, arr), kind

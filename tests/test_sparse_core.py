@@ -426,29 +426,36 @@ PLAN_FACTORS = {
 }
 
 
-def permuted_rows(sweep, rows, columns):
-    """``sweep``'s CSR arrays with its rows taken in the order ``rows`` and
-    its column indices mapped through ``columns``."""
-    counts = np.diff(sweep.indptr)[rows]
-    take = np.concatenate([np.arange(sweep.indptr[r], sweep.indptr[r] + c) for r, c in zip(rows, counts)] + [[]])
-    take = take.astype(np.intp)
-    return np.concatenate([[0], np.cumsum(counts)]), columns[sweep.indices[take]], sweep.data[take]
+def ref_key_order(fac):
+    """The rows in a stable sort by key, on Python floats: key_i is 1 plus
+    the keys of the rows that row i reads, stored zeros included, added in
+    stored order, and overflows to inf."""
+    ptr, cols = fac.L.row_ptr.tolist(), fac.L.col_idx.tolist()
+    keys = []
+    for i in range(fac.n):
+        key = 1.0
+        for t in range(ptr[i], ptr[i + 1] - 1):
+            key += keys[cols[t]]
+        keys.append(key)
+    return np.argsort(keys, kind="stable")
 
 
-def natural_sweeps(fac, form):
-    """The factor's sweeps of ``form`` in natural order: its own for a
-    triangular solve, and for chol_solve's form, whose sweeps run in their
-    own order, the same two built from the factor's natural split."""
-    if form == "both":
-        return [sparse_core._build_sweep(f, fac._split) for f in ("forward", "backward")]
-    return [fac._forward if form == "lower" else fac._upper]
+def plan_arrays(sweep, rows, reversed_):
+    """(rows, cols, data): the natural CSR ``sweep``'s rows taken in the
+    order ``rows`` of L's row numbers, each with its entries in stored
+    order.  A reversed sweep numbers row and column j as n - 1 - j."""
+    n = len(sweep.indptr) - 1
+    at = (n - 1) - rows if reversed_ else rows
+    counts = np.diff(sweep.indptr)[at]
+    take = np.concatenate([np.arange(sweep.indptr[r], sweep.indptr[r + 1]) for r in at] + [[]]).astype(np.intp)
+    cols = (n - 1) - sweep.indices[take] if reversed_ else sweep.indices[take]
+    return np.repeat(rows, counts).astype(cols.dtype), cols, sweep.data[take]
 
 
-def chol_orders(fac):
-    """(rows, positions) of chol_solve's forward sweep and of its backward
-    sweep, which runs in the reverse order."""
-    rows, ends = fac._chol[:2]
-    return [(rows, (fac.n - 1) - ends), (rows[::-1], ends)]
+# the sweeps of each form: the natural CSR ones, and the names of the plans
+# that the vector solves run where the key order is not natural
+NATURAL = {"lower": ["_forward"], "upper": ["_upper"], "both": ["_forward", "_backward"]}
+PLANS = {"lower": ["_forward_plan"], "upper": ["_upper_plan"], "both": ["_forward_plan", "_backward_plan"]}
 
 
 # "both" is chol_solve's form, a forward and a backward sweep
@@ -463,7 +470,7 @@ def test_solve_plan_arrays_equal_the_diagonal_product_form(name, form):
     low = fac.L.to_scipy()
     if name == "stored_zero":
         assert np.count_nonzero(low.data == 0.0) == 3
-    sweeps = natural_sweeps(fac, form)
+    sweeps = [getattr(fac, attr) for attr in NATURAL[form]]
     want = product_sweeps(low, form)
     assert len(sweeps) == len(want)
     for k, (got, mat) in enumerate(zip(sweeps, want)):
@@ -484,99 +491,107 @@ def test_solve_plan_arrays_equal_the_diagonal_product_form(name, form):
         assert sweeps[0].divisors is None
     if divisors is not None:
         assert sweeps[-1].divisors.tobytes() == divisors[::-1].tobytes()
-    # chol_solve's sweeps hold the same rows in its order, each with its
-    # entries in the same order, the columns renumbered by position
-    n = fac.n
-    if form == "both":
-        for natural, chol, (rows, positions), natural_rows in zip(
-            sweeps, fac._chol[2:], chol_orders(fac), (np.arange(n), np.arange(n)[::-1])
-        ):
-            want = permuted_rows(natural, natural_rows[rows], positions[natural_rows])
-            for got, arr, kept in zip(chol[:3], want, natural[:3]):
-                assert got.dtype == kept.dtype
-                assert got.tobytes() == arr.astype(kept.dtype).tobytes()
+    # the plans hold the natural sweeps' rows in the key order, reversed for
+    # a transposed form, each with its entries in the same order, in natural
+    # numbers, with natural divisors; the band's key order is natural
+    order = ref_key_order(fac)
+    if name == "ic0_bumped_band256":
+        assert fac._rank is None
+        np.testing.assert_array_equal(order, np.arange(fac.n))
+    else:
+        for k, (natural, attr) in enumerate(zip(sweeps, PLANS[form])):
+            reversed_ = form == "upper" or k == 1
+            plan = getattr(fac, attr)
+            for got, arr in zip(plan[:3], plan_arrays(natural, order[::-1] if reversed_ else order, reversed_)):
+                assert got.dtype == arr.dtype
+                assert got.tobytes() == arr.tobytes()
             if natural.divisors is None:
-                assert chol.divisors is None
+                assert plan.divisors is None
             else:
-                assert chol.divisors.tobytes() == natural.divisors[natural_rows[rows]].tobytes()
+                assert plan.divisors.tobytes() == natural.divisors[::-1].tobytes()
     # the factor's own arrays are not written
     for arr in (fac.L.row_ptr, fac.L.col_idx, fac.L.values):
         assert not arr.flags.writeable
 
 
-def counted_sweeps(monkeypatch):
-    """The list each ``sparse_core._sweep`` call appends to."""
-    original, calls = sparse_core._sweep, []
+def counted_builds(monkeypatch):
+    """The list each ``sparse_core._build_sweep`` call appends its form to,
+    with "plan" for a plan."""
+    original, calls = sparse_core._build_sweep, []
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def counted(form, split, rank=None):
+        calls.append(form if rank is None else f"{form} plan")
+        return original(form, split, rank)
 
-    monkeypatch.setattr(sparse_core, "_sweep", counted)
+    monkeypatch.setattr(sparse_core, "_build_sweep", counted)
     return calls
 
 
-def test_every_solve_of_a_factor_shares_its_four_sweeps(monkeypatch):
-    # the lower solve and scaled_apply's second half run one forward sweep,
-    # the upper solve and scaled_apply's first half one reversed sweep, for
-    # vectors and blocks alike; chol_solve runs the two sweeps of its own
-    # order, which is the identity on the bumped band: each sweep is built
-    # once
-    calls = counted_sweeps(monkeypatch)
-    for name in ("ic0_poisson20", "ic0_bumped_band256"):
+def test_every_solve_of_a_factor_shares_its_sweeps(monkeypatch):
+    # blocks and triangular solves run the natural forward and upper sweeps;
+    # vector scaled_apply and chol_solve run the plans of the grid's key
+    # order, and on the bumped band, whose key order is natural, the
+    # natural sweeps, with the backward one for chol_solve: each is built
+    # once, and the second round of calls builds nothing
+    calls = counted_builds(monkeypatch)
+    for name, built in (
+        ("ic0_poisson20", ["backward plan", "forward", "forward plan", "upper", "upper plan"]),
+        ("ic0_bumped_band256", ["backward", "forward", "upper"]),
+    ):
         calls.clear()
         fac = PLAN_FACTORS[name]()
         s = CsrMatrix.from_scipy(fac.L.to_scipy() @ fac.L.to_scipy().T)
         v = np.random.default_rng(3).standard_normal((fac.n, 3))
         for _ in range(2):
+            chol_solve(fac, v[:, 0])
             for b in (v[:, 0], v):
                 tri_solve(fac, b)
                 tri_solve(fac, b, transposed=True)
                 scaled_apply(s, fac, b)
-            chol_solve(fac, v[:, 0])
-        assert len(calls) == 4, name
+        assert sorted(calls) == built, name
 
 
 def test_chol_solve_alone_never_builds_the_upper_sweep(monkeypatch):
-    # a forward and a backward sweep in chol_solve's order, and neither
-    # natural sweep; a rejected block builds nothing
-    calls = counted_sweeps(monkeypatch)
-    fac = PLAN_FACTORS["ic0_poisson20"]()
-    b = np.random.default_rng(3).standard_normal((fac.n, 3))
-    with pytest.raises(ValueError):
-        chol_solve(fac, b)
-    assert not calls and "_chol" not in vars(fac)
-    chol_solve(fac, b[:, 0])
-    chol_solve(fac, b[:, 1])
-    assert len(calls) == 2
-    assert "_upper" not in vars(fac) and "_forward" not in vars(fac)
+    # a forward and a backward plan in the key order, or the natural
+    # forward and backward sweeps where it is natural, and neither upper
+    # sweep nor upper plan; a rejected block builds nothing
+    calls = counted_builds(monkeypatch)
+    for name, built in (("ic0_poisson20", ["forward plan", "backward plan"]), ("ic0_bumped_band256", ["forward", "backward"])):
+        calls.clear()
+        fac = PLAN_FACTORS[name]()
+        b = np.random.default_rng(3).standard_normal((fac.n, 3))
+        with pytest.raises(ValueError):
+            chol_solve(fac, b)
+        assert not calls and "_rank" not in vars(fac)
+        chol_solve(fac, b[:, 0])
+        chol_solve(fac, b[:, 1])
+        assert calls == built, name
+        assert not {"_upper", "_upper_plan"} & set(vars(fac))
 
 
 def test_vector_order_is_a_topological_order_and_natural_on_the_band():
-    # on the 70 x 70 grid chol_solve's rows follow each other in another
-    # order than the natural one, and each row still comes after every row
-    # it reads: L's strict entries, stored zeros included, and each of its
-    # sweeps' entries point to earlier positions
+    # on the 70 x 70 grid the key order differs from the natural one, and
+    # each row still comes after every row it reads: L's strict entries,
+    # stored zeros included.  The forward plan's rows come in that order and
+    # its backward plan's in the reverse one, each entry reading a row
+    # before its own
     fac = PLAN_FACTORS["ic0_poisson70"]()
-    rows, ends, forward, backward = fac._chol
-    assert rows.dtype == ends.dtype == np.intp
-    assert not np.array_equal(rows, np.arange(fac.n))
-    np.testing.assert_array_equal(ends[rows], np.arange(fac.n)[::-1])
-    positions = chol_orders(fac)[0][1]
+    rank = fac._rank
+    assert rank.dtype == fac.L.row_ptr.dtype
+    order = ref_key_order(fac)
+    assert not np.array_equal(order, np.arange(fac.n))
+    np.testing.assert_array_equal(rank[order], np.arange(fac.n))
     i, j = fac._split.i, fac._split.j
-    assert np.all(positions[j] < positions[i])
-    for sweep in (forward, backward):
-        sweep_rows = np.repeat(np.arange(fac.n), np.diff(sweep.indptr))
-        assert np.all(sweep.indices < sweep_rows)
+    assert np.all(rank[j] < rank[i])
+    for plan, position in ((fac._forward_plan, rank), (fac._backward_plan, (fac.n - 1) - rank)):
+        at = position[plan.rows]
+        assert np.all(np.diff(at) >= 0) and np.all(position[plan.cols] < at)
     # every row of the bumped band reads the row before it, so its order is
-    # the identity, and its sweeps are the natural ones
+    # the identity: no rank, and chol_solve runs the natural sweeps
     band = PLAN_FACTORS["ic0_bumped_band256"]()
-    rows, ends, *chol = band._chol
-    np.testing.assert_array_equal(rows, np.arange(band.n))
-    np.testing.assert_array_equal(ends, np.arange(band.n)[::-1])
-    for got, natural in zip(chol, natural_sweeps(band, "both")):
-        for a, b in zip(got, natural):
-            np.testing.assert_array_equal(a, b, strict=True)
+    assert band._rank is None
+    b = np.random.default_rng(5).standard_normal(band.n)
+    assert chol_solve(band, b).tobytes() == ref_chol_solve(band.L, b).tobytes()
 
 
 def overflowing_factor():
@@ -598,36 +613,39 @@ def overflowing_factor():
 
 def test_overflowing_keys_still_solve_bitwise():
     fac = overflowing_factor()
-    rows, positions = chol_orders(fac)[0]
-    assert not np.array_equal(rows, np.arange(fac.n))
+    rows, rank = ref_key_order(fac), fac._rank
+    np.testing.assert_array_equal(rank[rows], np.arange(fac.n))
     # the free rows come first, and the tied rows keep natural order after
     # the dense ones they tie with
     assert set(rows[1:41].tolist()) == set(range(1100, 1140))
     np.testing.assert_array_equal(rows[-41:], [1099] + list(range(1140, 1180)))
     i, j = fac._split.i, fac._split.j
-    assert np.all(positions[j] < positions[i])
+    assert np.all(rank[j] < rank[i])
     low = fac.L.to_scipy()
-    b = np.random.default_rng(10).standard_normal(fac.n)
+    gen = np.random.default_rng(10)
+    b = gen.standard_normal(fac.n)
     for transposed in (False, True):
         tri = low.T.tocsr() if transposed else low
         want = scipy.sparse.linalg.spsolve_triangular(tri, b, lower=not transposed)
         assert tri_solve(fac, b, transposed).tobytes() == want.tobytes()
     assert chol_solve(fac, b).tobytes() == ref_chol_solve(fac.L, b).tobytes()
+    check_scaled_apply(fac, random_square(gen, fac.n), b)
 
 
 def test_vector_sweeps_keep_the_index_dtype():
-    # int32 from an int32 factor, int64 from widened_factor's int64 split,
-    # natural and in chol_solve's order; that order is numpy's index type
+    # int32 from an int32 factor, int64 from widened_factor's int64 split:
+    # the rank, the natural sweeps and the plans, whose transposed forms
+    # number rows from the end
     fac = PLAN_FACTORS["ic0_poisson20"]()
     wide = widened_factor(fac)
     for f, index in ((fac, np.int32), (wide, np.int64)):
-        assert f._chol[0].dtype == f._chol[1].dtype == np.intp
+        assert f._rank.dtype == index
         for sweep in every_sweep(f):
-            assert sweep.indptr.dtype == sweep.indices.dtype == index
+            assert sweep[0].dtype == sweep[1].dtype == index
     for narrow, widened in zip(every_sweep(fac), every_sweep(wide)):
         for a, b in zip(narrow[:3], widened[:3]):
             np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(wide._chol[0], fac._chol[0])
+    np.testing.assert_array_equal(wide._rank, fac._rank)
     gen = np.random.default_rng(11)
     v = gen.standard_normal(fac.n)
     assert chol_solve(wide, v).tobytes() == chol_solve(fac, v).tobytes()
@@ -679,11 +697,11 @@ def test_sweep_reads_what_it_has_written():
     block = np.ones((6, 3))
     _sparsetools.csr_matvecs(6, 6, 3, indptr, indices, data, block, block)
     np.testing.assert_array_equal(block, np.repeat(np.arange(1.0, 7.0)[:, None], 3, axis=1))
-    # chol_solve's sweeps run their rows in a permuted order, so a row's
-    # column indices, which are positions in that order, need not ascend:
-    # row 3 reads the rows at positions 2, 0 and 1 in that stored order, and
-    # adds their products in it.  Summed in ascending column order it would
-    # round to another value
+    # a reversed sweep keeps each row's entries in ascending rows of L,
+    # which are descending columns after the reversal, so a row's column
+    # indices need not ascend: row 3 reads rows 2, 0 and 1 in that stored
+    # order, and adds their products in it.  Summed in ascending column
+    # order it would round to another value
     indptr = np.array([0, 0, 1, 2, 5], dtype=np.int32)
     indices = np.array([0, 1, 2, 0, 1], dtype=np.int32)
     data = np.array([1.0, 1.0, 1.0, 1e16, -0.5e16])
@@ -696,6 +714,31 @@ def test_sweep_reads_what_it_has_written():
     np.testing.assert_array_equal(x, [1.0, x1, x2, stored])
 
 
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+def test_coo_sweep_reads_what_it_has_written(index):
+    # the plans rest on coo_matvec(x, x) computing x[rows[k]] += data[k] *
+    # x[cols[k]] entry by entry, in stored order, in place.  These entries
+    # come out of row order, and each reads a value that an earlier entry
+    # wrote, or row 4's, which none writes: a copy of x, a restrict-qualified
+    # or parallel kernel, or entries taken row by row would give other
+    # values.  Row 2 adds its products in stored order, with columns 4, 1
+    # and 3; in ascending column order they would round to 10, not 8
+    rows = np.array([3, 1, 2, 2, 2, 0], dtype=index)
+    cols = np.array([4, 3, 4, 1, 3, 2], dtype=index)
+    data = np.array([1.0, 1.0, 1e16, 3.0, -0.5e16, 1.0])
+    x = np.ones(5)
+    _sparsetools.coo_matvec(len(data), rows, cols, data, x, x)
+    want = [1.0] * 5
+    for i, j, a in zip(rows.tolist(), cols.tolist(), data.tolist()):
+        want[i] += a * want[j]
+    assert x.tobytes() == np.array(want).tobytes()
+    x1, x3, x4 = 3.0, 2.0, 1.0
+    stored = ((1.0 + 1e16 * x4) + 3.0 * x1) + -0.5e16 * x3
+    ascending = ((1.0 + 3.0 * x1) + -0.5e16 * x3) + 1e16 * x4
+    assert (stored, ascending) == (8.0, 10.0)
+    np.testing.assert_array_equal(x, [1.0 + stored, x1, stored, x3, x4])
+
+
 def widened(low: CsrMatrix):
     """``low``'s arrays with int64 indices, which CsrMatrix keeps only from 2**31."""
     return SimpleNamespace(
@@ -705,18 +748,23 @@ def widened(low: CsrMatrix):
 
 
 def every_sweep(fac: CholFactor) -> list:
-    """The factor's natural sweeps and chol_solve's two."""
-    return [fac._forward, fac._upper, *fac._chol[2:]]
+    """The factor's natural sweeps, and its plans where its key order is not
+    natural."""
+    sweeps = [fac._forward, fac._upper, fac._backward]
+    if fac._rank is not None:
+        sweeps += [fac._forward_plan, fac._upper_plan, fac._backward_plan]
+    return sweeps
 
 
 def widened_factor(fac: CholFactor) -> CholFactor:
-    """A copy of ``fac`` whose split, and so every sweep built from it, in
-    either order, has int64 indices, which CsrMatrix keeps only from 2**31."""
+    """A copy of ``fac`` whose split, and so its rank and every sweep and
+    plan built from it, has int64 indices, which CsrMatrix keeps only from
+    2**31."""
     wide = CholFactor(fac.L)
     split = fac._split
     wide.__dict__["_split"] = split._replace(i=split.i.astype(np.int64), j=split.j.astype(np.int64))
     for sweep in every_sweep(wide):
-        assert sweep.indptr.dtype == sweep.indices.dtype == np.int64
+        assert sweep[0].dtype == sweep[1].dtype == np.int64
     return wide
 
 
@@ -902,6 +950,77 @@ def test_property_scaled_apply_is_bitwise_its_definition(fac, wide, k, fortran, 
     gen = np.random.default_rng(seed)
     v = gen.standard_normal(fac.n) if k is None else gen.standard_normal((fac.n, k))
     check_scaled_apply(fac, random_square(gen, fac.n), np.asfortranarray(v) if fortran else v, wide, eta)
+
+
+def stencil(m: int, dims: int) -> scipy.sparse.csr_array:
+    """The 5-point (dims 2) or 7-point (dims 3) Laplacian of an m-point
+    grid, plus 0.01 I."""
+    t = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m))
+    a = t
+    for _ in range(dims - 1):
+        a = scipy.sparse.kronsum(a, t)
+    return scipy.sparse.csr_array(a + 0.01 * scipy.sparse.eye_array(m**dims))
+
+
+@st.composite
+def vector_solve_factors(draw):
+    """(kind, S, its ic0 factor): grids in 2 and 3 dimensions, random SPD
+    patterns B^T B + I, tridiagonal chains cut into pieces, and whole
+    chains; on each but the last, L stores some exact zeros maybe."""
+    kind = draw(st.sampled_from(["grid2", "grid3", "random", "pieces", "chain"]))
+    if kind == "grid2":
+        a = stencil(draw(st.integers(3, 24)), 2)
+    elif kind == "grid3":
+        a = stencil(draw(st.integers(2, 8)), 3)
+    elif kind == "random":
+        n = draw(st.integers(5, 150))
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mask = gen.random((n + 20, n)) < draw(st.sampled_from([0.02, 0.05, 0.15]))
+        b = scipy.sparse.csr_array(np.where(mask, gen.standard_normal(mask.shape), 0.0))
+        a = scipy.sparse.csr_array(b.T @ b + scipy.sparse.eye_array(n))
+    else:
+        n = draw(st.integers(3, 300))
+        a = stencil(n, 1)
+        if kind == "pieces":
+            # dropping (i, i - 1) and (i - 1, i) starts a new piece at row i,
+            # whose key, 1, falls below the last key of a piece of 2 or more
+            cuts = draw(st.sets(st.integers(2, n - 1), min_size=1, max_size=5))
+            a = a.tolil()
+            for i in cuts:
+                a[i, i - 1] = a[i - 1, i] = 0.0
+            a = scipy.sparse.csr_array(a)
+            a.eliminate_zeros()
+    s = CsrMatrix.from_scipy(a)
+    low = ic0(s).L
+    values = np.array(low.values)
+    if kind != "chain" and draw(st.booleans()):
+        strict = np.flatnonzero(low.col_idx < np.repeat(np.arange(low.n_rows), np.diff(low.row_ptr)))
+        if len(strict):
+            values[strict[draw(st.lists(st.integers(0, len(strict) - 1), max_size=5))]] = 0.0
+    return kind, s, CholFactor(CsrMatrix(low.n_rows, low.n_cols, low.row_ptr, low.col_idx, values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=vector_solve_factors(), seed=st.integers(0, 2**32 - 1))
+def test_property_vector_plans_are_bitwise_the_natural_sweeps(case, seed):
+    # chol_solve and vector scaled_apply against the natural CSR sweeps: the
+    # grids and the pieces of a cut chain, whose keys restart at 1 in every
+    # piece, run the plans of their key order, and a whole chain, whose
+    # order is natural, runs the natural sweeps and builds no plan
+    kind, s, fac = case
+    gen = np.random.default_rng(seed)
+    b = gen.standard_normal(fac.n)
+    x = np.array(b)
+    fac._forward.run(x)
+    want = fac._backward.apply(x)[::-1]
+    got = chol_solve(fac, b)
+    assert got.tobytes() == want.tobytes() == ref_chol_solve(fac.L, b).tobytes()
+    check_scaled_apply(fac, s, b)
+    plans = {"_forward_plan", "_upper_plan", "_backward_plan"} & set(vars(fac))
+    if kind == "chain":
+        assert fac._rank is None and not plans
+    elif kind != "random":
+        assert fac._rank is not None and len(plans) == 3
 
 
 CHUNK = sparse_core._BLOCK_COLUMNS
